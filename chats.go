@@ -129,37 +129,6 @@ func RunWithTracer(cfg Config, w Workload, t Tracer) (Stats, error) {
 	return m.Run(w)
 }
 
-// WaveInfo carries the engine's parallel-coverage counters for one run:
-// fired events, the same-cycle distinct-domain waves they formed, and
-// the subset that ran on the serial domain (each one a full barrier).
-// Events/Waves is the average parallel batch width; Serial/Events the
-// residual barrier fraction. Scheduling structure only — never part of
-// Stats, so bit-equality comparisons don't see it.
-type WaveInfo struct {
-	Events uint64
-	Waves  uint64
-	Serial uint64
-}
-
-// RunObserved is Run with an optional tracer (nil = none) and, when
-// waves is non-nil, the engine's wave counters stored there after the
-// run — the seam record producers use to stamp wave width into the run
-// database without rebuilding the machine.
-func RunObserved(cfg Config, w Workload, t Tracer, waves *WaveInfo) (Stats, error) {
-	m, err := build(cfg)
-	if err != nil {
-		return Stats{}, err
-	}
-	if t != nil {
-		m.SetTracer(t)
-	}
-	st, err := m.Run(w)
-	if waves != nil {
-		waves.Events, waves.Waves, waves.Serial = m.WaveStats()
-	}
-	return st, err
-}
-
 func build(cfg Config) (*machine.Machine, error) {
 	var (
 		policy htm.Policy
@@ -174,22 +143,6 @@ func build(cfg Config) (*machine.Machine, error) {
 		return nil, err
 	}
 	return machine.New(cfg.Machine, policy)
-}
-
-// EffectiveIntraWorkers reports the engine worker count Run will use for
-// cfg: Machine.IntraWorkers, clamped to 1 (the serial engine) when the
-// run is forced serial — traced reports whether any tracer, telemetry
-// collector or invariant checker will be attached; fault injection,
-// watchdog/starvation diagnostics and PowerTM-token systems force serial
-// on their own. Record producers use it to stamp the engine mode.
-func EffectiveIntraWorkers(cfg Config, traced bool) int {
-	usesPower := false
-	if cfg.Traits != nil {
-		usesPower = cfg.Traits.UsesPower
-	} else if t, err := SystemTraits(cfg.System); err == nil {
-		usesPower = t.UsesPower
-	}
-	return machine.EffectiveIntraWorkers(cfg.Machine, traced, usesPower)
 }
 
 // SystemTraits returns the Table II default traits of a system.

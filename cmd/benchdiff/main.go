@@ -32,8 +32,6 @@ func main() {
 		"fail (exit 1) if any common cell's allocs grew by more than this percentage (0 = report only)")
 	allocSlack := flag.Uint64("alloc-slack", 5000,
 		"absolute alloc headroom per cell before -max-alloc-regress applies (absorbs runtime noise on tiny cells)")
-	minWaveRatio := flag.Float64("min-wave-ratio", 0,
-		"fail (exit 1) if (new events/wave) / (old events/wave) over the common cells falls below this ratio (0 = report only; 1 = no regression allowed)")
 	storeDir := flag.String("store", "",
 		"run-store directory to read the baseline from (with -baseline, replaces OLD.json)")
 	baseline := flag.String("baseline", "",
@@ -74,7 +72,7 @@ func main() {
 		fatal(err)
 	}
 
-	code := diff(os.Stdout, oldRep, newRep, *maxRegress, *allocSlack, *minWaveRatio)
+	code := diff(os.Stdout, oldRep, newRep, *maxRegress, *allocSlack)
 	os.Exit(code)
 }
 
@@ -119,13 +117,10 @@ func loadStoreBaseline(dir, commit string) (*experiments.BenchReport, error) {
 	}
 	for cell, r := range latest {
 		rep.Cells = append(rep.Cells, experiments.CellBench{
-			Cell:         cell,
-			SimCycles:    r.SimCycles,
-			WallclockNS:  r.WallclockNS,
-			Allocs:       r.Allocs,
-			WaveEvents:   r.WaveEvents,
-			Waves:        r.Waves,
-			SerialEvents: r.SerialEvents,
+			Cell:        cell,
+			SimCycles:   r.SimCycles,
+			WallclockNS: r.WallclockNS,
+			Allocs:      r.Allocs,
 		})
 	}
 	sort.Slice(rep.Cells, func(i, j int) bool { return rep.Cells[i].Cell < rep.Cells[j].Cell })
@@ -133,7 +128,7 @@ func loadStoreBaseline(dir, commit string) (*experiments.BenchReport, error) {
 }
 
 // diff prints the per-cell comparison and returns the process exit code.
-func diff(w *os.File, oldRep, newRep *experiments.BenchReport, maxRegress float64, slack uint64, minWaveRatio float64) int {
+func diff(w *os.File, oldRep, newRep *experiments.BenchReport, maxRegress float64, slack uint64) int {
 	oldCells := byName(oldRep.Cells)
 	newCells := byName(newRep.Cells)
 
@@ -181,7 +176,6 @@ func diff(w *os.File, oldRep, newRep *experiments.BenchReport, maxRegress float6
 	fmt.Fprintf(w, "%-34s %11s %11s %6.2fx %12s %12s %6.2fx %9s\n",
 		"geomean", "", "", geomean(wallRatios), "", "", geomean(allocRatios), "")
 	fmt.Fprintf(w, "\ngeomean over %d common cells (old/new, >1 = new is better)\n", len(names))
-	oldWave, newWave := reportWaves(w, names, oldCells, newCells)
 	fmt.Fprintf(w, "total wall clock: %.1fs -> %.1fs (old -j %d, new -j %d)\n",
 		float64(oldRep.TotalWallclockNS)/1e9, float64(newRep.TotalWallclockNS)/1e9,
 		oldRep.Workers, newRep.Workers)
@@ -200,49 +194,7 @@ func diff(w *os.File, oldRep, newRep *experiments.BenchReport, maxRegress float6
 			len(regressed), maxRegress, regressed)
 		code = 1
 	}
-	if minWaveRatio > 0 {
-		switch {
-		case oldWave == 0 || newWave == 0:
-			fmt.Fprintf(w, "\nFAIL: -min-wave-ratio %.2f set but a side is missing wave counters (old %.2f, new %.2f)\n",
-				minWaveRatio, oldWave, newWave)
-			code = 1
-		case newWave < oldWave*minWaveRatio:
-			fmt.Fprintf(w, "\nFAIL: wave width regressed: %.2f -> %.2f events/wave (ratio %.3f < min %.2f)\n",
-				oldWave, newWave, newWave/oldWave, minWaveRatio)
-			code = 1
-		}
-	}
 	return code
-}
-
-// reportWaves prints the average parallel batch width (events per
-// wave) and the serial-event fraction on each side when both carry the
-// wave counters, and returns the two widths so -min-wave-ratio can gate
-// on them (0 when a side lacks the counters). Wave shape is an engine
-// property, not a correctness one — without the flag it never affects
-// the exit code.
-func reportWaves(w *os.File, names []string, oldCells, newCells map[string]experiments.CellBench) (oldWave, newWave float64) {
-	var oe, ow, os_, ne, nw, ns uint64
-	for _, n := range names {
-		o, nc := oldCells[n], newCells[n]
-		oe += o.WaveEvents
-		ow += o.Waves
-		os_ += o.SerialEvents
-		ne += nc.WaveEvents
-		nw += nc.Waves
-		ns += nc.SerialEvents
-	}
-	if ow == 0 || nw == 0 {
-		return 0, 0
-	}
-	oldWave = float64(oe) / float64(ow)
-	newWave = float64(ne) / float64(nw)
-	fmt.Fprintf(w, "events/wave: %.2f -> %.2f (parallel batch width)\n", oldWave, newWave)
-	if oe > 0 && ne > 0 && (os_ > 0 || ns > 0) {
-		fmt.Fprintf(w, "serial fraction: %.1f%% -> %.1f%% (events run on the serial domain)\n",
-			100*float64(os_)/float64(oe), 100*float64(ns)/float64(ne))
-	}
-	return oldWave, newWave
 }
 
 func byName(cells []experiments.CellBench) map[string]experiments.CellBench {

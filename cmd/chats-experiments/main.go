@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"time"
 
@@ -24,7 +25,6 @@ import (
 	"chats/internal/machine"
 	"chats/internal/runstore"
 	"chats/internal/stats"
-	"chats/internal/sweep"
 	"chats/internal/telemetry"
 	"chats/internal/workloads"
 )
@@ -39,13 +39,11 @@ func main() {
 		csvDir    = flag.String("csv", "", "also write each table as CSV into this directory")
 		profile   = flag.String("profile", "", "instead of figures, profile one benchmark under telemetry (hot lines, chain topology, metrics)")
 		profSys   = flag.String("profile-system", "chats", "system to profile with -profile")
-		jobs      = flag.Int("j", 0, "simulation cells to run in parallel (0 = host cores / intra-j; results are identical at any -j)")
-		intraJobs = flag.Int("intra-j", 1, "engine workers inside each simulation: same-cycle events of distinct cores run concurrently (results are identical at any -intra-j; 1 = serial engine)")
+		jobs      = flag.Int("j", 0, "simulation cells to run in parallel (0 = GOMAXPROCS; results are identical at any -j)")
 		benchJSON = flag.String("bench-json", "", "write a machine-readable bench trajectory {cell, simcycles, wallclock_ns, allocs} to this file")
 		storeDir  = flag.String("store", "", "record every simulation into the run database at this directory")
 		progress  = flag.Bool("progress", false, "print a live done/total cell count to stderr while each grid runs")
-		benchBig  = flag.Bool("bench-large", false, "instead of figures, run the large-machine (64-core) bench grid serially and write it with -bench-json — pair -intra-j 1 and -intra-j 4 runs to measure intra-run parallelism")
-		benchScl  = flag.Bool("bench-scale", false, "instead of figures, run the directory-scaling grid (CHATS on kmeans/cadd at 64 and 256 cores) serially and write it with -bench-json — pair runs at different -dir-banks to measure bank-level parallel coverage")
+		benchScl  = flag.Bool("bench-scale", false, "instead of figures, run the directory-scaling grid (CHATS on kmeans/cadd at 64 and 256 cores) serially and write it with -bench-json — pair runs at different -dir-banks to check bank-count equivalence")
 		dirBanks  = flag.Int("dir-banks", 0, "address-interleaved directory banks for every simulation, power of two (0/1 = one bank; results are identical at any count)")
 		soak      = flag.Bool("faults-soak", false, "instead of figures, run every system × micro bench under the fault plan with invariants and the watchdog on")
 		faultSpec = flag.String("faults", "", "fault spec for -faults-soak (default: the canonical all-kinds soak plan)")
@@ -60,9 +58,10 @@ func main() {
 	)
 	flag.Parse()
 
-	// Cell-level and intra-run parallelism multiply: budget the pool so
-	// cells × engine workers roughly matches the host core count.
-	cellJobs := sweep.Budget(*jobs, *intraJobs)
+	cellJobs := *jobs
+	if cellJobs <= 0 {
+		cellJobs = runtime.GOMAXPROCS(0)
+	}
 
 	stopProf, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
@@ -124,7 +123,6 @@ func main() {
 	if *fuzzN > 0 {
 		p := experiments.Params{Size: sz, Machine: machine.DefaultConfig(), Workers: cellJobs, Recorder: recorder}
 		p.Machine.Seed = *seed
-		p.Machine.IntraWorkers = *intraJobs
 		applyKnobs(&p.Machine)
 		rep := experiments.FuzzSmoke(p, *fuzzSeed, *fuzzN)
 		experiments.WriteFuzzReport(os.Stdout, rep)
@@ -139,20 +137,11 @@ func main() {
 		}
 		return
 	}
-	if *benchBig {
-		if *benchJSON == "" {
-			fatal(fmt.Errorf("-bench-large needs -bench-json FILE"))
-		}
-		if err := runLargeBench(sz, *seed, *intraJobs, *dirBanks, *benchJSON); err != nil {
-			fatal(err)
-		}
-		return
-	}
 	if *benchScl {
 		if *benchJSON == "" {
 			fatal(fmt.Errorf("-bench-scale needs -bench-json FILE"))
 		}
-		if err := runScaleBench(sz, *seed, *intraJobs, *dirBanks, *benchJSON); err != nil {
+		if err := runScaleBench(sz, *seed, *dirBanks, *benchJSON); err != nil {
 			fatal(err)
 		}
 		return
@@ -165,7 +154,6 @@ func main() {
 			Recorder: recorder,
 		}
 		p.Machine.Seed = *seed
-		p.Machine.IntraWorkers = *intraJobs
 		applyKnobs(&p.Machine)
 		if *soak {
 			p.WatchdogCycles = 10_000_000
@@ -192,7 +180,6 @@ func main() {
 	}
 	p := experiments.Params{Size: sz, Machine: machine.DefaultConfig(), Seeds: *seeds, Workers: cellJobs, Recorder: recorder}
 	p.Machine.Seed = *seed
-	p.Machine.IntraWorkers = *intraJobs
 	applyKnobs(&p.Machine)
 	if *verbose {
 		p.Verbose = os.Stderr
@@ -313,43 +300,13 @@ func main() {
 	fmt.Fprintf(os.Stderr, "total simulations: %d\n", suite.Runs)
 }
 
-// runLargeBench runs the 64-core bench grid one cell at a time (the
+// runScaleBench runs the directory-scaling grid one cell at a time (the
 // wall-clock and alloc numbers are the point, so nothing else may run
-// concurrently) and writes the trajectory. Diff an -intra-j 1 run
-// against an -intra-j 4 run with benchdiff to see the intra-run
-// speedup.
-func runLargeBench(sz workloads.Size, seed uint64, intra, banks int, out string) error {
+// concurrently) and writes the trajectory. Pair runs at different
+// -dir-banks with benchdiff: cycles must match bit-for-bit.
+func runScaleBench(sz workloads.Size, seed uint64, banks int, out string) error {
 	p := experiments.Params{Size: sz, Machine: machine.DefaultConfig(), Workers: 1}
 	p.Machine.Seed = seed
-	p.Machine.Cores = experiments.LargeBenchCores
-	p.Machine.IntraWorkers = intra
-	p.Machine.DirBanks = banks
-	suite := experiments.NewSuite(p)
-	start := time.Now()
-	if err := suite.RunLargeBench(); err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := suite.WriteBenchJSON(f, 1, time.Since(start), runstore.NowMeta()); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "large bench: %d cells at %d cores, intra-j %d -> %s\n",
-		suite.Runs, experiments.LargeBenchCores, intra, out)
-	return f.Close()
-}
-
-// runScaleBench runs the directory-scaling grid serially (like
-// runLargeBench, the wall-clock and alloc numbers are the point) and
-// writes the trajectory. Pair runs at different -dir-banks with
-// benchdiff: cycles must match bit-for-bit, the events-per-wave row
-// shows the parallel-coverage gain.
-func runScaleBench(sz workloads.Size, seed uint64, intra, banks int, out string) error {
-	p := experiments.Params{Size: sz, Machine: machine.DefaultConfig(), Workers: 1}
-	p.Machine.Seed = seed
-	p.Machine.IntraWorkers = intra
 	p.Machine.DirBanks = banks
 	start := time.Now()
 	cells, runs, err := experiments.RunScaleBench(p)
@@ -363,8 +320,7 @@ func runScaleBench(sz workloads.Size, seed uint64, intra, banks int, out string)
 	if err := experiments.WriteBenchCells(f, cells, 1, sz.String(), runs, time.Since(start), runstore.NowMeta()); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "scale bench: %d cells, dir-banks %d, intra-j %d -> %s\n",
-		runs, banks, intra, out)
+	fmt.Fprintf(os.Stderr, "scale bench: %d cells, dir-banks %d -> %s\n", runs, banks, out)
 	return f.Close()
 }
 

@@ -158,17 +158,14 @@ func (m *jobManager) Start(req sweepRequest) (job, error) {
 				col = telemetry.New(cfg.Machine.Cores, telemetry.Options{MaxEvents: 1})
 				tracer = col
 			}
-			var wv chats.WaveInfo
 			start := time.Now()
-			st, err := chats.RunObserved(cfg, w, tracer, &wv)
+			st, err := chats.RunWithTracer(cfg, w, tracer)
 			if err != nil {
 				return fmt.Errorf("%s on %s: %w", cells[i].kind, cells[i].bench, err)
 			}
 			rec := runstore.FromStats(st, string(cells[i].kind), req.Seed,
 				experiments.TraitsKey(nil), req.Size, time.Since(start).Nanoseconds(), 0)
-			rec.StampEngine(chats.EffectiveIntraWorkers(cfg, req.Telemetry))
 			rec.StampDirBanks(cfg.Machine.DirBanks)
-			rec.StampWaves(wv.Events, wv.Waves, wv.Serial)
 			if col != nil {
 				runstore.AttachTelemetry(&rec, col, 16)
 			}

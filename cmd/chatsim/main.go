@@ -73,9 +73,8 @@ func main() {
 		progress    = flag.Bool("progress", false, "with -sweep: print a live done/total cell count to stderr")
 		sweepSys    = flag.String("systems", "", "comma-separated systems for -sweep (default: all)")
 		sweepBench  = flag.String("benches", "", "comma-separated benchmarks for -sweep (default: all)")
-		jobs        = flag.Int("j", 0, "cells to run in parallel with -sweep (0 = host cores / intra-j; results are identical at any -j)")
-		intraJobs   = flag.Int("intra-j", 1, "engine workers per run: same-cycle events of distinct cores execute concurrently (results are identical at any -intra-j; 1 = serial engine)")
-		dirBanks    = flag.Int("dir-banks", 0, "address-interleaved directory banks, power of two (0/1 = one bank; results are identical at any count, >1 adds parallel coverage under -intra-j)")
+		jobs        = flag.Int("j", 0, "cells to run in parallel with -sweep (0 = GOMAXPROCS; results are identical at any -j)")
+		dirBanks    = flag.Int("dir-banks", 0, "address-interleaved directory banks, power of two (0/1 = one bank; results are identical at any count, >1 adds per-bank load reports)")
 		dumpConfig  = flag.Bool("dump-config", false, "print Table I and exit")
 		dumpSystems = flag.Bool("dump-systems", false, "print Table II and exit")
 		list        = flag.Bool("list", false, "list benchmarks and systems and exit")
@@ -95,7 +94,6 @@ func main() {
 	cfg.Machine.Cores = *cores
 	cfg.Machine.WatchdogCycles = *wdCycles
 	cfg.Machine.MaxAttempts = *maxAttempts
-	cfg.Machine.IntraWorkers = *intraJobs
 	cfg.Machine.DirBanks = *dirBanks
 	if *faultSpec != "" {
 		spec := *faultSpec
@@ -146,10 +144,6 @@ func main() {
 		return
 	}
 
-	// -j and -intra-j multiply; budget the cell pool around the engine
-	// workers each cell will run so the host is not oversubscribed.
-	cellJobs := sweep.Budget(*jobs, *intraJobs)
-
 	var store *runstore.Store
 	if *storeDir != "" {
 		var err error
@@ -165,7 +159,7 @@ func main() {
 		if store != nil {
 			record = store.Recorder(runstore.NowMeta(), "fuzz")
 		}
-		if err := runFuzz(cfg, *fuzzN, *fuzzSeed, *size, *sweepSys, cellJobs,
+		if err := runFuzz(cfg, *fuzzN, *fuzzSeed, *size, *sweepSys, *jobs,
 			*fuzzBudget, *minimize, *reproOut, *fuzzBreak, *jsonOut, record); err != nil {
 			fatal(err)
 		}
@@ -179,7 +173,7 @@ func main() {
 	}
 
 	if *doSweep {
-		if err := runSweep(cfg, *sweepSys, *sweepBench, *size, cellJobs, *retries, *vsb, *valInterval, *jsonOut, *invariants, store, *progress); err != nil {
+		if err := runSweep(cfg, *sweepSys, *sweepBench, *size, *jobs, *retries, *vsb, *valInterval, *jsonOut, *invariants, store, *progress); err != nil {
 			fatal(err)
 		}
 		return
@@ -236,15 +230,14 @@ func main() {
 	}
 
 	var st chats.Stats
-	var wv chats.WaveInfo
 	cost := beginCost()
 	switch len(tracers) {
 	case 0:
-		st, err = chats.RunObserved(cfg, w, nil, &wv)
+		st, err = chats.Run(cfg, w)
 	case 1:
-		st, err = chats.RunObserved(cfg, w, tracers[0], &wv)
+		st, err = chats.RunWithTracer(cfg, w, tracers[0])
 	default:
-		st, err = chats.RunObserved(cfg, w, tracers, &wv)
+		st, err = chats.RunWithTracer(cfg, w, tracers)
 	}
 	wallNS, allocs := cost.finish()
 	if err != nil {
@@ -252,9 +245,7 @@ func main() {
 	}
 	if store != nil {
 		rec := runstore.FromStats(st, string(cfg.System), cfg.Machine.Seed, experiments.TraitsKey(cfg.Traits), *size, wallNS, allocs)
-		rec.StampEngine(chats.EffectiveIntraWorkers(cfg, len(tracers) > 0))
 		rec.StampDirBanks(cfg.Machine.DirBanks)
-		rec.StampWaves(wv.Events, wv.Waves, wv.Serial)
 		if col != nil {
 			runstore.AttachTelemetry(&rec, col, 16)
 		}
@@ -408,17 +399,16 @@ func runSweep(base chats.Config, systems, benches, size string, jobs, retries, v
 			return err
 		}
 		var st chats.Stats
-		var wv chats.WaveInfo
 		cost := beginCost()
 		if invariants {
 			// One fresh checker per cell: a Checker is per-run state.
 			chk := invariant.New()
-			st, err = chats.RunObserved(cells[i].cfg, w, chk, &wv)
+			st, err = chats.RunWithTracer(cells[i].cfg, w, chk)
 			if err == nil {
 				err = chk.Err()
 			}
 		} else {
-			st, err = chats.RunObserved(cells[i].cfg, w, nil, &wv)
+			st, err = chats.Run(cells[i].cfg, w)
 		}
 		wallNS, allocs := cost.finish()
 		if err != nil {
@@ -427,9 +417,7 @@ func runSweep(base chats.Config, systems, benches, size string, jobs, retries, v
 		if record != nil {
 			rec := runstore.FromStats(st, string(cells[i].cfg.System), cells[i].cfg.Machine.Seed,
 				experiments.TraitsKey(cells[i].cfg.Traits), size, wallNS, allocs)
-			rec.StampEngine(chats.EffectiveIntraWorkers(cells[i].cfg, invariants))
 			rec.StampDirBanks(cells[i].cfg.Machine.DirBanks)
-			rec.StampWaves(wv.Events, wv.Waves, wv.Serial)
 			record(rec)
 		}
 		results[i] = st

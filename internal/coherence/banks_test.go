@@ -10,10 +10,9 @@ import (
 
 // Directed tests for the address-sharded directory: bank selection,
 // cross-bank independence, the per-bank ForceNack seam, and the
-// queue-unstranding regression from the fault-seam PR. All rigs run
-// with FirstDomain 0 (every bank serial), so the tests exercise the
-// sharded state machine itself; the engine-level domain interleaving is
-// covered by the difftest bank-equivalence layer.
+// queue-unstranding regression from the fault-seam PR. The tests
+// exercise the sharded state machine itself; whole-machine bank-count
+// equivalence is covered by the difftest bank-equivalence layer.
 
 func newBankedRig(n, banks int) *rig {
 	r := &rig{eng: new(sim.Engine), memry: mem.NewMemory()}

@@ -13,8 +13,7 @@ import (
 const MaxCores = 256
 
 // MaxBanks caps the bank count at the memory shard count, so two lines
-// owned by different banks always live in different mem.Memory shards
-// and concurrently executing banks never share a map.
+// owned by different banks always live in different mem.Memory shards.
 const MaxBanks = 256
 
 // Config holds the directory/memory timing parameters (Table I) and the
@@ -30,24 +29,8 @@ type Config struct {
 	// Banks is the number of independent address-interleaved directory
 	// banks (power of two, <= MaxBanks; 0 means 1). Each bank owns the
 	// full per-line state — MESI entry, blocking queue, in-flight flow
-	// pools — for the lines hashing to it, so banks never share mutable
-	// state.
+	// pools, NACK seam and stats shard — for the lines hashing to it.
 	Banks int
-	// FirstDomain, when non-zero, gives bank i the scheduling domain
-	// FirstDomain+i so directory actions for distinct banks run in
-	// parallel under the intra-run parallel engine. Zero keeps every
-	// bank on sim.DomainSerial (bit-identical, fully serial — the
-	// correct default for direct-construction tests).
-	FirstDomain sim.Domain
-
-	// CoreDomain, when non-nil, maps a core ID to the scheduling domain
-	// its deliveries (responses through RespSlot, probes) should execute
-	// in — the machine wires the node domains here so deliveries join
-	// the destination's wave instead of serializing the frame. Nil
-	// delivers everything core-bound into sim.DomainSerial (the correct
-	// default for direct-construction tests, whose handlers are not
-	// domain-owned).
-	CoreDomain func(core int) sim.Domain
 }
 
 // Stats counts directory activity.
@@ -135,15 +118,9 @@ type dirLine struct {
 
 // dirBank is one address-interleaved home-node bank. It owns every line
 // hashing to it — MESI state, the blocking request queue, the in-flight
-// flow objects and their free lists, a Stats shard, and a network
-// endpoint — so two banks share no mutable state and their events can
-// execute concurrently in distinct domains.
+// flow objects and their free lists, and a Stats shard.
 type dirBank struct {
 	d     *Directory
-	idx   int
-	dom   sim.Domain
-	sched sim.Sched
-	ep    network.Endpoint
 	lines map[mem.Addr]*dirLine
 	stats Stats
 
@@ -197,19 +174,7 @@ func NewDirectory(eng *sim.Engine, net *network.Network, memory *mem.Memory, cfg
 	}
 	d := &Directory{eng: eng, net: net, memory: memory, cfg: cfg}
 	for i := 0; i < nbanks; i++ {
-		dom := sim.DomainSerial
-		if cfg.FirstDomain != sim.DomainSerial {
-			dom = cfg.FirstDomain + sim.Domain(i)
-		}
-		sched := eng.NewSched(dom)
-		d.banks = append(d.banks, &dirBank{
-			d:     d,
-			idx:   i,
-			dom:   dom,
-			sched: sched,
-			ep:    net.NewEndpoint(sched),
-			lines: make(map[mem.Addr]*dirLine),
-		})
+		d.banks = append(d.banks, &dirBank{d: d, lines: make(map[mem.Addr]*dirLine)})
 	}
 	return d
 }
@@ -230,20 +195,6 @@ func (d *Directory) BankIndex(a mem.Addr) int { return BankOf(a, len(d.banks)) }
 
 // bankFor returns the bank owning the line containing a.
 func (d *Directory) bankFor(a mem.Addr) *dirBank { return d.banks[d.BankIndex(a)] }
-
-// BankDomain returns the scheduling domain of the bank owning the line
-// containing a (DomainSerial unless per-bank domains are configured).
-// The machine targets directory-bound messages at this domain so
-// requests to distinct banks execute in parallel.
-func (d *Directory) BankDomain(a mem.Addr) sim.Domain { return d.bankFor(a).dom }
-
-// coreDom returns the delivery domain for core-bound messages to core i.
-func (d *Directory) coreDom(i int) sim.Domain {
-	if d.cfg.CoreDomain == nil {
-		return sim.DomainSerial
-	}
-	return d.cfg.CoreDomain(i)
-}
 
 // SetBankForceNack installs a per-bank override of the ForceNack seam.
 // A nil fn removes the override, falling back to the directory-wide
@@ -268,14 +219,6 @@ func (d *Directory) BankStats(bank int) Stats { return d.banks[bank].stats }
 // occupancy measure for the per-bank load reports.
 func (d *Directory) BankLines(bank int) int { return len(d.banks[bank].lines) }
 
-// NetShards folds the per-bank endpoint counters into the network
-// totals; the machine calls it once after a run.
-func (d *Directory) NetShards() {
-	for _, b := range d.banks {
-		d.net.AddShard(&b.ep.Stats)
-	}
-}
-
 func (b *dirBank) line(a mem.Addr) *dirLine {
 	a = a.Line()
 	l, ok := b.lines[a]
@@ -299,15 +242,14 @@ func (b *dirBank) accessLatency(l *dirLine) uint64 {
 
 // ---------- pooled messages ----------
 
-// dirMsg ops. Each value is one kind of directory-side event: a legacy
+// dirMsg ops. Each value is one kind of directory-side event: a
 // response delivery at the requester, a queued-request restart, a
 // post-latency state-transition arm, or a requester's unblock. Probe
 // deliveries and flow-internal cancellations need no dirMsg: the flow
-// objects (fwdFlow, invTarget) are their own hop payloads, phase-
-// switched, so nothing pooled at a bank ever travels through a core
-// domain's executing context.
+// objects (fwdFlow, invTarget) are their own phase-switched hop
+// payloads.
 const (
-	mResp        uint8 = iota // deliver resp at a legacy (non-slot) handler
+	mResp        uint8 = iota // deliver resp at the requester
 	mStart                    // re-issue a queued GetS/GetX
 	mGrantExcl                // serve memory, grant exclusive
 	mGrantShared              // serve memory, add sharer
@@ -350,35 +292,16 @@ func (b *dirBank) freeMsg(m *dirMsg) {
 }
 
 // sendResp schedules a response delivery at the requester over the
-// given message class, through via (nil = the bank's own endpoint;
-// only legal from bank or serial execution). A *RespSlot handler is
-// the requester-owned fast path: the slot is filled in place and
-// delivered into its bound domain, so the response executes as an
-// ordinary event of the destination domain. Any other handler (tests'
-// RespFunc) takes the legacy pooled-message path into the serial
-// domain, which is exactly the old behavior and safe because those
-// configurations run the serial engine.
-func (b *dirBank) sendResp(via *network.Endpoint, data bool, h RespHandler, r Resp) {
-	if via == nil {
-		via = &b.ep
-	}
-	if s, ok := h.(*RespSlot); ok {
-		s.resp = r
-		if data {
-			via.SendDataMsg(s.dom, s)
-		} else {
-			via.SendControlMsg(s.dom, s)
-		}
-		return
-	}
+// given message class.
+func (b *dirBank) sendResp(data bool, h RespHandler, r Resp) {
 	m := b.newMsg()
 	m.op = mResp
 	m.h = h
 	m.resp = r
 	if data {
-		via.SendDataMsg(sim.DomainSerial, m)
+		b.d.net.SendDataMsg(m)
 	} else {
-		via.SendControlMsg(sim.DomainSerial, m)
+		b.d.net.SendControlMsg(m)
 	}
 }
 
@@ -404,13 +327,13 @@ func (m *dirMsg) Run() {
 		l.state = dirE
 		l.owner = req.ID
 		l.sharers = sharerSet{}
-		b.sendResp(nil, true, h, Resp{Kind: RespData, Data: data, Excl: true})
+		b.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: true})
 	case mGrantShared:
 		line, l, req, h := m.line, m.l, m.req, m.h
 		b.freeMsg(m)
 		data := b.d.memory.ReadLine(line)
 		l.sharers.set(req.ID)
-		b.sendResp(nil, true, h, Resp{Kind: RespData, Data: data, Excl: false})
+		b.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: false})
 	case mFwd:
 		f := b.newFwd()
 		f.line = m.line
@@ -421,7 +344,7 @@ func (m *dirMsg) Run() {
 		f.isX = m.isX
 		f.phase = fwdDeliver
 		b.freeMsg(m)
-		b.ep.SendControlMsg(b.d.coreDom(f.owner), f)
+		b.d.net.SendControlMsg(f)
 	case mCollect:
 		line, l, req, h := m.line, m.l, m.req, m.h
 		b.freeMsg(m)
@@ -436,15 +359,11 @@ func (m *dirMsg) Run() {
 }
 
 // fwdFlow is the continuation of a request forwarded to an exclusive
-// owner: it is the probe's own delivery payload (fwdDeliver phase runs
-// in the probed core's domain and invokes HandleProbe), the probe's
-// replier, and the payload of every second directory-side hop. The
-// reply methods run at the probed core and must not touch bank-owned
-// pools or stats shards; arms that need bank-side bookkeeping (the
-// spec-cancel and nack cancellations) ship the flow itself back to the
-// bank's domain through the replying core's endpoint and do the
-// bookkeeping on arrival, which keeps the event sequence (one control
-// hop, same delay) identical to the old serial-delivered scheme.
+// owner: it is the probe's own delivery payload (fwdDeliver phase
+// invokes HandleProbe at the owner), the probe's replier, and the
+// payload of every second directory-side hop. The spec-cancel and nack
+// replies ship the flow itself back to the bank and do their
+// bookkeeping on arrival, one control hop later.
 type fwdFlow struct {
 	b     *dirBank
 	line  mem.Addr
@@ -482,51 +401,39 @@ func (b *dirBank) freeFwd(f *fwdFlow) {
 	b.freeFwds = append(b.freeFwds, f)
 }
 
-// via resolves the endpoint a reply's hops travel through: the probed
-// core's endpoint normally, the bank's own as the serial-only fallback.
-func (f *fwdFlow) via(ep *network.Endpoint) *network.Endpoint {
-	if ep == nil {
-		return &f.b.ep
-	}
-	return ep
-}
-
-func (f *fwdFlow) ReplyData(via *network.Endpoint, data mem.Line) {
+func (f *fwdFlow) ReplyData(data mem.Line) {
 	b := f.b
-	ep := f.via(via)
 	if f.isX {
 		// Ownership moves; memory refreshed so the (possibly
 		// transactional) new owner can be silently invalidated.
-		b.sendResp(ep, true, f.h, Resp{Kind: RespData, Data: data, Excl: true})
+		b.sendResp(true, f.h, Resp{Kind: RespData, Data: data, Excl: true})
 		f.phase = fwdMemX
 	} else {
 		// Owner keeps a Shared copy; data to requester and to memory.
-		b.sendResp(ep, true, f.h, Resp{Kind: RespData, Data: data, Excl: false})
+		b.sendResp(true, f.h, Resp{Kind: RespData, Data: data, Excl: false})
 		f.phase = fwdMemS
 	}
 	f.data = data
-	ep.SendDataMsg(b.dom, f)
+	b.d.net.SendDataMsg(f)
 }
 
-func (f *fwdFlow) ReplyNoData(via *network.Endpoint) {
+func (f *fwdFlow) ReplyNoData() {
 	f.phase = fwdNoData
-	f.via(via).SendControlMsg(f.b.dom, f)
+	f.b.d.net.SendControlMsg(f)
 }
 
-func (f *fwdFlow) ReplySpec(via *network.Endpoint, data mem.Line, pic PiC) {
+func (f *fwdFlow) ReplySpec(data mem.Line, pic PiC) {
 	b := f.b
-	ep := f.via(via)
-	b.sendResp(ep, true, f.h, Resp{Kind: RespSpec, Data: data, PiC: pic})
+	b.sendResp(true, f.h, Resp{Kind: RespSpec, Data: data, PiC: pic})
 	f.phase = fwdCancelSpec // cancel at directory
-	ep.SendControlMsg(b.dom, f)
+	b.d.net.SendControlMsg(f)
 }
 
-func (f *fwdFlow) ReplyNack(via *network.Endpoint) {
+func (f *fwdFlow) ReplyNack() {
 	b := f.b
-	ep := f.via(via)
-	b.sendResp(ep, false, f.h, Resp{Kind: RespNack})
+	b.sendResp(false, f.h, Resp{Kind: RespNack})
 	f.phase = fwdCancelNack
-	ep.SendControlMsg(b.dom, f)
+	b.d.net.SendControlMsg(f)
 }
 
 func (f *fwdFlow) Run() {
@@ -554,7 +461,7 @@ func (f *fwdFlow) Run() {
 		f.l.sharers = sharerSet{}
 		h := f.h
 		b.freeFwd(f)
-		b.sendResp(nil, true, h, Resp{Kind: RespData, Data: data, Excl: true})
+		b.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: true})
 	case fwdDeliver:
 		kind := FwdGetS
 		if f.isX {
@@ -615,29 +522,29 @@ func (c *invCollect) done() {
 	switch {
 	case c.nacked:
 		b.stats.Nacks++
-		b.sendResp(nil, false, c.h, Resp{Kind: RespNack})
+		b.sendResp(false, c.h, Resp{Kind: RespNack})
 		b.unblock(c.l)
 	case c.refused:
 		b.stats.SpecCancels++
 		data := b.d.memory.ReadLine(c.line)
-		b.sendResp(nil, true, c.h, Resp{Kind: RespSpec, Data: data, PiC: c.minPiC})
+		b.sendResp(true, c.h, Resp{Kind: RespSpec, Data: data, PiC: c.minPiC})
 		b.unblock(c.l)
 	default:
 		data := b.d.memory.ReadLine(c.line)
 		c.l.state = dirE
 		c.l.owner = c.req.ID
 		c.l.sharers = sharerSet{}
-		b.sendResp(nil, true, c.h, Resp{Kind: RespData, Data: data, Excl: true})
+		b.sendResp(true, c.h, Resp{Kind: RespData, Data: data, Excl: true})
 		// requester's Unblock releases the line
 	}
 	b.freeInvCollect(c)
 }
 
 // invTarget is one sharer's probe delivery payload (invDeliver phase
-// runs in the sharer's domain and invokes HandleProbe), its probe
-// replier, and the payload of its ack hop back to the directory bank.
-// The reply methods run at the probed core and only route the ack; all
-// bookkeeping (and the object's recycling) happens bank-side in Run.
+// invokes HandleProbe at the sharer), its probe replier, and the
+// payload of its ack hop back to the directory bank. The reply methods
+// only route the ack; all bookkeeping (and the object's recycling)
+// happens bank-side in Run.
 type invTarget struct {
 	c      *invCollect
 	target int
@@ -670,35 +577,29 @@ func (b *dirBank) newInvT(c *invCollect, target int) *invTarget {
 	return &invTarget{c: c, target: target, phase: invDeliver}
 }
 
-// ack routes the reply back to the owning bank's domain through the
-// replying core's endpoint (nil via = the bank's own endpoint, the
-// serial-only fallback).
-func (t *invTarget) ack(via *network.Endpoint) {
+// ack routes the reply back to the owning bank.
+func (t *invTarget) ack() {
 	t.phase = invAck
-	b := t.c.b
-	if via == nil {
-		via = &b.ep
-	}
-	via.SendControlMsg(b.dom, t)
+	t.c.b.d.net.SendControlMsg(t)
 }
 
-func (t *invTarget) ReplyData(via *network.Endpoint, _ mem.Line) { // invalidated (clean sharer)
+func (t *invTarget) ReplyData(mem.Line) { // invalidated (clean sharer)
 	t.act = ackInv
-	t.ack(via)
+	t.ack()
 }
 
 // already silently dropped
-func (t *invTarget) ReplyNoData(via *network.Endpoint) { t.ReplyData(via, mem.Line{}) }
+func (t *invTarget) ReplyNoData() { t.ReplyData(mem.Line{}) }
 
-func (t *invTarget) ReplySpec(via *network.Endpoint, _ mem.Line, pic PiC) {
+func (t *invTarget) ReplySpec(_ mem.Line, pic PiC) {
 	t.act = ackSpec
 	t.pic = pic
-	t.ack(via)
+	t.ack()
 }
 
-func (t *invTarget) ReplyNack(via *network.Endpoint) {
+func (t *invTarget) ReplyNack() {
 	t.act = ackNack
-	t.ack(via)
+	t.ack()
 }
 
 func (t *invTarget) Run() {
@@ -749,7 +650,7 @@ func (b *dirBank) startNext(l *dirLine) {
 		m.line = next.line
 		m.req = next.req
 		m.h = next.resp
-		b.sched.ScheduleRunner(0, m)
+		b.d.eng.ScheduleRunner(0, m)
 	}
 }
 
@@ -769,7 +670,7 @@ func (d *Directory) SendUnblock(line mem.Addr) {
 	m := b.newMsg()
 	m.op = mUnblockLine
 	m.line = line
-	b.ep.SendControlMsg(b.dom, m)
+	d.net.SendControlMsg(m)
 }
 
 // GetS handles a read request from core req.ID. resp is invoked at the
@@ -806,7 +707,7 @@ func (b *dirBank) getS(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	}
 	if b.shouldForceNack(req) {
 		b.stats.Nacks++
-		b.sendResp(nil, false, resp, Resp{Kind: RespNack})
+		b.sendResp(false, resp, Resp{Kind: RespNack})
 		b.startNext(l)
 		return
 	}
@@ -832,7 +733,7 @@ func (b *dirBank) getS(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 		m.isX = false
 		m.core = l.owner
 	}
-	b.sched.ScheduleRunner(lat, m)
+	b.d.eng.ScheduleRunner(lat, m)
 }
 
 func (b *dirBank) getX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
@@ -844,7 +745,7 @@ func (b *dirBank) getX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	}
 	if b.shouldForceNack(req) {
 		b.stats.Nacks++
-		b.sendResp(nil, false, resp, Resp{Kind: RespNack})
+		b.sendResp(false, resp, Resp{Kind: RespNack})
 		b.startNext(l)
 		return
 	}
@@ -871,7 +772,7 @@ func (b *dirBank) getX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	case l.state == dirS:
 		m.op = mCollect
 	}
-	b.sched.ScheduleRunner(lat, m)
+	b.d.eng.ScheduleRunner(lat, m)
 }
 
 // collectInvs sends invalidation probes to every sharer except the
@@ -902,8 +803,7 @@ func (b *dirBank) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp R
 			continue
 		}
 		b.stats.Invs++
-		t := b.newInvT(c, i)
-		b.ep.SendControlMsg(b.d.coreDom(i), t)
+		b.d.net.SendControlMsg(b.newInvT(c, i))
 	}
 }
 
@@ -930,26 +830,10 @@ func (d *Directory) WriteBack(lineAddr mem.Addr, data mem.Line, sender int, canc
 // line whose ownership the sender keeps — the pre-speculative-write
 // writeback of lazy versioning (Section VI-B: "non-speculative values
 // are written back to L2 before a block in L1 is speculatively
-// modified"). Coherence state is untouched. Must execute in the owning
-// bank's domain (or serially); the machine's domain-routed path is
-// WriteBackDataAck.
+// modified"). Coherence state is untouched.
 func (d *Directory) WriteBackData(lineAddr mem.Addr, data mem.Line) {
 	d.bankFor(lineAddr).stats.Writebacks++
 	d.memory.WriteLine(lineAddr, data)
-}
-
-// WriteBackDataAck is WriteBackData plus the acknowledgement hop back
-// to the writer: the bank applies the writeback and sends ack (a
-// requester-owned payload, typically the issuing access itself) over
-// its own endpoint into ackTo, the writer's domain. Called from the
-// owning bank's domain — the writer ships its stWBData event to
-// BankDomain(lineAddr) and calls this on arrival, so both the memory
-// write and the stats shard stay bank-owned.
-func (d *Directory) WriteBackDataAck(lineAddr mem.Addr, data mem.Line, ackTo sim.Domain, ack sim.Runner) {
-	b := d.bankFor(lineAddr)
-	b.stats.Writebacks++
-	d.memory.WriteLine(lineAddr, data)
-	b.ep.SendControlMsg(ackTo, ack)
 }
 
 // DropSharer records that core id silently discarded a Shared copy. The

@@ -13,10 +13,7 @@
 // Ruby protocol does at its transient states.
 package coherence
 
-import (
-	"chats/internal/mem"
-	"chats/internal/network"
-)
+import "chats/internal/mem"
 
 // PiC is the Position-in-Chain value carried in coherence messages
 // (Section IV-C). Valid chain positions are 0..PiCMax; PiCNone marks a
@@ -76,32 +73,24 @@ func (k ProbeKind) String() string {
 // ProbeReplier is the directory-side continuation of a probe: the flow
 // object that knows how to route the core's answer. Pooled per-flow
 // structs implement it so probes carry no closures.
-//
-// Every method takes the replying core's network endpoint as via: the
-// reply executes in the probed core's domain, so the hops it sends
-// (the response to the requester, the flow's return to its bank) must
-// go through an endpoint owned by that domain — the bank's own
-// endpoint may only be used from the bank's context. A nil via falls
-// back to the bank endpoint, which is only legal from serial execution
-// (direct-construction tests; the Probe convenience wrappers use it).
 type ProbeReplier interface {
 	// ReplyData services the request normally: the line (and, for
 	// FwdGetX, ownership) moves to the requester and the memory image is
 	// refreshed. For InvProbe the data argument is ignored (the directory
 	// supplies memory data) and this means "invalidated, no conflict".
-	ReplyData(via *network.Endpoint, data mem.Line)
+	ReplyData(data mem.Line)
 	// ReplyNoData tells the directory the core no longer holds the line
 	// (silent invalidation already happened); the directory serves the
 	// committed copy from the memory image.
-	ReplyNoData(via *network.Endpoint)
+	ReplyNoData()
 	// ReplySpec answers the requester with speculative data while
 	// retaining ownership; the request is cancelled at the directory and
 	// coherence state is left unchanged. pic is the producer's PiC after
 	// any update mandated by the CHATS rules.
-	ReplySpec(via *network.Endpoint, data mem.Line, pic PiC)
+	ReplySpec(data mem.Line, pic PiC)
 	// ReplyNack refuses the request without data; the requester will
 	// retry. Coherence state is unchanged.
-	ReplyNack(via *network.Endpoint)
+	ReplyNack()
 }
 
 // Probe is delivered to a core when the directory needs its copy of a
@@ -117,23 +106,12 @@ type Probe struct {
 }
 
 // The reply methods delegate to the flow object, keeping the core-side
-// call syntax independent of the dispatch plumbing. The Via variants
-// route the reply's hops through the probed core's own endpoint and are
-// what the machine uses (probes execute in the probed core's domain);
-// the via-less forms fall back to the bank endpoint and are only legal
-// from serial execution — tests keep their original call syntax.
+// call syntax independent of the dispatch plumbing.
 
-func (p Probe) ReplyData(data mem.Line)          { p.Reply.ReplyData(nil, data) }
-func (p Probe) ReplyNoData()                     { p.Reply.ReplyNoData(nil) }
-func (p Probe) ReplySpec(data mem.Line, pic PiC) { p.Reply.ReplySpec(nil, data, pic) }
-func (p Probe) ReplyNack()                       { p.Reply.ReplyNack(nil) }
-
-func (p Probe) ReplyDataVia(via *network.Endpoint, data mem.Line) { p.Reply.ReplyData(via, data) }
-func (p Probe) ReplyNoDataVia(via *network.Endpoint)              { p.Reply.ReplyNoData(via) }
-func (p Probe) ReplySpecVia(via *network.Endpoint, data mem.Line, pic PiC) {
-	p.Reply.ReplySpec(via, data, pic)
-}
-func (p Probe) ReplyNackVia(via *network.Endpoint) { p.Reply.ReplyNack(via) }
+func (p Probe) ReplyData(data mem.Line)          { p.Reply.ReplyData(data) }
+func (p Probe) ReplyNoData()                     { p.Reply.ReplyNoData() }
+func (p Probe) ReplySpec(data mem.Line, pic PiC) { p.Reply.ReplySpec(data, pic) }
+func (p Probe) ReplyNack()                       { p.Reply.ReplyNack() }
 
 // RespKind tags the response a requester receives for GetS/GetX.
 type RespKind uint8

@@ -2,6 +2,7 @@ package difftest_test
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"chats/internal/core"
@@ -134,10 +135,9 @@ func TestFallbackSTMTakesSTMPath(t *testing.T) {
 	}
 }
 
-// TestFallbackIntraEquivalence: serial-vs-parallel engine equivalence
-// for the new knobs — the same program must produce bit-identical stats
-// and memory at IntraWorkers {1, 2, 8}. The adaptive manager is absent
-// here on purpose: it forces serial (pinned by a machine test).
+// TestFallbackIntraEquivalence: in-process concurrency equivalence for
+// the fallback and backoff knobs — the same program must produce
+// bit-identical stats and memory alone and as two concurrent copies.
 func TestFallbackIntraEquivalence(t *testing.T) {
 	knobs := []struct {
 		name     string
@@ -151,74 +151,36 @@ func TestFallbackIntraEquivalence(t *testing.T) {
 	}
 	g := randprog.Preset(0)
 	g.AddFrac = 0.5
+	kinds := oracleSystems()
 	for i, k := range knobs {
 		seed := uint64(8100 + i)
 		p := randprog.Generate(seed, g)
-		kind := intraSystems()[i%len(intraSystems())]
+		kind := kinds[i%len(kinds)]
 		k := k
 		t.Run(fmt.Sprintf("%s/seed%d/%s", k.name, seed, kind), func(t *testing.T) {
 			t.Parallel()
 			cfg := knobConfig(t, k.fallback, "", k.backoff)
-			ref, refImg := runWorkersCfg(t, p, kind, cfg, 1)
-			for _, workers := range []int{2, 8} {
-				st, img := runWorkersCfg(t, p, kind, cfg, workers)
-				if st != ref {
-					t.Errorf("IntraWorkers=%d stats diverged from serial:\nserial:   %+v\nparallel: %+v",
-						workers, ref, st)
+			ref, refImg, err := runProgram(p, kind, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, imgs, errs := runConcurrently(p, kind, []machine.Config{cfg, cfg})
+			for i := range stats {
+				if errs[i] != nil {
+					t.Fatalf("concurrent copy %d: %v", i, errs[i])
 				}
-				for i := range refImg {
-					if img[i] != refImg[i] {
-						t.Errorf("IntraWorkers=%d memory slot %d = %d, serial run has %d",
-							workers, i, img[i], refImg[i])
-					}
-				}
+				sameRun(t, fmt.Sprintf("concurrent copy %d", i), ref, refImg, stats[i], imgs[i])
 			}
 		})
 	}
 }
 
-// runWorkersCfg is runWorkers with an explicit machine config (knobs
-// preserved, cores and worker count overridden per run).
-func runWorkersCfg(t *testing.T, p *randprog.Program, kind core.Kind, base machine.Config, workers int) (machine.RunStats, []uint64) {
-	t.Helper()
-	policy, err := core.New(kind)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := base
-	cfg.Cores = p.Cores
-	cfg.IntraWorkers = workers
-	m, err := machine.New(cfg, policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := randprog.NewWorkload(p)
-	st, err := m.Run(w)
-	if err != nil {
-		t.Fatalf("IntraWorkers=%d: %v", workers, err)
-	}
-	if got := m.IntraWorkers(); got != workers {
-		t.Fatalf("run used %d engine workers, configured %d", got, workers)
-	}
-	mem := m.World().Mem
-	img := make([]uint64, 0, p.Pool+p.Cores*p.Priv)
-	for i := 0; i < p.Pool; i++ {
-		img = append(img, mem.ReadWord(w.SlotAddr(i)))
-	}
-	for c := 0; c < p.Cores; c++ {
-		for k := 0; k < p.Priv; k++ {
-			img = append(img, mem.ReadWord(w.PrivAddr(c, k)))
-		}
-	}
-	return st, img
-}
-
 // TestRandomKnobFuzz mirrors the CI step: a batch of programs each
-// checked under a seed-derived random (fallback, cm, backoff) triple at
-// IntraWorkers 1 and 4 — the knob space itself is fuzzed, and parallel
-// runs of knobbed configs must agree with serial ones (the oracle
-// re-runs and compares internally via the replay; here the point is
-// that no combination crashes or breaks an oracle).
+// checked under a seed-derived random (fallback, cm, backoff) triple,
+// once alone (intra1) and as four concurrent checks in this process
+// (intra4) — the knob space itself is fuzzed (the oracle re-runs and
+// compares internally via the replay; here the point is that no
+// combination crashes or breaks an oracle, alone or side by side).
 func TestRandomKnobFuzz(t *testing.T) {
 	fallbacks := []string{"lock", "stm", "stm:locks=32", "elide", "elide:budget=1,refill=2"}
 	cms := []string{"", "adaptive", "adaptive:window=4,spec=0.75", "adaptive:hotline=3"}
@@ -237,10 +199,22 @@ func TestRandomKnobFuzz(t *testing.T) {
 			t.Run(fmt.Sprintf("seed%d/fb=%s,cm=%s,bo=%s/intra%d", seed, fb, cm, bo, intra), func(t *testing.T) {
 				t.Parallel()
 				cfg := knobConfig(t, fb, cm, bo)
-				cfg.IntraWorkers = intra
 				p := randprog.Generate(uint64(9200+i), g)
-				if err := difftest.Check(p, difftest.Options{Machine: &cfg, Wrap: lowRetryWrap}); err != nil {
-					t.Error(err)
+				errs := make([]error, intra)
+				var wg sync.WaitGroup
+				for c := range errs {
+					wg.Add(1)
+					go func(c int) {
+						defer wg.Done()
+						cfg := cfg
+						errs[c] = difftest.Check(p, difftest.Options{Machine: &cfg, Wrap: lowRetryWrap})
+					}(c)
+				}
+				wg.Wait()
+				for _, err := range errs {
+					if err != nil {
+						t.Error(err)
+					}
 				}
 			})
 		}

@@ -22,17 +22,6 @@ type CellBench struct {
 	SimCycles   uint64 `json:"simcycles"`
 	WallclockNS int64  `json:"wallclock_ns"`
 	Allocs      uint64 `json:"allocs"`
-
-	// WaveEvents/Waves describe the engine's parallel coverage: fired
-	// events grouped into same-cycle distinct-domain waves (a wave is
-	// the unit the intra-run executor can overlap). events/waves is the
-	// average batch width — higher means more headroom for -intra-j.
-	// SerialEvents counts the subset that ran on DomainSerial (each one
-	// a full barrier); serial/events is the residual barrier fraction.
-	// Zero on files written before the wave counters existed.
-	WaveEvents   uint64 `json:"wave_events,omitempty"`
-	Waves        uint64 `json:"waves,omitempty"`
-	SerialEvents uint64 `json:"serial_events,omitempty"`
 }
 
 // BenchReport is the top-level -bench-json document.
@@ -103,42 +92,13 @@ func cellName(kind core.Kind, traits *htm.Traits, bench string, seed uint64, lab
 	return name
 }
 
-// largeBenches are the workloads of the large-machine bench grid:
-// the linked-list benches carry most of the wall clock and, with every
-// core busy each cycle, most of the same-cycle event parallelism the
-// intra-run engine can exploit; the rest anchor contended and mixed
-// behavior at 64 cores.
-var largeBenches = []string{"llb-l", "llb-h", "kmeans-l", "kmeans-h", "cadd", "vacation"}
-
-// LargeBenchCores is the machine width of the large-machine bench grid.
-const LargeBenchCores = 64
-
-// RunLargeBench executes the large-machine bench grid — baseline and
-// CHATS on every large bench — so WriteBenchJSON captures the cells.
-// The suite's Params.Machine should already carry LargeBenchCores and
-// the IntraWorkers under test; cells run through the normal memoizing
-// Run path.
-func (s *Suite) RunLargeBench() error {
-	for _, kind := range []core.Kind{core.KindBaseline, core.KindCHATS} {
-		for _, bench := range largeBenches {
-			if _, err := s.Run(kind, nil, bench); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // ScaleBenchCores are the machine widths of the directory-scaling
-// bench grid: the large-machine width and the MaxCores ceiling, where
-// directory occupancy is densest and bank-level parallelism matters
-// most.
+// bench grid: 64 cores and the MaxCores ceiling, where directory
+// occupancy is densest.
 var ScaleBenchCores = []int{64, 256}
 
 // scaleBenches are the grid's workloads: the chaining-heavy benches
-// whose directory traffic used to serialize on the single DomainSerial
-// directory (~2 events/wave), so they show the bank-sharding gain most
-// directly.
+// with the most directory traffic.
 var scaleBenches = []string{"kmeans-l", "kmeans-h", "cadd"}
 
 // RunScaleBench executes the directory-scaling bench grid: CHATS on
@@ -146,8 +106,7 @@ var scaleBenches = []string{"kmeans-l", "kmeans-h", "cadd"}
 // <system>/<bench>/c<cores>. The bank count under test comes from
 // p.Machine.DirBanks — run once per bank count into separate files and
 // diff them with benchdiff: common cells must be cycle-identical at any
-// bank count, and the events-per-wave row quantifies the parallel
-// coverage each bank count buys.
+// bank count.
 func RunScaleBench(p Params) ([]CellBench, int, error) {
 	var cells []CellBench
 	runs := 0

@@ -281,13 +281,10 @@ func (s *Suite) runOnce(kind core.Kind, traits *htm.Traits, bench string, seed u
 		return machine.RunStats{}, fmt.Errorf("cell %s (seed %d): %w", name, seed, err)
 	}
 	rec.finish(st.Cycles)
-	rec.bench.WaveEvents, rec.bench.Waves, rec.bench.SerialEvents = m.WaveStats()
 	if s.p.Recorder != nil {
 		r := runstore.FromStats(st, string(kind), seed, ConfigKey(traits, cfg),
 			s.p.Size.String(), rec.bench.WallclockNS, rec.bench.Allocs)
-		r.StampEngine(m.IntraWorkers())
 		r.StampDirBanks(m.DirBanks())
-		r.StampWaves(rec.bench.WaveEvents, rec.bench.Waves, rec.bench.SerialEvents)
 		s.p.Recorder(r)
 	}
 	s.mu.Lock()

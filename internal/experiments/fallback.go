@@ -181,9 +181,7 @@ func FallbackMatrix(p Params, benches []string) *FallbackReport {
 		if p.Recorder != nil {
 			r := runstore.FromStats(st, string(c.System), cfg.Seed, ConfigKey(&traits, cfg),
 				p.Size.String(), rec.bench.WallclockNS, rec.bench.Allocs)
-			r.StampEngine(m.IntraWorkers())
 			r.StampDirBanks(m.DirBanks())
-			r.StampWaves(m.WaveStats())
 			p.Recorder(r)
 		}
 		c.Stats = st

@@ -69,14 +69,12 @@ func withinBand(got, want uint64, frac float64, slack uint64) bool {
 	return got >= lo && got <= hi
 }
 
-// runMatrixStats runs the Tiny-size main matrix with the given engine
-// worker count and directory bank count, returning the full RunStats
-// per cell.
-func runMatrixStats(t *testing.T, workers, banks int) map[string]machine.RunStats {
+// runMatrixStats runs the Tiny-size main matrix with the given
+// directory bank count, returning the full RunStats per cell.
+func runMatrixStats(t *testing.T, banks int) map[string]machine.RunStats {
 	t.Helper()
 	p := Params{Size: workloads.Tiny, Machine: machine.DefaultConfig()}
 	p.Machine.CycleLimit = 200_000_000
-	p.Machine.IntraWorkers = workers
 	p.Machine.DirBanks = banks
 	s := NewSuite(p)
 	out := make(map[string]machine.RunStats)
@@ -92,33 +90,15 @@ func runMatrixStats(t *testing.T, workers, banks int) map[string]machine.RunStat
 	return out
 }
 
-// TestGoldenStatsIntraParallel re-runs the main matrix with the
-// parallel engine (IntraWorkers=4) and demands bit-exact RunStats
-// agreement with the serial matrix, cell by cell — a stronger gate than
-// the golden tolerance bands, and one -update-golden cannot silence.
-// Power-token systems inside the matrix force themselves serial, which
-// the comparison covers for free.
-func TestGoldenStatsIntraParallel(t *testing.T) {
-	serial := runMatrixStats(t, 1, 1)
-	parallel := runMatrixStats(t, 4, 1)
-	for key, ref := range serial {
-		if got := parallel[key]; got != ref {
-			t.Errorf("%s: IntraWorkers=4 diverged from serial:\nserial:   %+v\nparallel: %+v",
-				key, ref, got)
-		}
-	}
-}
-
 // TestGoldenStatsBanked re-runs the main matrix with the directory
-// sharded into four banks (under the parallel engine, where banking
-// actually changes the execution schedule) and demands bit-exact
-// RunStats agreement with the single-bank serial matrix, plus exact
+// sharded into four banks and demands bit-exact RunStats agreement
+// with the single-bank matrix, plus exact
 // commits/fallbacks agreement with the committed golden file. Both
 // references are computed or pinned independently of the banked run, so
 // -update-golden cannot silence a banking divergence.
 func TestGoldenStatsBanked(t *testing.T) {
-	serial := runMatrixStats(t, 1, 1)
-	banked := runMatrixStats(t, 4, 4)
+	serial := runMatrixStats(t, 1)
+	banked := runMatrixStats(t, 4)
 	for key, ref := range serial {
 		if got := banked[key]; got != ref {
 			t.Errorf("%s: DirBanks=4 diverged from single-bank serial:\nserial: %+v\nbanked: %+v",

@@ -121,9 +121,7 @@ func FaultSoak(p Params, benches []string) *SoakReport {
 		if p.Recorder != nil {
 			r := runstore.FromStats(st, string(c.System), cfg.Seed, ConfigKey(nil, cfg),
 				p.Size.String(), rec.bench.WallclockNS, rec.bench.Allocs)
-			r.StampEngine(m.IntraWorkers())
 			r.StampDirBanks(m.DirBanks())
-			r.StampWaves(m.WaveStats())
 			p.Recorder(r)
 		}
 		c.Stats = st

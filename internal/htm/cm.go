@@ -10,11 +10,10 @@ package htm
 // Determinism: the adaptive manager keeps machine-global mutable state
 // (per-core windows, the line heat table) that is updated from both
 // engine events (commits, aborts, probes) and thread-side retry
-// decisions. That is only safe on the serial engine, so an adaptive CM
-// forces IntraWorkers to 1 (see machine.EffectiveIntraWorkers), the
-// same discipline as tracers and fault plans. Its jitter draws come
-// from a dedicated PRNG stream so enabling it never reshuffles the
-// workload or fault streams.
+// decisions; the engine's strict one-at-a-time event order and the
+// thread rendezvous make every update land in the same order on every
+// run. Its jitter draws come from a dedicated PRNG stream so enabling
+// it never reshuffles the workload or fault streams.
 
 import (
 	"fmt"
@@ -170,7 +169,7 @@ func (c CMConfig) Validate() error {
 	if c.Window < 0 || c.Window > cmMaxWindow {
 		return fmt.Errorf("cm: window %d out of range [0, %d]", c.Window, cmMaxWindow)
 	}
-	if c.SpecFrac < 0 || c.SpecFrac > 1 {
+	if !(c.SpecFrac >= 0 && c.SpecFrac <= 1) { // also rejects NaN
 		return fmt.Errorf("cm: spec fraction %v out of range [0, 1]", c.SpecFrac)
 	}
 	if c.FallbackAfter < 0 {
@@ -283,9 +282,8 @@ type cmCore struct {
 
 // AdaptiveCM is the online contention manager. All methods must run
 // single-threaded: engine-side hooks run inside events, thread-side
-// decisions run while the engine worker is blocked in that thread's
-// rendezvous — both are serialized because an adaptive CM forces the
-// serial engine.
+// decisions run while the engine is blocked in that thread's
+// rendezvous, so the two never overlap.
 type AdaptiveCM struct {
 	cfg    CMConfig
 	rng    *sim.Rand
@@ -429,8 +427,7 @@ func (cm *AdaptiveCM) HotLines() []mem.Addr {
 // directory of the given bank count (the same line-granular hash the
 // sharded directory uses): heat[b] sums the recent abort heat of bank
 // b's lines, hot[b] counts its currently-hot lines. A skewed profile
-// means the contention storm sits on few banks, so extra banks would
-// buy little parallel coverage.
+// means the contention storm sits on few banks.
 func (cm *AdaptiveCM) BankHeat(banks int) (heat []int, hot []int) {
 	heat = make([]int, banks)
 	hot = make([]int, banks)

@@ -62,7 +62,7 @@ type Config struct {
 	// speculate/wait/fallback decision. The zero value is the fixed
 	// manager (wait with backoff, fall back past the policy's retry
 	// budget); the adaptive manager decides online per core and per
-	// hot line, and forces the serial engine like tracers do.
+	// hot line.
 	CM htm.CMConfig
 
 	// NackRetryDelay is the requester-stall retry period; NackRetryLimit
@@ -104,21 +104,11 @@ type Config struct {
 	// watchdog with a starvation diagnostic. Zero means unlimited.
 	MaxAttempts int
 
-	// IntraWorkers selects the simulation engine's intra-run parallelism:
-	// same-cycle events of distinct cores execute concurrently on this
-	// many goroutines, with results bit-identical to the serial engine.
-	// 0 or 1 means the serial engine (the zero-overhead default). Runs
-	// that need global observation or control — tracers, the event ring
-	// (watchdog/starvation diagnostics), fault injection, PowerTM — are
-	// forced serial regardless.
-	IntraWorkers int
-
 	// DirBanks is the number of address-interleaved directory banks
 	// (power of two in 1..coherence.MaxBanks; 0 means 1). Each bank owns
-	// its lines' MESI state, blocking queues and in-flight flows, and
-	// gets its own scheduling domain, so directory actions for distinct
-	// banks execute in parallel under IntraWorkers instead of
-	// serializing. Results are bit-identical at any bank count.
+	// its lines' MESI state, blocking queues, in-flight flows, NACK seam
+	// and stats shard, which the per-bank load reports and bank-selective
+	// fault plans read. Results are bit-identical at any bank count.
 	DirBanks int
 }
 
@@ -163,9 +153,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxAttempts < 0 {
 		return fmt.Errorf("machine: MaxAttempts must be non-negative, got %d", c.MaxAttempts)
-	}
-	if c.IntraWorkers < 0 {
-		return fmt.Errorf("machine: IntraWorkers must be non-negative, got %d", c.IntraWorkers)
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(); err != nil {

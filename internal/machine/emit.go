@@ -48,9 +48,8 @@ func (m *Machine) emitAbort(core int, cause htm.AbortCause) {
 }
 
 // emitCMDecision records one post-abort contention-manager verdict.
-// It is called from thread-side code, which is safe: the ring and any
-// tracer force the serial engine, and the engine worker is blocked in
-// this thread's rendezvous while it runs.
+// It is called from thread-side code, which is safe: the engine is
+// blocked in this thread's rendezvous while it runs.
 func (m *Machine) emitCMDecision(core int, act htm.CMAction) {
 	if m.ring != nil {
 		m.ring.add(ringEvent{cycle: m.eng.Now(), kind: ringCM, core: core, s: act.String()})

@@ -21,7 +21,7 @@ package machine
 //     commits — lock acquisitions smooth into extra retries.
 //
 // All paths are thread-side code over the ordinary rendezvous ops, so
-// they stay bit-deterministic at any -j / -intra-j; randomized delays
+// they stay bit-deterministic at any -j; randomized delays
 // draw from the per-thread PRNG stream exactly like the lock path.
 
 import (

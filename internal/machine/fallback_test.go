@@ -2,6 +2,7 @@ package machine_test
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"chats/internal/core"
@@ -308,8 +309,8 @@ func TestAdaptiveCMStarvationTripsMaxAttempts(t *testing.T) {
 // ---------- determinism ----------
 
 // The new fallback paths and backoff variants are thread-side code over
-// the ordinary rendezvous, so runs must stay bit-identical at any
-// intra-run worker count.
+// the ordinary rendezvous, so a run must stay bit-identical when copies
+// of it run concurrently in the same process.
 func TestFallbackIntraDeterminism(t *testing.T) {
 	configs := []struct {
 		name string
@@ -324,32 +325,46 @@ func TestFallbackIntraDeterminism(t *testing.T) {
 	for _, tc := range configs {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(workers int) machine.RunStats {
-				cfg := testutil.Config()
-				cfg.Cores = 8
-				cfg.IntraWorkers = workers
-				var err error
-				if cfg.Fallback, err = machine.ParseFallback(tc.fb); err != nil {
-					t.Fatal(err)
-				}
-				if cfg.Backoff, err = machine.ParseBackoff(tc.bo); err != nil {
-					t.Fatal(err)
-				}
-				m := testutil.Machine(t, cfg, contendedPolicy())
-				st, err := m.Run(&testutil.Bank{Accounts: 32, Iters: 20})
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				if got := m.IntraWorkers(); got != workers {
-					t.Fatalf("run used %d workers, configured %d", got, workers)
-				}
-				return st
+			cfg := testutil.Config()
+			cfg.Cores = 8
+			var err error
+			if cfg.Fallback, err = machine.ParseFallback(tc.fb); err != nil {
+				t.Fatal(err)
 			}
-			ref := run(1)
-			for _, workers := range []int{2, 8} {
-				if st := run(workers); st != ref {
-					t.Errorf("IntraWorkers=%d stats diverged:\nserial:   %+v\nparallel: %+v",
-						workers, ref, st)
+			if cfg.Backoff, err = machine.ParseBackoff(tc.bo); err != nil {
+				t.Fatal(err)
+			}
+			run := func() (machine.RunStats, error) {
+				m, err := machine.New(cfg, contendedPolicy())
+				if err != nil {
+					return machine.RunStats{}, err
+				}
+				return m.Run(&testutil.Bank{Accounts: 32, Iters: 20})
+			}
+			ref, err := run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const copies = 3
+			var (
+				wg    sync.WaitGroup
+				stats [copies]machine.RunStats
+				errs  [copies]error
+			)
+			for i := 0; i < copies; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					stats[i], errs[i] = run()
+				}(i)
+			}
+			wg.Wait()
+			for i := 0; i < copies; i++ {
+				if errs[i] != nil {
+					t.Fatalf("concurrent copy %d: %v", i, errs[i])
+				}
+				if stats[i] != ref {
+					t.Errorf("concurrent copy %d diverged:\nalone:      %+v\nconcurrent: %+v", i, ref, stats[i])
 				}
 			}
 		})

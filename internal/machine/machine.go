@@ -58,8 +58,7 @@ type Machine struct {
 	ring *eventRing // recent-event buffer for watchdog diagnostics
 
 	// cm is the adaptive contention manager (nil under the fixed
-	// manager). Its shared per-core/per-line state is only safe on the
-	// serial engine, which EffectiveIntraWorkers forces.
+	// manager), holding per-core attempt windows and per-line heat.
 	cm *htm.AdaptiveCM
 	// stmLock is the STM fallback path's version-lock table: one word
 	// per entry, each on its own line, hashed by data word address.
@@ -83,15 +82,10 @@ func New(cfg Config, policy htm.Policy) (*Machine, error) {
 		powerHolder: -1,
 	}
 	m.net = network.New(m.eng, cfg.LinkLatency)
-	// Bank domains sit above the node domains (1..Cores): bank i runs in
-	// domain Cores+1+i, so directory actions for distinct banks — and for
-	// banks vs. nodes — execute concurrently under the parallel engine.
 	m.dir = coherence.NewDirectory(m.eng, m.net, m.memory, coherence.Config{
 		LLCLatency:  cfg.LLCLatency,
 		DRAMLatency: cfg.DRAMLatency,
 		Banks:       cfg.DirBanks,
-		FirstDomain: sim.Domain(cfg.Cores + 1),
-		CoreDomain:  func(core int) sim.Domain { return sim.Domain(1 + core) },
 	})
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		// The injector owns a dedicated PRNG stream: sharing one with the
@@ -200,39 +194,11 @@ func (m *Machine) releasePower(id int) {
 	m.powerHolder = -1
 }
 
-// EffectiveIntraWorkers reports the engine worker count a Run with this
-// configuration will use: cfg.IntraWorkers, clamped to 1 (the serial
-// engine) whenever the run needs the strict serial total order and
-// direct machine access from every event — a tracer or checker attached
-// (traced), fault injection, the diagnostic event ring (watchdog or
-// starvation bounds), or a PowerTM-token system (usesPower). Exported so
-// record producers can stamp the engine mode without holding a Machine.
-func EffectiveIntraWorkers(cfg Config, traced, usesPower bool) int {
-	if cfg.IntraWorkers <= 1 {
-		return 1
-	}
-	if traced || usesPower ||
-		(cfg.Faults != nil && cfg.Faults.Enabled()) ||
-		cfg.WatchdogCycles > 0 || cfg.MaxAttempts > 0 ||
-		cfg.CM.Kind != htm.CMFixed {
-		return 1
-	}
-	return cfg.IntraWorkers
-}
-
 // stmVerAddr maps a data word address onto its STM version lock
 // (multiplicative hash; collisions just share a lock).
 func (m *Machine) stmVerAddr(a mem.Addr) mem.Addr {
 	h := (uint64(a) >> 3) * 0x9E3779B97F4A7C15
 	return m.stmLock[(h>>32)%uint64(len(m.stmLock))]
-}
-
-// forceSerial reports whether this run must use the serial engine even
-// when cfg.IntraWorkers > 1.
-func (m *Machine) forceSerial() bool {
-	traced := m.tracer != nil || m.xtracer != nil || m.optracer != nil ||
-		m.ftracer != nil || m.checker != nil || m.cmtracer != nil
-	return EffectiveIntraWorkers(m.cfg, traced, m.policy.Traits().UsesPower) == 1
 }
 
 // progress sums the commit/fallback counters across the node shards;
@@ -250,11 +216,6 @@ func (m *Machine) progress() uint64 {
 // core.
 func (m *Machine) Run(w Workload) (RunStats, error) {
 	m.stats.Workload = w.Name()
-	workers := m.cfg.IntraWorkers
-	if workers > 1 && m.forceSerial() {
-		workers = 1
-	}
-	m.eng.SetWorkers(workers)
 	w.Setup(m.world, m.cfg.Cores)
 	if m.checker != nil {
 		m.checker.BeginRun(m)
@@ -285,11 +246,9 @@ func (m *Machine) collectStats() {
 	m.stats.Cycles = m.eng.Now()
 	for _, n := range m.nodes {
 		m.stats.addShard(&n.stats)
-		m.net.AddShard(&n.ep.Stats)
 		m.stats.L1Hits += n.l1.Stats.Hits
 		m.stats.L1Misses += n.l1.Stats.Misses
 	}
-	m.dir.NetShards()
 	m.stats.Flits = m.net.Stats.Flits
 	m.stats.Messages = m.net.Stats.Messages
 	ds := m.dir.TotalStats()
@@ -324,19 +283,15 @@ func (m *Machine) flushCaches() {
 // Stats returns the statistics collected so far.
 func (m *Machine) Stats() RunStats { return m.stats }
 
-// IntraWorkers returns the engine worker count the last Run used
-// (1 = serial). Kept out of RunStats so serial and parallel runs stay
-// bit-comparable; runstore stamps it into record metadata instead.
-func (m *Machine) IntraWorkers() int { return m.eng.Workers() }
-
-// WaveStats returns the engine's parallel-coverage counters (events fed
-// to the wave automaton, the waves they formed, and how many ran on
-// DomainSerial); events/waves is the events-per-wave figure bench
-// reports quote, serial/events the residual barrier fraction. Like
-// IntraWorkers it is kept out of RunStats: it measures scheduling
-// structure, not simulated behavior, and must never enter the
-// bit-equality oracles.
-func (m *Machine) WaveStats() (events, waves, serial uint64) { return m.eng.WaveStats() }
+// WaveStats returns the run's fired-event count three times, in the
+// (events, waves, serial) shape that run records and the benchmark
+// read: the engine runs one event at a time, so every event is a
+// one-event serial wave and events/wave and the serial fraction read
+// 1.0 by construction.
+func (m *Machine) WaveStats() (events, waves, serial uint64) {
+	n := m.eng.Fired()
+	return n, n, n
+}
 
 // DirBanks returns the directory bank count of the assembled machine.
 func (m *Machine) DirBanks() int { return m.dir.NumBanks() }

@@ -5,7 +5,6 @@ import (
 	"chats/internal/coherence"
 	"chats/internal/htm"
 	"chats/internal/mem"
-	"chats/internal/network"
 	"chats/internal/sim"
 )
 
@@ -49,30 +48,18 @@ func (wb *pendingWB) Run() {
 
 // Node is one core: private L1, HTM state, the VSB validation controller
 // and the probe handler. All methods run at engine time; completion
-// callbacks are invoked at engine time too. Under intra-run parallelism
-// the node's core-side events (demand accesses, thread timers, commit
-// replies, and now inbound deliveries: responses via RespSlot and
-// probes) run in the node's own domain, while directory-side events
-// (requests, unblocks, writeback data, probe replies returning to their
-// flow) run in the owning bank's domain. Node state is therefore only
-// ever touched by the node's own domain or by serial events (which run
-// alone); the only remaining serial hops are the begin flow (global
-// timestamp order) and eviction writebacks (see handleVictim).
+// callbacks are invoked at engine time too.
 type Node struct {
 	id     int
 	m      *Machine
+	eng    *sim.Engine
 	l1     *cache.Cache
 	tx     *htm.TxState
 	policy htm.Policy
 	rng    *sim.Rand
 
-	// sched stamps core-side events with the node's domain (1 + core id);
-	// ep is the node's private network endpoint with its own flit/message
-	// counters. stats is the node's RunStats shard: counters incremented
-	// from node-domain or serial events land here and are folded into the
-	// machine totals by collectStats.
-	sched sim.Sched
-	ep    network.Endpoint
+	// stats is the node's RunStats shard, folded into the machine totals
+	// by collectStats.
 	stats RunStats
 
 	wbPending map[mem.Addr]*pendingWB
@@ -123,14 +110,13 @@ func newNode(id int, m *Machine, policy htm.Policy) *Node {
 	n := &Node{
 		id:        id,
 		m:         m,
+		eng:       m.eng,
 		l1:        cache.New(m.cfg.L1Size, m.cfg.L1Ways),
 		tx:        htm.NewTxState(vsb),
 		policy:    policy,
 		rng:       sim.NewRand(m.cfg.Seed*1000003 + uint64(id) + 1),
 		wbPending: make(map[mem.Addr]*pendingWB),
 	}
-	n.sched = m.eng.NewSched(sim.Domain(1 + id))
-	n.ep = m.net.NewEndpoint(n.sched)
 	n.acc.n = n
 	n.beg.n = n
 	n.val.n = n
@@ -174,14 +160,9 @@ func (n *Node) handleVictim(v *cache.Victim) {
 		wb.tag = v.Tag
 		wb.data = v.Data
 		n.wbPending[v.Tag] = wb
-		// Eviction writebacks stay in the serial domain: while the message
-		// is in flight, a probe served from wbPending (core domain) or a
-		// reinstall can cancel it, and the delivery must observe that
-		// cancellation coherently. Routing the delivery into the bank
-		// domain would let it race with the same-cycle core-side cancel;
-		// the serial hop closes that window. Evictions are rare enough
-		// that this is not a wave-width bottleneck.
-		n.ep.SendDataMsg(sim.DomainSerial, wb)
+		// While the message is in flight, a probe served from wbPending or
+		// a reinstall can cancel it; the delivery observes the flag.
+		n.m.net.SendDataMsg(wb)
 	}
 	// Clean lines (E, M-clean, S) drop silently; the directory tolerates
 	// it because the memory image holds their committed value.
@@ -249,12 +230,8 @@ const (
 // rendezvous guarantees one in flight per core, so a single embedded
 // instance carries the whole chain with zero allocations.
 type access struct {
-	n    *Node
-	kind uint8
-	// dom is the domain the core-side stages run in: the node's own
-	// domain normally, DomainSerial for the begin flow (whose completion
-	// draws the global begin timestamp).
-	dom       sim.Domain
+	n         *Node
+	kind      uint8
 	stage     uint8
 	a         mem.Addr
 	v         uint64 // store value
@@ -263,17 +240,11 @@ type access struct {
 	epoch     uint64
 	nackTries int
 	vsbTries  int
-	// ri is the request metadata, sampled at send time (stIssue) in the
-	// core's own domain: the directory consumes it from a bank domain,
-	// where reading live transaction state would race with serial events
-	// mutating it (e.g. Commit flipping tx.Status).
-	ri coherence.ReqInfo
-	// slot is the flow's response mailbox: bound to this access and its
-	// domain at issue time, filled at the directory, delivered straight
-	// into c.dom so responses execute in the requester's own domain
-	// instead of serializing the frame. Its embedded unblock message
-	// carries the core→bank Unblock for the same request.
-	slot   coherence.RespSlot
+	// ri is the request metadata, sampled when the request leaves the
+	// core (stIssue), not when it reaches the directory: transaction
+	// state may change during the network hop (e.g. Commit flipping
+	// tx.Status), and the request carries what the core sent.
+	ri     coherence.ReqInfo
 	wbData mem.Line // lazy-versioning writeback payload
 	ld     loadDone
 	sd     storeDone
@@ -300,21 +271,19 @@ func (c *access) Run() {
 		} else {
 			c.ri = n.reqInfo(c.inTx, false)
 		}
-		n.ep.SendControlMsg(n.m.dir.BankDomain(c.a.Line()), c)
+		n.m.net.SendControlMsg(c)
 	case stReq:
 		switch c.kind {
 		case accLoad:
-			n.m.dir.GetS(c.a.Line(), c.ri, &c.slot)
-		case accStore:
-			n.m.dir.GetX(c.a.Line(), c.ri, &c.slot)
-		case accCAS:
-			n.m.dir.GetX(c.a.Line(), c.ri, &c.slot)
+			n.m.dir.GetS(c.a.Line(), c.ri, c)
+		case accStore, accCAS:
+			n.m.dir.GetX(c.a.Line(), c.ri, c)
 		}
 	case stWBData:
-		// Executing in the owning bank's domain: apply the writeback
-		// there and let the bank send the ack back into c.dom.
+		// The writeback landed at the directory; ack back to the core.
 		c.stage = stWBAck
-		n.m.dir.WriteBackDataAck(c.a.Line(), c.wbData, c.dom, c)
+		n.m.dir.WriteBackData(c.a.Line(), c.wbData)
+		n.m.net.SendControlMsg(c)
 	case stWBAck:
 		if cur := n.l1.Peek(c.a.Line()); cur != nil {
 			cur.Dirty = false
@@ -342,13 +311,10 @@ func (c *access) HandleResp(resp coherence.Resp) {
 }
 
 // issueL2 charges the L2 traversal and sends the request to the
-// directory over the interconnect. The response mailbox is bound here,
-// before the request can leave the core: the directory fills it from a
-// bank domain and delivers it back into c.dom.
+// directory over the interconnect.
 func (c *access) issueL2() {
 	c.stage = stIssue
-	c.slot.Bind(c, c.dom)
-	c.n.sched.ScheduleRunnerIn(c.dom, c.n.m.cfg.L2Latency, c)
+	c.n.eng.ScheduleRunner(c.n.m.cfg.L2Latency, c)
 }
 
 // ---------- Load ----------
@@ -359,18 +325,12 @@ func (n *Node) Load(a mem.Addr, inTx bool, done loadDone) {
 	c := &n.acc
 	c.kind = accLoad
 	c.stage = stStart
-	c.dom = n.sched.Domain()
-	if _, ok := done.(*beginOp); ok {
-		// The begin flow's completion draws the machine-wide begin
-		// timestamp, so its accesses run serially.
-		c.dom = sim.DomainSerial
-	}
 	c.a = a
 	c.inTx = inTx
 	c.nackTries = 0
 	c.vsbTries = 0
 	c.ld = done
-	n.sched.ScheduleRunnerIn(c.dom, n.m.cfg.L1Latency, c)
+	n.eng.ScheduleRunner(n.m.cfg.L1Latency, c)
 }
 
 func (n *Node) load1(c *access) {
@@ -417,7 +377,7 @@ func (n *Node) onLoadResp(c *access, resp coherence.Resp) {
 			st = cache.Exclusive
 		}
 		ok := n.install(line, st, resp.Data, false, false)
-		n.m.dir.SendUnblockVia(&n.ep, &c.slot, line)
+		n.m.dir.SendUnblock(line)
 		if stale {
 			done.onLoadDone(0, true)
 			return
@@ -449,7 +409,7 @@ func (n *Node) onLoadResp(c *access, resp coherence.Resp) {
 		case specRetry:
 			c.vsbTries++
 			c.stage = stVSBRetry
-			n.sched.ScheduleRunnerIn(c.dom, n.m.cfg.VSBRetryDelay, c)
+			n.eng.ScheduleRunner(n.m.cfg.VSBRetryDelay, c)
 		case specOK:
 			n.tx.AddRead(line)
 			e := n.l1.Peek(line)
@@ -469,7 +429,7 @@ func (n *Node) onLoadResp(c *access, resp coherence.Resp) {
 		n.m.emitNackRetry(n.id, line)
 		c.nackTries++
 		c.stage = stNackRetry
-		n.sched.ScheduleRunnerIn(c.dom, n.m.cfg.NackRetryDelay, c)
+		n.eng.ScheduleRunner(n.m.cfg.NackRetryDelay, c)
 	}
 }
 
@@ -541,14 +501,13 @@ func (n *Node) Store(a mem.Addr, v uint64, inTx bool, done storeDone) {
 	c := &n.acc
 	c.kind = accStore
 	c.stage = stStart
-	c.dom = n.sched.Domain()
 	c.a = a
 	c.v = v
 	c.inTx = inTx
 	c.nackTries = 0
 	c.vsbTries = 0
 	c.sd = done
-	n.sched.ScheduleRunnerIn(c.dom, n.m.cfg.L1Latency, c)
+	n.eng.ScheduleRunner(n.m.cfg.L1Latency, c)
 }
 
 func (n *Node) store1(c *access) {
@@ -583,11 +542,10 @@ func (n *Node) store1(c *access) {
 					// Lazy versioning: the committed value must reach the
 					// LLC before the first speculative write, so a later
 					// silent gang-invalidation cannot lose it. The store
-					// stalls until the writeback lands — delivered at the
-					// owning bank's domain, which acks back into c.dom.
+					// stalls until the writeback lands and is acked.
 					c.wbData = e.Data
 					c.stage = stWBData
-					n.ep.SendDataMsg(n.m.dir.BankDomain(line), c)
+					n.m.net.SendDataMsg(c)
 					return
 				}
 				e.SM = true
@@ -619,7 +577,7 @@ func (n *Node) onStoreResp(c *access, resp coherence.Resp) {
 	switch resp.Kind {
 	case coherence.RespData:
 		ok := n.install(line, cache.Modified, resp.Data, false, false)
-		n.m.dir.SendUnblockVia(&n.ep, &c.slot, line)
+		n.m.dir.SendUnblock(line)
 		if stale {
 			done.onStoreDone(true)
 			return
@@ -656,7 +614,7 @@ func (n *Node) onStoreResp(c *access, resp coherence.Resp) {
 		case specRetry:
 			c.vsbTries++
 			c.stage = stVSBRetry
-			n.sched.ScheduleRunnerIn(c.dom, n.m.cfg.VSBRetryDelay, c)
+			n.eng.ScheduleRunner(n.m.cfg.VSBRetryDelay, c)
 		case specOK:
 			e := n.l1.Peek(line)
 			e.Data[a.WordIndex()] = v
@@ -676,7 +634,7 @@ func (n *Node) onStoreResp(c *access, resp coherence.Resp) {
 		n.m.emitNackRetry(n.id, line)
 		c.nackTries++
 		c.stage = stNackRetry
-		n.sched.ScheduleRunnerIn(c.dom, n.m.cfg.NackRetryDelay, c)
+		n.eng.ScheduleRunner(n.m.cfg.NackRetryDelay, c)
 	}
 }
 
@@ -696,13 +654,12 @@ func (n *Node) CAS(a mem.Addr, old, new uint64, done casDone) {
 	c := &n.acc
 	c.kind = accCAS
 	c.stage = stStart
-	c.dom = n.sched.Domain()
 	c.a = a
 	c.old = old
 	c.new = new
 	c.inTx = false
 	c.cd = done
-	n.sched.ScheduleRunnerIn(c.dom, n.m.cfg.L1Latency, c)
+	n.eng.ScheduleRunner(n.m.cfg.L1Latency, c)
 }
 
 func (n *Node) cas1(c *access) {
@@ -738,7 +695,7 @@ func (n *Node) onCASResp(c *access, resp coherence.Resp) {
 		if !n.install(line, cache.Modified, resp.Data, false, false) {
 			panic("machine: CAS install failed")
 		}
-		n.m.dir.SendUnblockVia(&n.ep, &c.slot, line)
+		n.m.dir.SendUnblock(line)
 		e := n.l1.Peek(line)
 		prev := e.Data[a.WordIndex()]
 		if prev == old {
@@ -752,6 +709,6 @@ func (n *Node) onCASResp(c *access, resp coherence.Resp) {
 		panic("machine: SpecResp delivered to CAS")
 	case coherence.RespNack:
 		c.stage = stNackRetry
-		n.sched.ScheduleRunnerIn(c.dom, n.m.cfg.NackRetryDelay, c)
+		n.eng.ScheduleRunner(n.m.cfg.NackRetryDelay, c)
 	}
 }

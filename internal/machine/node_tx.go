@@ -5,7 +5,6 @@ import (
 	"chats/internal/coherence"
 	"chats/internal/htm"
 	"chats/internal/mem"
-	"chats/internal/sim"
 )
 
 // HandleProbe processes a directory probe: normal coherence service when
@@ -18,7 +17,7 @@ func (n *Node) HandleProbe(p coherence.Probe) {
 		// Serve from the writeback buffer; the in-flight WB is withdrawn.
 		wb.cancelled = true
 		delete(n.wbPending, line)
-		p.ReplyDataVia(&n.ep, wb.data)
+		p.ReplyData(wb.data)
 		return
 	}
 	e := n.l1.Peek(line)
@@ -76,10 +75,10 @@ func (n *Node) HandleProbe(p coherence.Probe) {
 		if e != nil {
 			data = e.Data
 		}
-		p.ReplySpecVia(&n.ep, data, pic)
+		p.ReplySpec(data, pic)
 	case htm.DecideNack:
 		n.stats.DecNack++
-		p.ReplyNackVia(&n.ep)
+		p.ReplyNack()
 	case htm.DecideAbort:
 		n.stats.DecAbort++
 		cause := htm.CauseConflict
@@ -98,9 +97,9 @@ func (n *Node) HandleProbe(p coherence.Probe) {
 func (n *Node) replyNormal(p coherence.Probe, e *cache.Entry) {
 	if e == nil {
 		if p.Kind == coherence.InvProbe {
-			p.ReplyDataVia(&n.ep, mem.Line{}) // nothing to invalidate
+			p.ReplyData(mem.Line{}) // nothing to invalidate
 		} else {
-			p.ReplyNoDataVia(&n.ep) // silently dropped; directory serves memory
+			p.ReplyNoData() // silently dropped; directory serves memory
 		}
 		return
 	}
@@ -112,14 +111,14 @@ func (n *Node) replyNormal(p coherence.Probe, e *cache.Entry) {
 		data := e.Data
 		e.State = cache.Shared
 		e.Dirty = false // the transfer refreshes the memory image
-		p.ReplyDataVia(&n.ep, data)
+		p.ReplyData(data)
 	case coherence.FwdGetX:
 		data := e.Data
 		n.l1.Invalidate(p.Line)
-		p.ReplyDataVia(&n.ep, data)
+		p.ReplyData(data)
 	case coherence.InvProbe:
 		n.l1.Invalidate(p.Line)
-		p.ReplyDataVia(&n.ep, mem.Line{})
+		p.ReplyData(mem.Line{})
 	}
 }
 
@@ -137,12 +136,12 @@ func (c *commitReply) Run() {
 	d.onCommitDone(c.committed)
 }
 
-// scheduleCommitReply arms the node's reply event (in the node's own
-// domain: it wakes the waiting thread).
+// scheduleCommitReply arms the node's reply event, which wakes the
+// waiting thread.
 func (n *Node) scheduleCommitReply(delay uint64, done commitDone, committed bool) {
 	n.crep.done = done
 	n.crep.committed = committed
-	n.sched.ScheduleRunner(delay, &n.crep)
+	n.eng.ScheduleRunner(delay, &n.crep)
 }
 
 // abortTx kills the running transaction: stats, gang invalidation of the
@@ -200,8 +199,7 @@ func (b *beginOp) onLoadDone(v uint64, aborted bool) {
 	switch b.phase {
 	case bpLockFree:
 		if v != 0 {
-			n.sched.ScheduleRunnerIn(sim.DomainSerial,
-				n.m.cfg.BackoffBase+n.rng.Uint64n(n.m.cfg.BackoffBase), b)
+			n.eng.ScheduleRunner(n.m.cfg.BackoffBase+n.rng.Uint64n(n.m.cfg.BackoffBase), b)
 			return
 		}
 		n.tx.Begin(b.attempt, n.policy.Traits().NaiveBudget)
@@ -237,8 +235,7 @@ func (n *Node) BeginTx(attempt int, power bool, done beginDone) {
 	b.attempt = attempt
 	b.power = power
 	b.done = done
-	// Serial domain: the begin flow draws the machine-wide timestamp.
-	n.sched.ScheduleRunnerIn(sim.DomainSerial, n.m.cfg.BeginLatency, b)
+	n.eng.ScheduleRunner(n.m.cfg.BeginLatency, b)
 }
 
 func (n *Node) begin1(b *beginOp) {
@@ -327,21 +324,13 @@ type valOp struct {
 	n     *Node
 	ent   htm.VSBEntry
 	epoch uint64
-	// ri is sampled at issue time, before the hop to the directory: the
-	// request may be consumed from a bank domain, where reading live
-	// transaction state would race with serial events mutating it.
+	// ri is sampled at issue time, before the hop to the directory, like
+	// a demand access's.
 	ri coherence.ReqInfo
-	// slot is the validation lane's response mailbox: bound to the node's
-	// domain at issue time, it lets the directory deliver the response
-	// (and carry the follow-up Unblock) without a serial-domain hop.
-	slot coherence.RespSlot
 }
 
-// Run delivers the validation request at the directory (bank domain).
-func (v *valOp) Run() {
-	n := v.n
-	n.m.dir.GetX(v.ent.Line, v.ri, &v.slot)
-}
+// Run delivers the validation request at the directory.
+func (v *valOp) Run() { v.n.m.dir.GetX(v.ent.Line, v.ri, v) }
 
 // HandleResp receives the validation response.
 func (v *valOp) HandleResp(resp coherence.Resp) {
@@ -350,7 +339,7 @@ func (v *valOp) HandleResp(resp coherence.Resp) {
 
 func (n *Node) stopValidationTimer() {
 	if n.valTimer != nil {
-		n.sched.Cancel(n.valTimer)
+		n.eng.Cancel(n.valTimer)
 		n.valTimer = nil
 	}
 }
@@ -365,7 +354,7 @@ func (n *Node) armValidationTimer() {
 	if interval == 0 || n.tx.Status == htm.Committing {
 		interval = 1 // back-to-back validation
 	}
-	n.valTimer = n.sched.ScheduleRunner(interval, &n.valTick)
+	n.valTimer = n.eng.ScheduleRunner(interval, &n.valTick)
 }
 
 // kickValidation validates immediately (commit is waiting).
@@ -387,10 +376,9 @@ func (n *Node) issueValidation() {
 	n.val.ent = ent
 	n.val.epoch = n.tx.Epoch
 	n.val.ri = n.reqInfo(true, true)
-	n.val.slot.Bind(&n.val, n.sched.Domain())
 	n.valInFlight = true
 	n.stats.Validations++
-	n.ep.SendControlMsg(n.m.dir.BankDomain(ent.Line), &n.val)
+	n.m.net.SendControlMsg(&n.val)
 }
 
 func (n *Node) onValidationResp(ent htm.VSBEntry, epoch uint64, resp coherence.Resp) {
@@ -398,7 +386,7 @@ func (n *Node) onValidationResp(ent htm.VSBEntry, epoch uint64, resp coherence.R
 	stale := n.tx.Epoch != epoch
 	switch resp.Kind {
 	case coherence.RespData:
-		n.m.dir.SendUnblockVia(&n.ep, &n.val.slot, ent.Line)
+		n.m.dir.SendUnblock(ent.Line)
 		if stale {
 			// Ownership granted to a dead transaction: adopt the line as a
 			// plain clean copy so the directory's view stays consistent.

@@ -1,8 +1,9 @@
 package machine
 
 import (
+	"fmt"
+	"runtime/debug"
 	"sync"
-	"sync/atomic"
 
 	"chats/internal/htm"
 	"chats/internal/mem"
@@ -53,6 +54,21 @@ type txAbort struct{}
 
 // killedSignal unwinds a thread when the simulation is torn down.
 type killedSignal struct{}
+
+// ThreadPanic is the error a run fails with when a workload's Thread
+// panics: the run halts, the other threads are unwound, and Run returns
+// it wrapped, so one buggy workload fails its own run instead of
+// killing the process. Value is the recovered panic value and Stack the
+// thread's goroutine stack at recovery.
+type ThreadPanic struct {
+	Thread int
+	Value  any
+	Stack  []byte
+}
+
+func (e *ThreadPanic) Error() string {
+	return fmt.Sprintf("thread %d panicked: %v\n%s", e.Thread, e.Value, e.Stack)
+}
 
 type opKind uint8
 
@@ -137,6 +153,10 @@ type tctx struct {
 	// remaining retry budget.
 	stm   *stmTx
 	elide int
+
+	// panicked is set by the thread goroutine before it closes reqCh, so
+	// pump observes it once the close is seen.
+	panicked *ThreadPanic
 }
 
 // finish completes the pending op: reply to the thread and block for its
@@ -186,7 +206,7 @@ type wdTick struct{ r *runner }
 func (w *wdTick) Run() {
 	r := w.r
 	r.wd = nil
-	if r.active.Load() == 0 {
+	if r.active == 0 {
 		return
 	}
 	progress := r.m.progress()
@@ -201,9 +221,7 @@ func (w *wdTick) Run() {
 type runner struct {
 	m       *Machine
 	threads []*tctx
-	// active is decremented from pump, which under intra-run parallelism
-	// runs inside node-domain events — hence the atomic.
-	active atomic.Int32
+	active  int // threads not yet finished
 
 	// Livelock watchdog (armed when cfg.WatchdogCycles > 0): wd is the
 	// pending tick event, wdLast the Commits+Fallbacks count at the last
@@ -253,19 +271,18 @@ func (r *runner) run(w Workload) error {
 			defer close(t.reqCh)
 			defer func() {
 				if rec := recover(); rec != nil {
-					if _, ok := rec.(killedSignal); ok {
-						return
+					if _, ok := rec.(killedSignal); !ok {
+						t.panicked = &ThreadPanic{Thread: t.tid, Value: rec, Stack: debug.Stack()}
 					}
-					panic(rec)
 				}
 			}()
 			w.Thread(t, t.tid)
 		}()
 	}
-	r.active.Store(int32(len(r.threads)))
+	r.active = len(r.threads)
 	for _, t := range r.threads {
 		t := t
-		t.node.sched.Schedule(0, func() { r.pump(t) })
+		r.m.eng.Schedule(0, func() { r.pump(t) })
 	}
 	if r.m.cfg.WatchdogCycles > 0 {
 		r.wdLast = r.m.progress()
@@ -279,8 +296,8 @@ func (r *runner) run(w Workload) error {
 	return err
 }
 
-// kill unblocks every remaining thread after a cycle-limit error so the
-// goroutines exit cleanly.
+// kill unblocks every remaining thread after a failed run (cycle limit,
+// watchdog, thread panic) so the goroutines exit cleanly.
 func (r *runner) kill() {
 	for _, t := range r.threads {
 		if t.done {
@@ -306,7 +323,11 @@ func (r *runner) pump(t *tctx) {
 	req, ok := <-t.reqCh
 	if !ok {
 		t.done = true
-		if r.active.Add(-1) == 0 && r.wd != nil {
+		if t.panicked != nil {
+			r.m.eng.Halt(t.panicked)
+		}
+		r.active--
+		if r.active == 0 && r.wd != nil {
 			// Keeping the tick pending would hold the event queue open and
 			// inflate the Cycles stat past the last real event.
 			r.m.eng.Cancel(r.wd)
@@ -335,7 +356,7 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 			cycles = 1
 		}
 		t.timer.op = opWork
-		n.sched.ScheduleRunner(cycles, &t.timer)
+		n.eng.ScheduleRunner(cycles, &t.timer)
 	case opBegin:
 		if m.cfg.MaxAttempts > 0 && req.attempt > m.cfg.MaxAttempts {
 			// Starvation budget exceeded: halt the engine with the dump.
@@ -350,7 +371,7 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 	case opAbortAck:
 		t.timer.op = opAbortAck
 		t.timer.cause = n.FinishAbort()
-		n.sched.ScheduleRunner(m.cfg.AbortLatency, &t.timer)
+		n.eng.ScheduleRunner(m.cfg.AbortLatency, &t.timer)
 	case opEnterFallback:
 		n.EnterFallback()
 		if !n.fbTiming {
@@ -368,7 +389,7 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 		}
 		t.timer.op = opEnterFallback
 		t.timer.ok = true
-		n.sched.ScheduleRunner(delay, &t.timer)
+		n.eng.ScheduleRunner(delay, &t.timer)
 	case opExitFallback:
 		n.ExitFallback()
 		if n.fbTiming {
@@ -377,7 +398,7 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 		}
 		t.timer.op = opExitFallback
 		t.timer.ok = true
-		n.sched.ScheduleRunner(1, &t.timer)
+		n.eng.ScheduleRunner(1, &t.timer)
 	case opFallbackBodyStart:
 		// The STM path opens its occupancy window at body start, so
 		// overlapping software fallbacks measure as concurrency; the
@@ -388,16 +409,16 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 		}
 		t.timer.op = opFallbackBodyStart
 		t.timer.ok = true
-		n.sched.ScheduleRunner(1, &t.timer)
+		n.eng.ScheduleRunner(1, &t.timer)
 	case opAcquirePower:
 		t.timer.op = opAcquirePower
 		t.timer.ok = m.tryAcquirePower(n.id)
-		n.sched.ScheduleRunner(1, &t.timer)
+		n.eng.ScheduleRunner(1, &t.timer)
 	case opReleasePower:
 		m.releasePower(n.id)
 		t.timer.op = opReleasePower
 		t.timer.ok = true
-		n.sched.ScheduleRunner(1, &t.timer)
+		n.eng.ScheduleRunner(1, &t.timer)
 	default:
 		panic("machine: unknown op")
 	}

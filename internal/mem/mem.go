@@ -39,8 +39,7 @@ type Line [WordsPerLine]uint64
 // upper bound on the coherence directory's bank count: because every
 // power-of-two bank count <= numShards selects banks from the same low
 // line-index bits LineShard uses, two lines owned by different directory
-// banks always live in different memory shards, so concurrently
-// executing banks never touch the same map.
+// banks always live in different memory shards.
 const numShards = 256
 
 // LineShard returns the shard index in [0, shards) of the line
@@ -57,9 +56,8 @@ func LineShard(a Addr, shards int) int {
 // that any speculatively modified cache copy has its committed version
 // here, so silent invalidation of speculative lines is always safe).
 //
-// The store is internally sharded by LineShard so that directory banks
-// executing in distinct parallel domains (which by construction touch
-// lines of distinct shards) never race on one Go map.
+// The store is internally sharded by LineShard, the interleave the
+// directory banks use too.
 type Memory struct {
 	shards [numShards]map[Addr]*Line
 }

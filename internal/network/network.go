@@ -81,17 +81,10 @@ func (n *Network) SendDataMsg(r sim.Runner) {
 // delay accounts the message and computes its delivery latency,
 // including fault-injected jitter and the in-order delivery clamp.
 func (n *Network) delay(flits uint64) uint64 {
-	return n.delayInto(&n.Stats, flits)
-}
-
-func (n *Network) delayInto(st *Stats, flits uint64) uint64 {
-	st.Messages++
-	st.Flits += flits
+	n.Stats.Messages++
+	n.Stats.Flits += flits
 	delay := n.linkLatency + flits
 	if n.Jitter != nil {
-		// Jitter only exists under fault injection, which forces the
-		// engine serial, so touching the shared clamp state here is safe
-		// even from an Endpoint.
 		delay += n.Jitter()
 		now := n.eng.Now()
 		if now+delay < n.lastDelivery {
@@ -100,50 +93,4 @@ func (n *Network) delayInto(st *Stats, flits uint64) uint64 {
 		n.lastDelivery = now + delay
 	}
 	return delay
-}
-
-// Endpoint is one owner's private interface to the crossbar: it owns a
-// Stats shard and the owner's scheduling handle, so concurrently
-// executing domains can send without sharing counters or touching the
-// engine directly. Sends name the destination's domain: core→directory
-// messages (requests, unblocks, writeback data, probe replies returning
-// to their flow) target the owning bank's domain, directory→core
-// deliveries (responses, probes) target the core's own domain, and
-// DomainSerial is reserved for the few flows that must still observe
-// global order (the begin flow's timestamp draw, eviction writebacks in
-// their cancellation window). An Endpoint may only be used from its own
-// domain's executing context or from serial execution; the payload then
-// runs as an ordinary event of the destination domain, joining its wave
-// instead of forcing a serial frame. Fold the shards into the Network's
-// totals with AddShard after the run.
-type Endpoint struct {
-	net   *Network
-	sched sim.Sched
-	Stats Stats
-}
-
-// NewEndpoint builds a per-owner endpoint around the owner's scheduling
-// handle.
-func (n *Network) NewEndpoint(sched sim.Sched) Endpoint {
-	return Endpoint{net: n, sched: sched}
-}
-
-// SendControlMsg delivers a 1-flit typed message into target.
-func (ep *Endpoint) SendControlMsg(target sim.Domain, r sim.Runner) {
-	ep.sched.ScheduleRunnerIn(target, ep.net.delayInto(&ep.Stats, ControlFlits), r)
-	ep.Stats.ControlMsgs++
-}
-
-// SendDataMsg delivers a 5-flit typed message into target.
-func (ep *Endpoint) SendDataMsg(target sim.Domain, r sim.Runner) {
-	ep.sched.ScheduleRunnerIn(target, ep.net.delayInto(&ep.Stats, DataFlits), r)
-	ep.Stats.DataMsgs++
-}
-
-// AddShard folds an endpoint's counters into the network totals.
-func (n *Network) AddShard(st *Stats) {
-	n.Stats.Messages += st.Messages
-	n.Stats.Flits += st.Flits
-	n.Stats.ControlMsgs += st.ControlMsgs
-	n.Stats.DataMsgs += st.DataMsgs
 }

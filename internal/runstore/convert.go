@@ -60,19 +60,6 @@ func FromStats(st machine.RunStats, system string, seed uint64, config, size str
 	}
 }
 
-// StampEngine records which engine the producing run used: workers <= 1
-// is the serial engine, anything above is the intra-run parallel
-// executor with that many workers.
-func (r *Record) StampEngine(workers int) {
-	if workers <= 1 {
-		r.EngineMode = "serial"
-		r.IntraWorkers = 1
-		return
-	}
-	r.EngineMode = "parallel"
-	r.IntraWorkers = workers
-}
-
 // StampDirBanks records the directory bank count of the producing run;
 // counts <= 1 are normalized to 1 so the monolithic and single-bank
 // directories stamp identically.
@@ -83,11 +70,10 @@ func (r *Record) StampDirBanks(banks int) {
 	r.DirBanks = banks
 }
 
-// StampWaves records the producing run's parallel-coverage counters
-// (machine.WaveStats / chats.WaveInfo): total fired events, waves, and
-// serial-domain events. Scheduling structure, not simulation results —
-// stored for the dashboard's wave-width drill-down, never compared by
-// the equivalence oracles.
+// StampWaves records the producing run's engine counters
+// (machine.WaveStats): fired events, waves and serial events.
+// Scheduling structure, not simulation results — never compared by the
+// equivalence oracles.
 func (r *Record) StampWaves(events, waves, serial uint64) {
 	r.WaveEvents = events
 	r.Waves = waves

@@ -93,24 +93,15 @@ type Record struct {
 	// "experiments", "serve", or "import:<file>" for bench history.
 	Source string `json:"source,omitempty"`
 
-	// EngineMode is "serial" or "parallel"; IntraWorkers is the
-	// engine's intra-run worker count (1 = serial). Both empty/zero on
-	// records written before the parallel engine existed, so dashboard
-	// trends can separate the modes without guessing.
-	EngineMode   string `json:"engine_mode,omitempty"`
-	IntraWorkers int    `json:"intra_workers,omitempty"`
-
 	// DirBanks is the directory bank count of the producing run; zero
 	// on records from before the sharded directory (equivalent to 1).
 	DirBanks int `json:"dir_banks,omitempty"`
 
-	// WaveEvents/Waves/SerialEvents are the engine's parallel-coverage
-	// counters: fired events, the same-cycle distinct-domain waves they
-	// formed, and the subset that ran on DomainSerial (full barriers).
-	// wave_events/waves is the average parallel batch width the
-	// dashboard's wave-width panel plots; serial_events/wave_events the
-	// residual barrier fraction. Zero on records from before the wave
-	// counters were stamped.
+	// WaveEvents/Waves/SerialEvents are the engine counters of
+	// machine.WaveStats. The engine fires one event at a time, so all
+	// three equal the fired-event count; records written while an
+	// intra-run parallel engine existed carry its wave and serial-event
+	// counts instead. Zero when not stamped.
 	WaveEvents   uint64 `json:"wave_events,omitempty"`
 	Waves        uint64 `json:"waves,omitempty"`
 	SerialEvents uint64 `json:"serial_events,omitempty"`

@@ -39,15 +39,11 @@ const (
 
 // Event.index sentinels. Far-heap events use their heap position
 // (0..len-1); wheel-parked events use idxWheel so tests can still treat
-// "index >= 0" as queued. idxFrame marks an event drained into the
-// parallel engine's per-cycle frame, idxStaged one buffered by a worker
-// during a batch (both only ever occur with workers > 1).
+// "index >= 0" as queued.
 const (
 	idxFired     = -1
 	idxCancelled = -2
 	idxWheel     = 1 << 30
-	idxFrame     = 1<<30 + 1
-	idxStaged    = 1<<30 + 2
 )
 
 // maxFreeEvents caps the event free list. A burst of scheduled-then-
@@ -66,22 +62,15 @@ const maxFreeEvents = 4096
 // exactly this reason).
 type Event struct {
 	cycle uint64
-	// seq is the global insertion sequence. While an event sits staged
-	// inside a parallel batch it temporarily holds the frame index of the
-	// event that scheduled it; the real seq is assigned at merge time.
-	seq uint64
-	fn  func()
-	run Runner
+	seq   uint64 // global insertion sequence
+	fn    func()
+	run   Runner
 	// next/prev link the event into its timing-wheel bucket (nil while
 	// in the far heap).
 	next, prev *Event
 	// index: far-heap position while overflowed, idxWheel while parked
-	// in a bucket, idxFired once popped, idxCancelled once cancelled,
-	// idxFrame/idxStaged while owned by the parallel executor.
+	// in a bucket, idxFired once popped, idxCancelled once cancelled.
 	index int
-	// dom is the owner domain the event fires in (DomainSerial unless
-	// scheduled through a Sched handle). Ignored by the serial engine.
-	dom Domain
 }
 
 // Cancelled reports whether the event was removed before firing.
@@ -153,19 +142,6 @@ type Engine struct {
 	// simulation with a diagnostic instead of unwinding through every
 	// caller on the event stack.
 	halt error
-
-	// maxDom tracks the highest domain handed out by NewSched, so the
-	// parallel executor can size its per-domain state.
-	maxDom int
-
-	// par holds the parallel executor state; nil with workers <= 1, in
-	// which case Run takes the serial path below untouched (no
-	// goroutines, no locks, no atomics).
-	par *parState
-
-	// waves tracks parallel coverage (events per same-cycle
-	// distinct-domain segment); see waves.go.
-	waves waveStat
 }
 
 // Halt requests that Run stop before firing the next event, returning
@@ -212,13 +188,6 @@ func (e *Engine) ScheduleRunner(delay uint64, r Runner) *Event {
 }
 
 func (e *Engine) insert(delay uint64, fn func(), r Runner) *Event {
-	return e.insertDom(DomainSerial, delay, fn, r)
-}
-
-func (e *Engine) insertDom(target Domain, delay uint64, fn func(), r Runner) *Event {
-	if p := e.par; p != nil && p.inBatch {
-		panic("sim: direct Schedule during a parallel batch; schedule through a Sched handle")
-	}
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -231,7 +200,6 @@ func (e *Engine) insertDom(target Domain, delay uint64, fn func(), r Runner) *Ev
 	ev.seq = e.seq
 	ev.fn = fn
 	ev.run = r
-	ev.dom = target
 	e.seq++
 	if delay < wheelSize {
 		e.wheelAdd(ev)
@@ -327,27 +295,14 @@ func (e *Engine) scanWheel() uint64 {
 }
 
 // Cancel removes a scheduled event. It is a no-op if the event already
-// fired or was already cancelled. During a parallel batch events must be
-// cancelled through a Sched handle instead.
+// fired or was already cancelled.
 func (e *Engine) Cancel(ev *Event) {
 	if ev == nil {
 		return
 	}
-	if p := e.par; p != nil && p.inBatch {
-		panic("sim: Engine.Cancel during a parallel batch; cancel through a Sched handle")
-	}
 	switch {
 	case ev.index == idxWheel:
 		e.wheelRemove(ev)
-	case ev.index == idxFrame:
-		// Drained into the current cycle's frame but not yet fired: mark
-		// it; the frame walker skips and recycles it.
-		ev.index = idxCancelled
-		ev.fn = nil
-		ev.run = nil
-		return
-	case ev.index == idxStaged:
-		panic("sim: cancel of a staged event outside its batch")
 	case ev.index >= 0:
 		heap.Remove(&e.far, ev.index)
 	default:
@@ -404,7 +359,6 @@ func (e *Engine) step(c uint64) {
 	ev.index = idxFired
 	e.wheelCount--
 	e.fired++
-	e.waves.note(ev.dom, e.now)
 	if r := ev.run; r != nil {
 		r.Run()
 	} else {
@@ -422,15 +376,7 @@ func (e *Engine) step(c uint64) {
 // A limit of 0 means no limit. It returns the number of events fired and
 // an error if the limit was reached with events still pending (a likely
 // deadlock or livelock in the simulated system).
-//
-// With SetWorkers(n > 1) Run executes same-cycle events of distinct
-// non-serial domains concurrently; the observable (cycle, seq) firing
-// order — and therefore every simulation result — is bit-identical to
-// the serial engine (see parallel.go for the merge rule).
 func (e *Engine) Run(limit uint64) (uint64, error) {
-	if e.par != nil {
-		return e.runParallel(limit)
-	}
 	start := e.fired
 	for {
 		c, ok := e.nextCycle()

@@ -87,36 +87,17 @@ func BenchmarkScheduleFireRunnerDeep(b *testing.B) {
 	}
 }
 
-// BenchmarkScheduleFireSerialSched is the schedule/fire cycle through a
-// domain-annotated Sched handle with the engine in explicit serial mode
-// (SetWorkers(1)) — the default -intra-j 1 configuration of every
-// production call site after the domain refactor. The serial guard must
-// make the domain seam free: 0 allocs/op, no goroutines, no locks.
-func BenchmarkScheduleFireSerialSched(b *testing.B) {
-	var e Engine
-	e.SetWorkers(1)
-	s := e.NewSched(Domain(1))
-	r := &benchRunner{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.ScheduleRunnerIn(DomainSerial, 1, r)
-		e.Step()
-	}
-}
-
-// TestSerialSchedZeroAllocs hard-pins the serial guard: the bench above
-// reports the number, this fails the suite if it ever becomes non-zero.
+// TestSerialSchedZeroAllocs hard-pins the serial schedule/fire hot path
+// the benchmarks above report: Engine.ScheduleRunner plus Step must
+// allocate nothing, or every simulated latency hop pays for it.
 func TestSerialSchedZeroAllocs(t *testing.T) {
 	var e Engine
-	e.SetWorkers(1)
-	s := e.NewSched(Domain(1))
 	r := &benchRunner{}
 	if avg := testing.AllocsPerRun(1000, func() {
-		s.ScheduleRunnerIn(DomainSerial, 1, r)
+		e.ScheduleRunner(1, r)
 		e.Step()
 	}); avg != 0 {
-		t.Errorf("serial-mode schedule/fire allocates %.2f per op, want 0", avg)
+		t.Errorf("ScheduleRunner+Step allocates %.2f per op, want 0", avg)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -304,5 +305,20 @@ func TestRandFloat64Range(t *testing.T) {
 		if f < 0 || f >= 1 {
 			t.Fatalf("Float64 out of range: %g", f)
 		}
+	}
+}
+
+// TestSerialModeStartsNoGoroutines pins the engine's concurrency model:
+// Run fires every event on the calling goroutine and spawns nothing.
+func TestSerialModeStartsNoGoroutines(t *testing.T) {
+	var e Engine
+	before := runtime.NumGoroutine()
+	during := -1
+	e.Schedule(1, func() { during = runtime.NumGoroutine() })
+	if _, err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if during != before {
+		t.Errorf("goroutines during Run = %d, before = %d", during, before)
 	}
 }

@@ -22,25 +22,6 @@ import (
 // It is called from worker goroutines but never concurrently.
 type Progress func(done, total int)
 
-// Budget resolves the cell-level parallelism for a grid whose cells each
-// run intra engine workers (machine.Config.IntraWorkers). jobs > 0 is
-// respected as-is — the caller asked for exactly that many cells in
-// flight; jobs <= 0 auto-sizes to GOMAXPROCS(0)/intra so cells times
-// engine workers roughly fill the host instead of oversubscribing it.
-// The result is always at least 1.
-func Budget(jobs, intra int) int {
-	if jobs > 0 {
-		return jobs
-	}
-	if intra < 1 {
-		intra = 1
-	}
-	if w := runtime.GOMAXPROCS(0) / intra; w > 1 {
-		return w
-	}
-	return 1
-}
-
 // CellPanic is the error a panicking cell is converted into: the pool
 // must never let one cell's panic tear down the whole process (and, with
 // it, the results of every other cell). Index is the cell, Value the

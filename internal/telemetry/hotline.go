@@ -59,8 +59,7 @@ func (c *Collector) TrackedLines() int { return len(c.hot) }
 // directory of the given bank count (the line-granular hash the sharded
 // directory uses): lines[b] is how many tracked lines bank b owns,
 // events[b] how much contention machinery they engaged. The skew tells
-// whether the workload's storm spreads across banks (sharding buys
-// parallel coverage) or pins one bank.
+// whether the workload's storm spreads across banks or pins one bank.
 func (c *Collector) BankOccupancy(banks int) (lines []int, events []uint64) {
 	lines = make([]int, banks)
 	events = make([]uint64, banks)
