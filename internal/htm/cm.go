@@ -11,7 +11,8 @@ package htm
 // (per-core windows, the line heat table) that is updated from both
 // engine events (commits, aborts, probes) and thread-side retry
 // decisions; the engine's strict one-at-a-time event order and the
-// thread rendezvous make every update land in the same order on every
+// coroutine switch between engine and threads (exactly one of them runs
+// at any instant) make every update land in the same order on every
 // run. Its jitter draws come from a dedicated PRNG stream so enabling
 // it never reshuffles the workload or fault streams.
 
@@ -282,8 +283,8 @@ type cmCore struct {
 
 // AdaptiveCM is the online contention manager. All methods must run
 // single-threaded: engine-side hooks run inside events, thread-side
-// decisions run while the engine is blocked in that thread's
-// rendezvous, so the two never overlap.
+// decisions run while the engine is suspended in that thread's
+// coroutine switch, so the two never overlap.
 type AdaptiveCM struct {
 	cfg    CMConfig
 	rng    *sim.Rand

@@ -2,10 +2,13 @@ package machine
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
 	"chats/internal/core"
+	"chats/internal/faults"
+	"chats/internal/htm"
 )
 
 // In-process concurrency equivalence: a machine shares no mutable state
@@ -135,5 +138,53 @@ func TestThreadPanicFailsRun(t *testing.T) {
 	if tp.Thread != 5 || tp.Value != "workload bug" || len(tp.Stack) == 0 {
 		t.Errorf("ThreadPanic = {Thread: %d, Value: %v, %d stack bytes}, want thread 5, \"workload bug\", a stack",
 			tp.Thread, tp.Value, len(tp.Stack))
+	}
+}
+
+// TestNoThreadLeakAfterFailedRun: however a run fails, Run returns with
+// every thread unwound, so the process is back at its pre-Run goroutine
+// count — including a thread parked on an op the engine never answered.
+func TestNoThreadLeakAfterFailedRun(t *testing.T) {
+	spinning := testCfg()
+	spinning.CycleLimit = 2000 // all 16 threads are still inside Atomic
+	livelock := testCfg()
+	livelock.Cores = 4
+	livelock.CycleLimit = 2_000_000_000
+	livelock.WatchdogCycles = 300_000
+	livelock.Faults = &faults.Plan{Nack: 1}
+	// Thread 0 halts the run with its Begin unanswered.
+	starved := testCfg()
+	starved.Cores = 2
+	starved.MaxAttempts = 15
+	// The policy itself never falls back.
+	never := htm.Traits{Retries: 1 << 30}
+	cases := []struct {
+		name   string
+		policy htm.Policy
+		cfg    Config
+		w      Workload
+		want   any
+	}{
+		{"cycle-limit", core.NewCHATS(), spinning, &counterWL{iters: 100}, nil},
+		{"watchdog", core.NewBaselineWith(never), livelock, &counterWL{iters: 10}, new(*LivelockError)},
+		{"max-attempts", core.NewBaselineWith(never), starved, &starveWL{}, new(*LivelockError)},
+		{"thread-panic", core.NewCHATS(), testCfg(), &panicWL{counterWL: counterWL{iters: 30}, bad: 5}, new(*ThreadPanic)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(tc.cfg, tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := runtime.NumGoroutine()
+			_, err = m.Run(tc.w)
+			if err == nil || (tc.want != nil && !errors.As(err, tc.want)) {
+				t.Fatalf("Run error = %v, want a %T", err, tc.want)
+			}
+			// Fewer is fine: an earlier test's goroutine may exit meanwhile.
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("goroutines: %d before Run, %d after", before, after)
+			}
+		})
 	}
 }

@@ -49,7 +49,7 @@ func (m *Machine) emitAbort(core int, cause htm.AbortCause) {
 
 // emitCMDecision records one post-abort contention-manager verdict.
 // It is called from thread-side code, which is safe: the engine is
-// blocked in this thread's rendezvous while it runs.
+// suspended in this thread's coroutine switch while it runs.
 func (m *Machine) emitCMDecision(core int, act htm.CMAction) {
 	if m.ring != nil {
 		m.ring.add(ringEvent{cycle: m.eng.Now(), kind: ringCM, core: core, s: act.String()})

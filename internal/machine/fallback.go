@@ -20,7 +20,7 @@ package machine
 //     budget on more speculative attempts, earning budget back on
 //     commits — lock acquisitions smooth into extra retries.
 //
-// All paths are thread-side code over the ordinary rendezvous ops, so
+// All paths are thread-side code over the ordinary thread ops, so
 // they stay bit-deterministic at any -j; randomized delays
 // draw from the per-thread PRNG stream exactly like the lock path.
 

@@ -309,7 +309,7 @@ func TestAdaptiveCMStarvationTripsMaxAttempts(t *testing.T) {
 // ---------- determinism ----------
 
 // The new fallback paths and backoff variants are thread-side code over
-// the ordinary rendezvous, so a run must stay bit-identical when copies
+// the ordinary thread ops, so a run must stay bit-identical when copies
 // of it run concurrently in the same process.
 func TestFallbackIntraDeterminism(t *testing.T) {
 	configs := []struct {

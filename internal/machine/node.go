@@ -68,11 +68,11 @@ type Node struct {
 	// workloads that the per-eviction allocation showed up in profiles.
 	wbFree []*pendingWB
 
-	// Reusable event payloads. The thread rendezvous guarantees at most
-	// one demand access, one begin and one commit reply in flight per
-	// core, and valInFlight/valTimer guard the validation pair, so a
-	// single embedded instance of each replaces the per-stage closures
-	// the hot path used to allocate.
+	// Reusable event payloads. A thread stays suspended until its op
+	// completes, so at most one demand access, one begin and one commit
+	// reply is in flight per core, and valInFlight/valTimer guard the
+	// validation pair, so a single embedded instance of each replaces the
+	// per-stage closures the hot path used to allocate.
 	acc     access
 	beg     beginOp
 	crep    commitReply
@@ -226,9 +226,10 @@ const (
 	stWBAck                  // writeback acknowledged back at the core
 )
 
-// access is the node's demand-access (load/store/CAS) flow. The thread
-// rendezvous guarantees one in flight per core, so a single embedded
-// instance carries the whole chain with zero allocations.
+// access is the node's demand-access (load/store/CAS) flow. A thread
+// stays suspended until its op completes, so one is in flight per core
+// and a single embedded instance carries the whole chain with zero
+// allocations.
 type access struct {
 	n         *Node
 	kind      uint8

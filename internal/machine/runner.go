@@ -1,9 +1,15 @@
+//go:build go1.23
+
+// iter.Pull needs go1.23; the tag raises only this file's language
+// version, so the module (and the benchmark module that imports it)
+// keeps its go 1.22 directive.
+
 package machine
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
-	"sync"
 
 	"chats/internal/htm"
 	"chats/internal/mem"
@@ -59,7 +65,7 @@ type killedSignal struct{}
 // panics: the run halts, the other threads are unwound, and Run returns
 // it wrapped, so one buggy workload fails its own run instead of
 // killing the process. Value is the recovered panic value and Stack the
-// thread's goroutine stack at recovery.
+// thread's coroutine stack at recovery.
 type ThreadPanic struct {
 	Thread int
 	Value  any
@@ -103,12 +109,11 @@ type opReply struct {
 	ok      bool
 	swapped bool
 	cause   htm.AbortCause
-	fatal   bool
 }
 
 // tctxTimer is the payload for the thread ops that are pure delays
 // (work, abort ack, fallback transitions, power handoff). One per
-// thread: the rendezvous guarantees a single pending op.
+// thread: a suspended thread has at most one op in flight.
 type tctxTimer struct {
 	t     *tctx
 	op    opKind
@@ -131,22 +136,27 @@ func (tt *tctxTimer) Run() {
 	}
 }
 
-// tctx is one simulated thread: the goroutine side talks to the engine
-// through a strict rendezvous, so exactly one of {engine, some thread}
-// runs at any instant and the simulation stays deterministic.
+// tctx is one simulated thread, run as an iter.Pull coroutine: the
+// thread yields each op to the engine and stays suspended until the
+// engine resumes it with the reply, so exactly one of {engine, some
+// thread} runs at any instant and the simulation stays deterministic.
 type tctx struct {
-	r       *runner
-	node    *Node
-	tid     int
-	rng     *sim.Rand
-	reqCh   chan opReq
-	replyCh chan opReply
+	r    *runner
+	node *Node
+	tid  int
+	rng  *sim.Rand
+
+	// Coroutine plumbing: next resumes the thread until its next op
+	// (ok=false once it has returned), stop unwinds a suspended thread,
+	// yield hands an op to the engine, and rep carries the reply back.
+	next  func() (opReq, bool)
+	stop  func()
+	yield func(opReq) bool
+	rep   opReply
 
 	// engine-side bookkeeping
-	pendingOp bool
-	done      bool
-	req       opReq // the op in flight (valid while pendingOp)
-	timer     tctxTimer
+	req   opReq // the op in flight
+	timer tctxTimer
 
 	// Fallback-path state (thread-side): the reusable STM descriptor
 	// (lazily built on first software fallback) and the elide path's
@@ -154,16 +164,15 @@ type tctx struct {
 	stm   *stmTx
 	elide int
 
-	// panicked is set by the thread goroutine before it closes reqCh, so
-	// pump observes it once the close is seen.
+	// panicked is set by the thread before it returns, so pump observes
+	// it once next reports the thread finished.
 	panicked *ThreadPanic
 }
 
-// finish completes the pending op: reply to the thread and block for its
-// next request.
+// finish completes the pending op: hand the reply to the thread and run
+// it to its next request.
 func (t *tctx) finish(rep opReply) {
-	t.pendingOp = false
-	t.replyCh <- rep
+	t.rep = rep
 	t.r.pump(t)
 }
 
@@ -244,40 +253,21 @@ func (r *runner) armWatchdog() {
 }
 
 func (r *runner) run(w Workload) error {
-	// Build the full thread list before spawning any goroutine: threads
-	// call Ctx.Threads() (len(r.threads)) as soon as they start, so the
-	// slice must not grow concurrently.
+	// Build the full thread list before starting any thread: threads
+	// call Ctx.Threads() (len(r.threads)) as soon as they start.
 	for i := range r.m.nodes {
 		t := &tctx{
-			r:       r,
-			node:    r.m.nodes[i],
-			tid:     i,
-			rng:     sim.NewRand(r.m.cfg.Seed*7919 + uint64(i) + 101),
-			reqCh:   make(chan opReq),
-			replyCh: make(chan opReply),
+			r:    r,
+			node: r.m.nodes[i],
+			tid:  i,
+			rng:  sim.NewRand(r.m.cfg.Seed*7919 + uint64(i) + 101),
 		}
 		t.timer.t = t
 		if r.m.cfg.Fallback.Kind == FallbackElide {
 			t.elide = r.m.cfg.Fallback.elideBudget()
 		}
+		t.next, t.stop = iter.Pull(t.body(w))
 		r.threads = append(r.threads, t)
-	}
-	var wg sync.WaitGroup
-	for _, t := range r.threads {
-		t := t
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(t.reqCh)
-			defer func() {
-				if rec := recover(); rec != nil {
-					if _, ok := rec.(killedSignal); !ok {
-						t.panicked = &ThreadPanic{Thread: t.tid, Value: rec, Stack: debug.Stack()}
-					}
-				}
-			}()
-			w.Thread(t, t.tid)
-		}()
 	}
 	r.active = len(r.threads)
 	for _, t := range r.threads {
@@ -289,40 +279,38 @@ func (r *runner) run(w Workload) error {
 		r.armWatchdog()
 	}
 	_, err := r.m.eng.Run(r.m.cfg.CycleLimit)
-	if err != nil {
-		r.kill()
+	// After a failed run (cycle limit, watchdog, starvation, thread
+	// panic) threads are still suspended in do; stop unwinds them. It is
+	// a no-op for a thread that has returned.
+	for _, t := range r.threads {
+		t.stop()
 	}
-	wg.Wait()
 	return err
 }
 
-// kill unblocks every remaining thread after a failed run (cycle limit,
-// watchdog, thread panic) so the goroutines exit cleanly.
-func (r *runner) kill() {
-	for _, t := range r.threads {
-		if t.done {
-			continue
-		}
-		if t.pendingOp {
-			t.replyCh <- opReply{fatal: true}
-		} else {
-			if _, ok := <-t.reqCh; !ok {
-				continue
+// body is the thread's coroutine: it runs the workload's Thread, turning
+// a workload panic into t.panicked and swallowing the killedSignal that
+// unwinds a stopped thread.
+func (t *tctx) body(w Workload) iter.Seq[opReq] {
+	return func(yield func(opReq) bool) {
+		defer func() {
+			if rec := recover(); rec != nil {
+				if _, ok := rec.(killedSignal); !ok {
+					t.panicked = &ThreadPanic{Thread: t.tid, Value: rec, Stack: debug.Stack()}
+				}
 			}
-			t.replyCh <- opReply{fatal: true}
-		}
-		for range t.reqCh { // drain until the deferred close
-		}
+		}()
+		t.yield = yield
+		w.Thread(t, t.tid)
 	}
 }
 
-// pump blocks until the thread issues its next operation (or finishes)
-// and dispatches it. It runs inside engine events; blocking here is what
-// hands the CPU to the thread goroutine.
+// pump resumes the thread until it issues its next operation (or
+// finishes) and dispatches it. It runs inside engine events; the engine
+// is suspended while the thread runs.
 func (r *runner) pump(t *tctx) {
-	req, ok := <-t.reqCh
+	req, ok := t.next()
 	if !ok {
-		t.done = true
 		if t.panicked != nil {
 			r.m.eng.Halt(t.panicked)
 		}
@@ -341,7 +329,6 @@ func (r *runner) pump(t *tctx) {
 func (r *runner) dispatch(t *tctx, req opReq) {
 	m := r.m
 	n := t.node
-	t.pendingOp = true
 	t.req = req
 	switch req.kind {
 	case opLoad:
@@ -360,8 +347,8 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 	case opBegin:
 		if m.cfg.MaxAttempts > 0 && req.attempt > m.cfg.MaxAttempts {
 			// Starvation budget exceeded: halt the engine with the dump.
-			// No reply is sent (pendingOp stays set), so the kill() path
-			// unwinds this thread once Run returns the error.
+			// No reply is sent, so the thread stays suspended until run
+			// stops it once Run returns the error.
 			m.eng.Halt(m.starvationError(n.id, req.attempt))
 			return
 		}
@@ -426,13 +413,13 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 
 // ---------- thread-side API ----------
 
+// do hands req to the engine and suspends the thread until the reply;
+// yield reports false once the run has stopped the thread.
 func (t *tctx) do(req opReq) opReply {
-	t.reqCh <- req
-	rep := <-t.replyCh
-	if rep.fatal {
+	if !t.yield(req) {
 		panic(killedSignal{})
 	}
-	return rep
+	return t.rep
 }
 
 func (t *tctx) TID() int        { return t.tid }

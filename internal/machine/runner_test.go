@@ -139,27 +139,36 @@ func TestReadOwnWrites(t *testing.T) {
 	}
 }
 
+// firstRandWL records each thread's first draw from its PRNG.
+type firstRandWL struct{ first [16]uint64 }
+
+func (w *firstRandWL) Name() string          { return "first-rand" }
+func (w *firstRandWL) Setup(*World, int)     {}
+func (w *firstRandWL) Thread(ctx Ctx, t int) { w.first[t] = ctx.Rand().Uint64() }
+func (w *firstRandWL) Check(*World) error    { return nil }
+
+// TestThreadRandsDiffer: every thread of a 16-core run draws from its own
+// stream, and the streams are a pure function of the seed.
 func TestThreadRandsDiffer(t *testing.T) {
 	cfg := testCfg()
-	policy, _ := core.New(core.KindBaseline)
-	m, err := New(cfg, policy)
-	if err != nil {
-		t.Fatal(err)
+	if cfg.Cores != 16 {
+		t.Fatalf("Cores = %d, want 16", cfg.Cores)
 	}
-	r := newRunner(m)
-	seen := map[uint64]bool{}
-	for i := range m.nodes {
-		t1 := &tctx{r: r, node: m.nodes[i], tid: i,
-			rng: nil, reqCh: make(chan opReq), replyCh: make(chan opReply)}
-		_ = t1
+	run := func() [16]uint64 {
+		w := &firstRandWL{}
+		runWL(t, core.KindBaseline, w, cfg)
+		return w.first
 	}
-	// The per-thread seeds must differ (different streams).
-	for i := 0; i < cfg.Cores; i++ {
-		seed := cfg.Seed*7919 + uint64(i) + 101
-		if seen[seed] {
-			t.Fatal("duplicate thread seed")
+	first := run()
+	seen := map[uint64]int{}
+	for tid, v := range first {
+		if prev, dup := seen[v]; dup {
+			t.Fatalf("threads %d and %d drew the same first value %#x", prev, tid, v)
 		}
-		seen[seed] = true
+		seen[v] = tid
+	}
+	if again := run(); again != first {
+		t.Errorf("second run drew %x, first run %x", again, first)
 	}
 }
 
