@@ -9,6 +9,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"chats/internal/mem"
 )
@@ -62,6 +63,12 @@ type Cache struct {
 	setMask uint64
 	tick    uint64
 	Stats   Stats
+
+	// touched has one bit per set, marked whenever set hands out that
+	// set's entries. An SM bit can only be set through an entry handed
+	// out that way, so the gang operations visit just the marked sets
+	// and then clear the marks.
+	touched []uint64
 }
 
 // New builds a cache of sizeBytes capacity and the given associativity.
@@ -74,7 +81,7 @@ func New(sizeBytes, ways int) *Cache {
 	if nSets == 0 || nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d sets is not a power of two (size %d, ways %d)", nSets, sizeBytes, ways))
 	}
-	c := &Cache{setMask: uint64(nSets - 1)}
+	c := &Cache{setMask: uint64(nSets - 1), touched: make([]uint64, (nSets+63)/64)}
 	c.sets = make([][]Entry, nSets)
 	for i := range c.sets {
 		c.sets[i] = make([]Entry, ways)
@@ -89,7 +96,25 @@ func (c *Cache) Ways() int { return len(c.sets[0]) }
 func (c *Cache) Sets() int { return len(c.sets) }
 
 func (c *Cache) set(line mem.Addr) []Entry {
-	return c.sets[(uint64(line)>>mem.LineShift)&c.setMask]
+	i := (uint64(line) >> mem.LineShift) & c.setMask
+	c.touched[i>>6] |= 1 << (i & 63)
+	return c.sets[i]
+}
+
+// gangScan calls fn on every SM line of the touched sets, in ascending
+// set then way order (the order of a full scan), and clears the marks.
+func (c *Cache) gangScan(fn func(e *Entry)) {
+	for wi, w := range c.touched {
+		for ; w != 0; w &= w - 1 {
+			set := c.sets[wi<<6+bits.TrailingZeros64(w)]
+			for i := range set {
+				if e := &set[i]; e.State != Invalid && e.SM {
+					fn(e)
+				}
+			}
+		}
+		c.touched[wi] = 0
+	}
 }
 
 // Lookup returns the entry holding line, or nil. It counts a hit or miss
@@ -204,44 +229,35 @@ func (c *Cache) Invalidate(line mem.Addr) (Entry, bool) {
 // how many lines were dropped.
 func (c *Cache) GangInvalidateSM() int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			e := &c.sets[si][wi]
-			if e.State != Invalid && e.SM {
-				*e = Entry{}
-				n++
-			}
-		}
-	}
+	c.gangScan(func(e *Entry) {
+		*e = Entry{}
+		n++
+	})
 	return n
 }
 
 // CommitSM clears the SM and Spec bits on every write-set line at commit:
 // the speculative values become the architectural ones, held dirty in M.
-// It calls fn for each committed line so the caller can propagate the
-// committed value to the backing image.
+// It calls fn for each committed line, in set then way order, so the
+// caller can propagate the committed value to the backing image.
 func (c *Cache) CommitSM(fn func(line mem.Addr, data mem.Line)) int {
 	n := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			e := &c.sets[si][wi]
-			if e.State != Invalid && e.SM {
-				e.SM = false
-				e.Spec = false
-				e.State = Modified
-				e.Dirty = true
-				n++
-				if fn != nil {
-					fn(e.Tag, e.Data)
-				}
-			}
+	c.gangScan(func(e *Entry) {
+		e.SM = false
+		e.Spec = false
+		e.State = Modified
+		e.Dirty = true
+		n++
+		if fn != nil {
+			fn(e.Tag, e.Data)
 		}
-	}
+	})
 	return n
 }
 
 // ForEach visits every valid entry. The callback must not insert or
-// invalidate lines.
+// invalidate lines, and must not set SM: ForEach does not mark the sets
+// it visits, so the gang operations would miss such a line.
 func (c *Cache) ForEach(fn func(e *Entry)) {
 	for si := range c.sets {
 		for wi := range c.sets[si] {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -154,6 +155,102 @@ func TestCommitSM(t *testing.T) {
 	e = c.Peek(lineAddr(0))
 	if e.SM || e.Spec || e.State != Modified || !e.Dirty {
 		t.Fatalf("post-commit entry = %+v", e)
+	}
+}
+
+// refGangScan is the full-scan reference for the gang operations: it
+// visits every SM line of every set, in set then way order.
+func refGangScan(c *Cache, fn func(e *Entry)) {
+	for si := range c.sets {
+		for wi := range c.sets[si] {
+			if e := &c.sets[si][wi]; e.State != Invalid && e.SM {
+				fn(e)
+			}
+		}
+	}
+}
+
+// TestGangOpsMatchFullScan drives a cache and a shadow copy through the
+// same random Insert/Lookup/Peek/Invalidate calls, setting SM and Spec
+// bits through the entries they hand out. After every gang operation the
+// cache, which scans only touched sets, must match the shadow, which
+// scans them all: the same count, the same entries and, for CommitSM,
+// the same callback order.
+func TestGangOpsMatchFullScan(t *testing.T) {
+	for _, geo := range []struct{ size, ways int }{
+		{4 * 4 * mem.LineSize, 4},   // 4 sets
+		{48 * 1024, 12},             // Table I L1D: 64 sets
+		{256 * 2 * mem.LineSize, 2}, // 256 sets: a multi-word bitmap
+	} {
+		c, ref := New(geo.size, geo.ways), New(geo.size, geo.ways)
+		rng := rand.New(rand.NewSource(int64(c.Sets())))
+		lines := 3 * c.Sets() * c.Ways()
+		for step := 0; step < 20000; step++ {
+			line := lineAddr(rng.Intn(lines))
+			gang := false
+			switch op := rng.Intn(16); {
+			case op < 5:
+				st := State(1 + rng.Intn(3))
+				d := mem.Line{uint64(step)}
+				c.Insert(line, st, d)
+				ref.Insert(line, st, d)
+			case op < 10:
+				// Speculatively write the line if present, through the
+				// entry Lookup or Peek hands out.
+				get := (*Cache).Lookup
+				if op%2 == 0 {
+					get = (*Cache).Peek
+				}
+				e, re := get(c, line), get(ref, line)
+				if (e == nil) != (re == nil) {
+					t.Fatalf("%d sets, step %d: presence of %v differs", c.Sets(), step, line)
+				}
+				if e != nil && rng.Intn(2) == 0 {
+					spec := rng.Intn(2) == 0
+					e.SM, e.Spec = true, spec
+					re.SM, re.Spec = true, spec
+				}
+			case op < 12:
+				c.Invalidate(line)
+				ref.Invalidate(line)
+			case op < 14:
+				gang = true
+				n := c.GangInvalidateSM()
+				want := 0
+				refGangScan(ref, func(e *Entry) { *e = Entry{}; want++ })
+				if n != want {
+					t.Fatalf("%d sets, step %d: GangInvalidateSM = %d, full scan %d", c.Sets(), step, n, want)
+				}
+			default:
+				gang = true
+				var got, want []mem.Addr
+				n := c.CommitSM(func(l mem.Addr, _ mem.Line) { got = append(got, l) })
+				refGangScan(ref, func(e *Entry) {
+					e.SM, e.Spec, e.State, e.Dirty = false, false, Modified, true
+					want = append(want, e.Tag)
+				})
+				if n != len(want) || len(got) != len(want) {
+					t.Fatalf("%d sets, step %d: CommitSM = %d (%d callbacks), full scan %d",
+						c.Sets(), step, n, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%d sets, step %d: callback %d is %v, full scan %v", c.Sets(), step, i, got[i], want[i])
+					}
+				}
+			}
+			if !gang {
+				continue
+			}
+			for si := range c.sets {
+				for wi := range c.sets[si] {
+					if c.sets[si][wi] != ref.sets[si][wi] {
+						t.Fatalf("%d sets, step %d: set %d way %d = %+v, full scan %+v",
+							c.Sets(), step, si, wi, c.sets[si][wi], ref.sets[si][wi])
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"chats/internal/core"
@@ -87,12 +88,18 @@ func TestFallbackMatrixDeterministicAcrossWorkers(t *testing.T) {
 // when a Recorder is attached (the -store wiring), with the fallback
 // counters present.
 func TestSoakAndMatrixRecord(t *testing.T) {
+	// The sweep workers call the recorder concurrently.
+	var mu sync.Mutex
 	var recs []runstore.Record
 	p := Params{
 		Size:            workloads.Tiny,
 		Machine:         machine.DefaultConfig(),
 		CellCycleBudget: 200_000_000,
-		Recorder:        func(r runstore.Record) { recs = append(recs, r) },
+		Recorder: func(r runstore.Record) {
+			mu.Lock()
+			recs = append(recs, r)
+			mu.Unlock()
+		},
 	}
 	rep := FallbackMatrix(p, []string{"cadd"})
 	if n := len(rep.Cells) - len(rep.Failures()); len(recs) != n {

@@ -115,7 +115,7 @@ func Parse(spec string) (Plan, error) {
 			}
 			delete(kv, "p")
 			f, err := strconv.ParseFloat(s, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // also rejects NaN
 				return 0, fmt.Errorf("faults: %q: p=%q is not a probability in [0,1]", name, s)
 			}
 			return f, nil
@@ -184,6 +184,17 @@ func Parse(spec string) (Plan, error) {
 			return Plan{}, fmt.Errorf("faults: %q: unknown option(s) %s", name, strings.Join(keys, ", "))
 		}
 	}
+	// A fault at p=0 is off and String omits it, so its options revert
+	// to the zero plan's and the plan round-trips.
+	if p.Jitter == 0 {
+		p.JitterMax = 0
+	}
+	if p.Nack == 0 {
+		p.NackBank = -1
+	}
+	if p.LockBurst == 0 {
+		p.LockBurstCycles, p.LockBurstBank = 0, -1
+	}
 	return p, p.Validate()
 }
 
@@ -196,7 +207,7 @@ func (p Plan) Validate() error {
 		{"spurious", p.Spurious}, {"vsbfull", p.VSBFull}, {"valfail", p.ValFail},
 		{"jitter", p.Jitter}, {"nack", p.Nack}, {"powerdeny", p.PowerDeny}, {"lockburst", p.LockBurst},
 	} {
-		if f.v < 0 || f.v > 1 {
+		if !(f.v >= 0 && f.v <= 1) { // also rejects NaN
 			return fmt.Errorf("faults: %s probability %v outside [0,1]", f.name, f.v)
 		}
 	}

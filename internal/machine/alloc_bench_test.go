@@ -103,6 +103,11 @@ func BenchmarkThreadHandoff(b *testing.B) {
 // with 100,000 more ops costs no more mallocs than a 100-op run; only
 // the per-run setup allocates.
 func TestThreadHandoffZeroAllocs(t *testing.T) {
+	// Each run's thread coroutine takes a goroutine from the current P's
+	// free list; with several Ps the test can land on one whose list is
+	// empty, and the runtime then allocates a new g that Mallocs counts.
+	// One P, as testing.AllocsPerRun uses, keeps that cache warm.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Mallocs is process-wide and the race runtime now and then adds one,
 	// so each size keeps its fewest mallocs over three runs.
 	mallocs := func(ops int) uint64 {
@@ -124,5 +129,49 @@ func TestThreadHandoffZeroAllocs(t *testing.T) {
 	if long > short {
 		t.Errorf("100,000 extra ops allocated %d times (100 ops: %d mallocs, 100,100 ops: %d)",
 			long-short, short, long)
+	}
+}
+
+// runLockHold runs the two-core lock-hold workload: one thread holds the
+// global fallback lock for hold cycles while the other spins for it.
+// Building the machine is left out of a benchmark's timer.
+func runLockHold(tb testing.TB, hold uint64) RunStats {
+	tb.Helper()
+	cfg := DefaultConfig()
+	cfg.Cores = 2
+	m, err := New(cfg, core.NewBaseline())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if b, ok := tb.(*testing.B); ok {
+		b.ResetTimer()
+	}
+	stats, err := m.Run(&lockHoldWL{m: m, hold: hold})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return stats
+}
+
+// BenchmarkLockSpin times the spin path of a fallback-lock acquisition:
+// the spinner's load of the held lock, its randomized wait and the
+// reload, all at engine time. Each spin is one L1 hit, so ns/spin is
+// the wall time over the run's L1 hits. Run as:
+//
+//	go test -run '^$' -bench LockSpin ./internal/machine
+func BenchmarkLockSpin(b *testing.B) {
+	b.ReportAllocs()
+	stats := runLockHold(b, 100*uint64(b.N))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(stats.L1Hits), "ns/spin")
+}
+
+// TestLockSpinZeroAllocs: spinning allocates nothing, so holding the
+// lock 100x longer (about a thousand more spins) costs no more mallocs
+// per run.
+func TestLockSpinZeroAllocs(t *testing.T) {
+	short := testing.AllocsPerRun(5, func() { runLockHold(t, 1_000) })
+	long := testing.AllocsPerRun(5, func() { runLockHold(t, 100_000) })
+	if long > short {
+		t.Errorf("a 100x longer spin allocated %v times per run, a short one %v", long, short)
 	}
 }

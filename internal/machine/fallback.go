@@ -20,9 +20,10 @@ package machine
 //     budget on more speculative attempts, earning budget back on
 //     commits — lock acquisitions smooth into extra retries.
 //
-// All paths are thread-side code over the ordinary thread ops, so
-// they stay bit-deterministic at any -j; randomized delays
-// draw from the per-thread PRNG stream exactly like the lock path.
+// All paths are thread-side code over the ordinary thread ops; lock
+// words (global and STM version locks alike) are taken by one engine-time
+// acquire op (spinAcquire). Randomized delays draw from the per-thread
+// PRNG stream, so every path stays bit-deterministic.
 
 import (
 	"fmt"
@@ -496,14 +497,7 @@ func (t *tctx) stmAttempt(body func(Tx)) bool {
 	s.lockAddrs = s.lockAddrs[:dst]
 	// Acquire each write lock: CAS even version v -> v+1 (odd = held).
 	for _, la := range s.lockAddrs {
-		for {
-			v := t.do(opReq{kind: opLoad, addr: la}).val
-			if v&1 == 0 && t.do(opReq{kind: opCAS, addr: la, val: v, val2: v + 1}).swapped {
-				s.lockOrig = append(s.lockOrig, v)
-				break
-			}
-			t.do(opReq{kind: opWork, val: 8 + t.rng.Uint64n(8)})
-		}
+		s.lockOrig = append(s.lockOrig, t.acquire(la, stmLockSpan))
 	}
 	// Pre-validate read versions outside the global lock: cheap early
 	// failure against concurrent STM writers. Versions alone cannot
@@ -529,15 +523,7 @@ func (t *tctx) stmAttempt(body func(Tx)) bool {
 // order and the version locks release with a bump.
 func (t *tctx) stmCommitUnderLock(s *stmTx) bool {
 	la := t.r.m.lockAddr
-	for {
-		for t.do(opReq{kind: opLoad, addr: la}).val != 0 {
-			t.do(opReq{kind: opWork, val: 64 + t.rng.Uint64n(64)})
-		}
-		if t.do(opReq{kind: opCAS, addr: la, val: 0, val2: 1}).swapped {
-			break
-		}
-		t.do(opReq{kind: opWork, val: 64 + t.rng.Uint64n(64)})
-	}
+	t.acquire(la, globalLockSpan)
 	for i, ra := range s.readAddrs {
 		if t.do(opReq{kind: opLoad, addr: ra}).val != s.readVals[i] {
 			t.do(opReq{kind: opStore, addr: la, val: 0})

@@ -91,6 +91,7 @@ const (
 	opAcquirePower
 	opReleasePower
 	opFallbackBodyStart
+	opAcquire
 )
 
 type opReq struct {
@@ -157,6 +158,7 @@ type tctx struct {
 	// engine-side bookkeeping
 	req   opReq // the op in flight
 	timer tctxTimer
+	acq   spinAcquire
 
 	// Fallback-path state (thread-side): the reusable STM descriptor
 	// (lazily built on first software fallback) and the elide path's
@@ -206,6 +208,50 @@ func (t *tctx) onCommitDone(committed bool) {
 	} else {
 		t.finish(opReply{aborted: true, cause: t.node.FinishAbort()})
 	}
+}
+
+// spinAcquire is the opAcquire payload: the test-and-test-and-set loop
+// that takes a fallback lock word, run at engine time like the begin-time
+// lock poll, so the thread resumes once per acquisition rather than once
+// per spin. The word is free when even; the winning CAS makes it odd. A
+// held word or a lost CAS waits span plus up to span-1 cycles drawn from
+// the thread PRNG, then reloads. The loads, CASes, waits and draws are
+// the ones a thread-side test-and-test-and-set loop makes, so every
+// event keeps the (cycle, seq) the golden statistics pin.
+type spinAcquire struct {
+	t    *tctx
+	addr mem.Addr
+	span uint64
+	want uint64 // the even value the pending CAS expects
+}
+
+// Run reloads the lock word after a wait.
+func (s *spinAcquire) Run() { s.t.node.Load(s.addr, false, s) }
+
+// onLoadDone: a plain load never aborts.
+func (s *spinAcquire) onLoadDone(v uint64, _ bool) {
+	t := s.t
+	t.r.m.emitOp(t.node.id, OpLoad, false, s.addr, v, 0, true)
+	if v&1 != 0 {
+		s.wait()
+		return
+	}
+	s.want = v
+	t.node.CAS(s.addr, v, v+1, s)
+}
+
+func (s *spinAcquire) onCASDone(prev uint64, swapped bool) {
+	t := s.t
+	t.r.m.emitOp(t.node.id, OpCAS, false, s.addr, prev, s.want+1, swapped)
+	if !swapped {
+		s.wait()
+		return
+	}
+	t.finish(opReply{val: prev, swapped: true})
+}
+
+func (s *spinAcquire) wait() {
+	s.t.node.eng.ScheduleRunner(s.span+s.t.rng.Uint64n(s.span), s)
 }
 
 // wdTick is the livelock watchdog's event payload.
@@ -263,6 +309,7 @@ func (r *runner) run(w Workload) error {
 			rng:  sim.NewRand(r.m.cfg.Seed*7919 + uint64(i) + 101),
 		}
 		t.timer.t = t
+		t.acq.t = t
 		if r.m.cfg.Fallback.Kind == FallbackElide {
 			t.elide = r.m.cfg.Fallback.elideBudget()
 		}
@@ -337,6 +384,10 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 		n.Store(req.addr, req.val, req.inTx, t)
 	case opCAS:
 		n.CAS(req.addr, req.val, req.val2, t)
+	case opAcquire:
+		t.acq.addr = req.addr
+		t.acq.span = req.val
+		n.Load(req.addr, false, &t.acq)
 	case opWork:
 		cycles := req.val
 		if cycles == 0 {
@@ -595,20 +646,25 @@ func (t *tctx) runSpec(body func(Tx)) (committed bool, cause htm.AbortCause) {
 	return true, htm.CauseNone
 }
 
+// Spin spans of the two lock kinds: a held lock or a lost CAS waits
+// span + [0, span) cycles before the next test.
+const (
+	globalLockSpan = 64
+	stmLockSpan    = 8
+)
+
+// acquire takes the lock word at a (free when even) and returns the
+// value it held before the winning CAS.
+func (t *tctx) acquire(a mem.Addr, span uint64) uint64 {
+	return t.do(opReq{kind: opAcquire, addr: a, val: span}).val
+}
+
 // fallbackLock serializes through the global lock: test-test-and-set
 // acquire, non-speculative body, release. Running transactions abort via
 // their eager lock subscription when the CAS takes the line.
 func (t *tctx) fallbackLock(body func(Tx)) {
 	la := t.r.m.lockAddr
-	for {
-		for t.do(opReq{kind: opLoad, addr: la}).val != 0 {
-			t.do(opReq{kind: opWork, val: 64 + t.rng.Uint64n(64)})
-		}
-		if t.do(opReq{kind: opCAS, addr: la, val: 0, val2: 1}).swapped {
-			break
-		}
-		t.do(opReq{kind: opWork, val: 64 + t.rng.Uint64n(64)})
-	}
+	t.acquire(la, globalLockSpan)
 	t.do(opReq{kind: opEnterFallback})
 	body(txHandle{t: t, fallback: true})
 	t.do(opReq{kind: opExitFallback})
