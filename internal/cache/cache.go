@@ -59,7 +59,13 @@ type Stats struct {
 
 // Cache is a private set-associative cache.
 type Cache struct {
+	// sets holds every set, each ways entries long. A set no Insert
+	// has reached yet is blank, the one all-Invalid set the cache
+	// shares among them; Insert gives a set its own entries before
+	// writing, so a cache costs memory only for the sets it uses.
 	sets    [][]Entry
+	blank   []Entry
+	ways    int
 	setMask uint64
 	tick    uint64
 	Stats   Stats
@@ -81,19 +87,24 @@ func New(sizeBytes, ways int) *Cache {
 	if nSets == 0 || nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d sets is not a power of two (size %d, ways %d)", nSets, sizeBytes, ways))
 	}
-	c := &Cache{setMask: uint64(nSets - 1), touched: make([]uint64, (nSets+63)/64)}
+	c := &Cache{blank: make([]Entry, ways), ways: ways, setMask: uint64(nSets - 1),
+		touched: make([]uint64, (nSets+63)/64)}
 	c.sets = make([][]Entry, nSets)
 	for i := range c.sets {
-		c.sets[i] = make([]Entry, ways)
+		c.sets[i] = c.blank
 	}
 	return c
 }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return len(c.sets[0]) }
+func (c *Cache) Ways() int { return c.ways }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return len(c.sets) }
+
+// isBlank reports whether set is the shared all-Invalid set, which must
+// never be written.
+func (c *Cache) isBlank(set []Entry) bool { return &set[0] == &c.blank[0] }
 
 func (c *Cache) set(line mem.Addr) []Entry {
 	i := (uint64(line) >> mem.LineShift) & c.setMask
@@ -169,6 +180,10 @@ type Victim struct {
 func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim *Victim, evicted bool, ok bool) {
 	line = line.Line()
 	set := c.set(line)
+	if c.isBlank(set) {
+		set = make([]Entry, c.ways)
+		c.sets[(uint64(line)>>mem.LineShift)&c.setMask] = set
+	}
 	c.tick++
 	// Already present: update in place.
 	for i := range set {
@@ -259,10 +274,13 @@ func (c *Cache) CommitSM(fn func(line mem.Addr, data mem.Line)) int {
 // invalidate lines, and must not set SM: ForEach does not mark the sets
 // it visits, so the gang operations would miss such a line.
 func (c *Cache) ForEach(fn func(e *Entry)) {
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			if c.sets[si][wi].State != Invalid {
-				fn(&c.sets[si][wi])
+	for _, set := range c.sets {
+		if c.isBlank(set) {
+			continue
+		}
+		for wi := range set {
+			if set[wi].State != Invalid {
+				fn(&set[wi])
 			}
 		}
 	}

@@ -313,3 +313,43 @@ func TestStateString(t *testing.T) {
 		t.Fatal("unknown state should still print")
 	}
 }
+
+// TestUntouchedSetMissAllocatesNothing: sets are allocated on their
+// first insert, so a miss in a set no Insert has reached allocates
+// nothing and counts exactly as a miss in an allocated set: Lookup adds
+// one miss, Peek and Invalidate leave the stats alone.
+func TestUntouchedSetMissAllocatesNothing(t *testing.T) {
+	c := New(48*1024, 12)
+	c.Insert(lineAddr(0), Shared, mem.Line{1}) // set 0 allocated
+	for _, line := range []mem.Addr{lineAddr(1), lineAddr(c.Sets())} {
+		before := c.Stats
+		if n := testing.AllocsPerRun(100, func() {
+			if c.Lookup(line) != nil || c.Peek(line) != nil {
+				t.Fatalf("phantom hit on %v", line)
+			}
+			c.Invalidate(line)
+		}); n != 0 {
+			t.Errorf("missing %v allocated %v times", line, n)
+		}
+		want := before
+		want.Misses += 101 // AllocsPerRun makes one warm-up call
+		if c.Stats != want {
+			t.Errorf("after missing %v: stats = %+v, want %+v", line, c.Stats, want)
+		}
+	}
+	if !c.isBlank(c.sets[1]) {
+		t.Error("misses allocated set 1")
+	}
+	if got := c.CountSM(); got != 0 {
+		t.Errorf("CountSM = %d", got)
+	}
+	if _, _, ok := c.Insert(lineAddr(1), Modified, mem.Line{2}); !ok || c.isBlank(c.sets[1]) {
+		t.Fatal("insert did not give set 1 its own entries")
+	}
+	if e := c.Lookup(lineAddr(1)); e == nil || e.Data[0] != 2 {
+		t.Fatalf("lookup after first insert = %+v", e)
+	}
+	if e := c.Peek(lineAddr(1 + c.Sets())); e != nil {
+		t.Fatalf("another line of set 1 hit: %+v", e)
+	}
+}

@@ -12,8 +12,8 @@ import (
 // fixed 256-bit set so line metadata stays pointer-free and poolable).
 const MaxCores = 256
 
-// MaxBanks caps the bank count at the memory shard count, so two lines
-// owned by different banks always live in different mem.Memory shards.
+// MaxBanks caps the bank count at one bank per core of the widest
+// machine (MaxCores).
 const MaxBanks = 256
 
 // Config holds the directory/memory timing parameters (Table I) and the
@@ -58,8 +58,8 @@ func (s *Stats) add(o *Stats) {
 }
 
 // BankOf returns the bank in [0, banks) owning the line containing a.
-// banks must be a power of two <= MaxBanks. It is mem.LineShard, the one
-// address hash shared with the memory's internal sharding.
+// banks must be a power of two <= MaxBanks. It is mem.LineShard:
+// consecutive lines round-robin across the banks.
 func BankOf(a mem.Addr, banks int) int { return mem.LineShard(a, banks) }
 
 type dirState uint8

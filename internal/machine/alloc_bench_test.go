@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -173,5 +174,53 @@ func TestLockSpinZeroAllocs(t *testing.T) {
 	long := testing.AllocsPerRun(5, func() { runLockHold(t, 100_000) })
 	if long > short {
 		t.Errorf("a 100x longer spin allocated %v times per run, a short one %v", long, short)
+	}
+}
+
+// newMachine builds a machine of the given core count running the
+// baseline system.
+func newMachine(tb testing.TB, cores int) *Machine {
+	tb.Helper()
+	cfg := DefaultConfig()
+	cfg.Cores = cores
+	m, err := New(cfg, core.NewBaseline())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// BenchmarkMachineNew times building a machine: every core's L1, node
+// and directory state, and the empty simulated memory. Run as:
+//
+//	go test -run '^$' -bench MachineNew -benchmem ./internal/machine
+func BenchmarkMachineNew(b *testing.B) {
+	for _, cores := range []int{16, 256} {
+		b.Run(fmt.Sprintf("c%d", cores), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newMachine(b, cores)
+			}
+		})
+	}
+}
+
+// TestMachineNewBytes pins the bytes one machine.New allocates. The
+// simulated state is allocated on first touch, L1 sets on their first
+// insert and memory a page at a time on its first write, so building a
+// machine costs a small fraction of its caches' capacity.
+func TestMachineNewBytes(t *testing.T) {
+	for _, c := range []struct {
+		cores int
+		limit uint64
+	}{{16, 256 << 10}, {256, 4 << 20}} {
+		var ms0, ms1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms0)
+		newMachine(t, c.cores)
+		runtime.ReadMemStats(&ms1)
+		if got := ms1.TotalAlloc - ms0.TotalAlloc; got > c.limit {
+			t.Errorf("machine.New at %d cores allocated %d bytes, want at most %d", c.cores, got, c.limit)
+		}
 	}
 }

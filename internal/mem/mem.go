@@ -1,10 +1,14 @@
 // Package mem models the simulated physical address space: 64-byte cache
 // lines of eight 64-bit words, a sparse backing store holding the
-// committed (architectural) value of every line, and a bump allocator for
-// building workload data structures in simulated memory.
+// committed (architectural) value of every line in 4 KiB pages allocated
+// on first write, and a bump allocator for building workload data
+// structures in simulated memory.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 const (
 	// LineSize is the cache line size in bytes (Table I: 64-byte lines).
@@ -35,107 +39,154 @@ func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 // Line is the value of one cache line: eight 64-bit words.
 type Line [WordsPerLine]uint64
 
-// numShards is the fixed internal shard count of a Memory. It is the
-// upper bound on the coherence directory's bank count: because every
-// power-of-two bank count <= numShards selects banks from the same low
-// line-index bits LineShard uses, two lines owned by different directory
-// banks always live in different memory shards.
-const numShards = 256
-
 // LineShard returns the shard index in [0, shards) of the line
-// containing a. shards must be a power of two. This is the one address
-// hash shared by the memory's internal sharding and the directory's
-// bank selection (coherence.BankOf): consecutive cache lines round-robin
-// across shards, so regular strides spread load over all banks.
+// containing a. shards must be a power of two. It is the directory's
+// bank selection (coherence.BankOf): consecutive cache lines
+// round-robin across shards, so regular strides spread load over all
+// banks.
 func LineShard(a Addr, shards int) int {
 	return int((uint64(a) >> LineShift) & uint64(shards-1))
 }
+
+const (
+	// pageShift is log2 of the page size: a page is 64 lines, 4 KiB.
+	pageShift = 12
+	// linesPerPage is the number of lines in a page; one uint64 holds
+	// a page's written-line bits.
+	linesPerPage = 1 << (pageShift - LineShift)
+	// densePages bounds the page table: pages below it (the first GiB
+	// of address space, where workloads allocate) are indexed directly,
+	// pages above it go to a map, so a stray far address costs one page,
+	// not a table reaching up to it.
+	densePages = 1 << (30 - pageShift)
+)
+
+// page holds the values of 64 consecutive lines. It is exactly 4 KiB,
+// a size class of its own, so it wastes no memory.
+type page [linesPerPage]Line
 
 // Memory is the simulated backing store. It always holds the latest
 // committed value of every line (the simulator maintains the invariant
 // that any speculatively modified cache copy has its committed version
 // here, so silent invalidation of speculative lines is always safe).
 //
-// The store is internally sharded by LineShard, the interleave the
-// directory banks use too.
+// The store is a page table, filled on first write: dense indexes the
+// pages below densePages by page number, far holds the pages above it.
+// A page's written bits live beside it, in written or farPage, so a
+// line written with zeros still counts as written.
 type Memory struct {
-	shards [numShards]map[Addr]*Line
+	dense   []*page
+	written []uint64 // written[pn] bit i: line i of dense[pn] was written
+	far     map[uint64]*farPage
+	touched int // distinct lines ever written
+}
+
+// farPage is a page above densePages with its written-line bits.
+type farPage struct {
+	page    page
+	written uint64
 }
 
 // NewMemory returns an empty simulated memory. Untouched lines read as
 // zero.
-func NewMemory() *Memory {
-	m := new(Memory)
-	for i := range m.shards {
-		m.shards[i] = make(map[Addr]*Line)
+func NewMemory() *Memory { return new(Memory) }
+
+// line returns the line containing a, or nil if its page was never
+// written.
+func (m *Memory) line(a Addr) *Line {
+	pn := uint64(a) >> pageShift
+	li := (uint64(a) >> LineShift) & (linesPerPage - 1)
+	if pn < uint64(len(m.dense)) {
+		if p := m.dense[pn]; p != nil {
+			return &p[li]
+		}
+		return nil
 	}
-	return m
+	if pn < densePages {
+		return nil
+	}
+	if fp := m.far[pn]; fp != nil {
+		return &fp.page[li]
+	}
+	return nil
 }
 
-// shard returns the map holding a's line.
-func (m *Memory) shard(la Addr) map[Addr]*Line {
-	return m.shards[LineShard(la, numShards)]
+// writable returns the line containing a for writing, allocating its
+// page on first touch and counting the line as written.
+func (m *Memory) writable(a Addr) *Line {
+	pn := uint64(a) >> pageShift
+	li := (uint64(a) >> LineShift) & (linesPerPage - 1)
+	var p *page
+	var written *uint64
+	if pn < densePages {
+		if grow := int(pn) + 1 - len(m.dense); grow > 0 {
+			m.dense = append(m.dense, make([]*page, grow)...)
+			m.written = append(m.written, make([]uint64, grow)...)
+		}
+		if m.dense[pn] == nil {
+			m.dense[pn] = new(page)
+		}
+		p, written = m.dense[pn], &m.written[pn]
+	} else {
+		fp := m.far[pn]
+		if fp == nil {
+			if m.far == nil {
+				m.far = make(map[uint64]*farPage)
+			}
+			fp = new(farPage)
+			m.far[pn] = fp
+		}
+		p, written = &fp.page, &fp.written
+	}
+	if *written&(1<<li) == 0 {
+		*written |= 1 << li
+		m.touched++
+	}
+	return &p[li]
 }
 
 // ReadLine returns a copy of the line containing a.
 func (m *Memory) ReadLine(a Addr) Line {
-	la := a.Line()
-	if l, ok := m.shard(la)[la]; ok {
+	if l := m.line(a); l != nil {
 		return *l
 	}
 	return Line{}
 }
 
 // WriteLine replaces the line containing a with l.
-func (m *Memory) WriteLine(a Addr, l Line) {
-	la := a.Line()
-	s := m.shard(la)
-	p, ok := s[la]
-	if !ok {
-		p = new(Line)
-		s[la] = p
-	}
-	*p = l
-}
+func (m *Memory) WriteLine(a Addr, l Line) { *m.writable(a) = l }
 
 // ReadWord returns the committed word at a (a must be word aligned).
 func (m *Memory) ReadWord(a Addr) uint64 {
-	la := a.Line()
-	if l, ok := m.shard(la)[la]; ok {
+	if l := m.line(a); l != nil {
 		return l[a.WordIndex()]
 	}
 	return 0
 }
 
 // WriteWord sets the committed word at a.
-func (m *Memory) WriteWord(a Addr, v uint64) {
-	la := a.Line()
-	s := m.shard(la)
-	p, ok := s[la]
-	if !ok {
-		p = new(Line)
-		s[la] = p
-	}
-	p[a.WordIndex()] = v
-}
+func (m *Memory) WriteWord(a Addr, v uint64) { m.writable(a)[a.WordIndex()] = v }
 
 // Touched returns the number of distinct lines ever written.
-func (m *Memory) Touched() int {
-	n := 0
-	for i := range m.shards {
-		n += len(m.shards[i])
-	}
-	return n
-}
+func (m *Memory) Touched() int { return m.touched }
 
 // ForEachLine calls fn with a copy of every line ever written, in
 // unspecified order. Callers needing determinism must sort the addresses
 // themselves (the invariant checker's shadow memory does).
 func (m *Memory) ForEachLine(fn func(a Addr, l Line)) {
-	for i := range m.shards {
-		for a, l := range m.shards[i] {
-			fn(a, *l)
+	each := func(pn uint64, p *page, written uint64) {
+		for ; written != 0; written &= written - 1 {
+			li := bits.TrailingZeros64(written)
+			fn(Addr(pn<<pageShift|uint64(li)<<LineShift), p[li])
 		}
+	}
+	for pn, p := range m.dense {
+		if p != nil {
+			each(uint64(pn), p, m.written[pn])
+		}
+	}
+	for pn, fp := range m.far {
+		each(pn, &fp.page, fp.written)
 	}
 }
 

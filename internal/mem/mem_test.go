@@ -194,3 +194,87 @@ func TestTouched(t *testing.T) {
 		t.Fatalf("Touched = %d, want 3", got)
 	}
 }
+
+// farAddrs are line addresses beyond the dense page table: the first
+// line above its bound and the last line of the address space.
+var farAddrs = []Addr{densePages << pageShift, 0xFFFF_FFFF_FFFF_FFC0}
+
+func TestFarPageRoundTrip(t *testing.T) {
+	m := NewMemory()
+	for i, la := range farAddrs {
+		w := la.Plus(3)
+		m.WriteWord(w, uint64(100+i))
+		if got := m.ReadWord(w); got != uint64(100+i) {
+			t.Errorf("ReadWord(%v) = %d, want %d", w, got, 100+i)
+		}
+		next := la + LineSize // wraps to 0 for the last line
+		l := Line{1, 2, 3, 4, 5, 6, 7, uint64(i)}
+		m.WriteLine(la.Plus(7), l)
+		if got := m.ReadLine(la); got != l {
+			t.Errorf("ReadLine(%v) = %v, want %v", la, got, l)
+		}
+		if got := m.ReadLine(next); got != (Line{}) {
+			t.Errorf("ReadLine(%v) = %v after writing only %v", next, got, la)
+		}
+	}
+	if got := m.Touched(); got != len(farAddrs) {
+		t.Fatalf("Touched = %d, want %d", got, len(farAddrs))
+	}
+	if len(m.dense) != 0 {
+		t.Fatalf("far writes grew the dense table to %d pages", len(m.dense))
+	}
+}
+
+// TestForEachLineVisitsWrittenLines: ForEachLine yields each written
+// line exactly once, near or far, a line written with zeros included,
+// and no line that was only read or merely shares a page; Touched
+// agrees with it.
+func TestForEachLineVisitsWrittenLines(t *testing.T) {
+	m := NewMemory()
+	want := map[Addr]Line{
+		0:             {7},
+		0x40:          {},        // written with zeros
+		0x1000 - 0x40: {0, 9},    // last line of page 0
+		0x12340:       {1, 2, 3}, // a page of its own
+		farAddrs[0]:   {4},
+		farAddrs[1]:   {},
+	}
+	for a, l := range want {
+		m.WriteLine(a, l)
+	}
+	m.WriteWord(0x8, 7) // same line as 0, written twice
+	want[0] = Line{7, 7}
+	m.ReadWord(0x80)
+	m.ReadLine(0x9000)
+	got := map[Addr]Line{}
+	m.ForEachLine(func(a Addr, l Line) {
+		if _, dup := got[a]; dup {
+			t.Errorf("line %v visited twice", a)
+		}
+		got[a] = l
+	})
+	if len(got) != len(want) {
+		t.Errorf("ForEachLine visited %d lines, want %d: %v", len(got), len(want), got)
+	}
+	for a, l := range want {
+		if g, ok := got[a]; !ok || g != l {
+			t.Errorf("line %v = %v (visited %v), want %v", a, g, ok, l)
+		}
+	}
+	if m.Touched() != len(want) {
+		t.Errorf("Touched = %d, ForEachLine visited %d", m.Touched(), len(want))
+	}
+}
+
+// TestReadUnwrittenAllocatesNothing: reading a line that was never
+// written, near or far, in a written page or not, allocates nothing.
+func TestReadUnwrittenAllocatesNothing(t *testing.T) {
+	m := NewMemory()
+	m.WriteWord(0x40, 1)
+	m.WriteWord(farAddrs[0], 1)
+	for _, a := range []Addr{0x80, 0x5000, farAddrs[0] + LineSize, farAddrs[1]} {
+		if n := testing.AllocsPerRun(100, func() { m.ReadWord(a); m.ReadLine(a) }); n != 0 {
+			t.Errorf("reading unwritten %v allocated %v times", a, n)
+		}
+	}
+}

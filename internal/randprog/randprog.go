@@ -116,13 +116,19 @@ func initSlot(i int) uint64 { return uint64(i+1) * 1001 }
 // maxPack bounds slots per line / private slots per core to one line.
 const maxPack = 8 // mem.WordsPerLine, kept literal to avoid the import
 
-// Validate checks structural well-formedness (slot bounds, pack range).
+// maxPool bounds the shared slot pool. Setup writes every slot and the
+// oracle keeps a copy of each, so an unbounded pool from a spec string
+// could hang the process or exhaust memory; the largest preset uses 24.
+const maxPool = 4096
+
+// Validate checks structural well-formedness (slot bounds, pool and
+// pack ranges).
 func (p *Program) Validate() error {
 	if p.Cores < 1 || p.Cores > 64 {
 		return fmt.Errorf("randprog: cores %d out of range [1,64]", p.Cores)
 	}
-	if p.Pool < 1 {
-		return fmt.Errorf("randprog: pool %d < 1", p.Pool)
+	if p.Pool < 1 || p.Pool > maxPool {
+		return fmt.Errorf("randprog: pool %d out of range [1,%d]", p.Pool, maxPool)
 	}
 	if p.Pack < 1 || p.Pack > maxPack {
 		return fmt.Errorf("randprog: pack %d out of range [1,%d]", p.Pack, maxPack)

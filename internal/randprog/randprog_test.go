@@ -41,21 +41,35 @@ func TestParseRejectsMalformed(t *testing.T) {
 	bad := []string{
 		"",
 		"rp2;cores=1;pool=1;pack=1;priv=0|",
-		"rp1;cores=2;pool=2;pack=1;priv=0|[l0]",        // core count mismatch
-		"rp1;cores=1;pool=2;pack=1;priv=0|[l5]",        // slot out of pool
-		"rp1;cores=1;pool=2;pack=1;priv=0|S0+1",        // private store with priv=0
-		"rp1;cores=1;pool=2;pack=9;priv=0|[l0]",        // pack too large
-		"rp1;cores=1;pool=2;pack=1;priv=0|[x0]",        // unknown op
-		"rp1;cores=1;pool=2;pack=1;priv=0|[l0,s1]",     // store missing +arg
-		"rp1;cores=1;pool=2;pack=1;priv=0|[l0 s1+2]",   // space inside block
-		"rp1;cores=0;pool=2;pack=1;priv=0",             // no cores
-		"rp1;cores=1;pool=2;pack=1;priv=0|Q9",          // unknown action
+		"rp1;cores=2;pool=2;pack=1;priv=0|[l0]",      // core count mismatch
+		"rp1;cores=1;pool=2;pack=1;priv=0|[l5]",      // slot out of pool
+		"rp1;cores=1;pool=2;pack=1;priv=0|S0+1",      // private store with priv=0
+		"rp1;cores=1;pool=2;pack=9;priv=0|[l0]",      // pack too large
+		"rp1;cores=1;pool=2;pack=1;priv=0|[x0]",      // unknown op
+		"rp1;cores=1;pool=2;pack=1;priv=0|[l0,s1]",   // store missing +arg
+		"rp1;cores=1;pool=2;pack=1;priv=0|[l0 s1+2]", // space inside block
+		"rp1;cores=0;pool=2;pack=1;priv=0",           // no cores
+		"rp1;cores=1;pool=2;pack=1;priv=0|Q9",        // unknown action
+		"rp1;cores=1;pool=4097;pack=1;priv=0|L0",     // pool above the bound
 	}
 	for _, spec := range bad {
 		if _, err := randprog.Parse(spec); err == nil {
 			t.Errorf("Parse(%q) accepted", spec)
 		}
 	}
+}
+
+// TestParseRejectsHugePool: Setup writes every pool slot, so a spec
+// with a pool of 2^63-1 slots used to hang the process. Parse must turn
+// it away with an error instead, while the bound itself still parses.
+func TestParseRejectsHugePool(t *testing.T) {
+	spec := "rp1;cores=1;pool=9223372036854775807;pack=1;priv=0|L0"
+	if p, err := randprog.Parse(spec); err == nil {
+		t.Fatalf("Parse(%q) accepted a pool of %d slots", spec, p.Pool)
+	} else if !strings.Contains(err.Error(), "pool") {
+		t.Fatalf("Parse(%q) error %q does not name the pool", spec, err)
+	}
+	mustParse(t, "rp1;cores=1;pool=4096;pack=8;priv=0|L4095")
 }
 
 func TestGenerateDeterministic(t *testing.T) {
