@@ -44,6 +44,7 @@ import (
 	"chats/internal/mem"
 	"chats/internal/randprog"
 	"chats/internal/runstore"
+	"chats/internal/sweep"
 )
 
 // Systems returns the five paper systems the differential oracle runs
@@ -77,7 +78,8 @@ type Options struct {
 	NoInvariants bool
 	// Record, when non-nil, receives one runstore.Record per system run
 	// that completed — even when an oracle then rejects the result: the
-	// cost profile of a failing campaign is still data. Under Fuzz the
+	// cost profile of a failing campaign is still data. Check calls it
+	// on the caller's goroutine, in system order. Under Fuzz the
 	// callback fires from worker goroutines, so it must be safe for
 	// concurrent use (runstore.Store.Recorder is).
 	Record func(runstore.Record)
@@ -250,14 +252,26 @@ func CheckSystem(p *randprog.Program, kind core.Kind, opts Options) error {
 }
 
 // Check runs the program on every configured system and returns the
-// joined failures (nil when all systems pass). Systems are checked in
-// a fixed order, so the result is deterministic.
+// joined failures (nil when all systems pass). Systems are checked one
+// after another in a fixed order, so the result is deterministic. A
+// system that panics fails with a *sweep.CellPanic, prefixed with its
+// name, instead of crashing the process; the other systems still run.
 func Check(p *randprog.Program, opts Options) error {
+	kinds := opts.systems()
+	// One worker: the pool runs the systems in order on this goroutine
+	// and only contributes the per-system panic recovery.
+	errs := sweep.MapAll(1, len(kinds), nil, func(i int) error {
+		return CheckSystem(p, kinds[i], opts)
+	})
 	var msgs []string
-	for _, kind := range opts.systems() {
-		if err := CheckSystem(p, kind, opts); err != nil {
-			msgs = append(msgs, err.Error())
+	for i, err := range errs {
+		if err == nil {
+			continue
 		}
+		if _, ok := err.(*sweep.CellPanic); ok {
+			err = fmt.Errorf("%s: %w", kinds[i], err)
+		}
+		msgs = append(msgs, err.Error())
 	}
 	if len(msgs) == 0 {
 		return nil

@@ -56,12 +56,6 @@ type txOp struct {
 	val  uint64
 }
 
-// edgeKey identifies a consumed-but-unvalidated line at a consumer.
-type edgeKey struct {
-	consumer int
-	line     mem.Addr
-}
-
 // edge records who produced the line and in which of the producer's
 // transactions (generation), so stale edges never alias a newer one.
 type edge struct {
@@ -78,8 +72,13 @@ type Checker struct {
 	shadow map[mem.Addr]mem.Line // line addr -> committed value
 	ops    [][]txOp              // per-core speculative op log
 	gen    []uint64              // per-core transaction generation
-	pend   map[edgeKey]edge      // forwarded, not yet consumed
-	live   map[edgeKey]edge      // consumed, not yet validated
+	// pend and live are indexed by consumer core, then by line, so a
+	// core's begin, commit and abort touch only its own edges.
+	pend []map[mem.Addr]edge // forwarded, not yet consumed
+	live []map[mem.Addr]edge // consumed, not yet validated
+
+	overlay map[mem.Addr]uint64 // replay's read-your-own-writes buffer
+	ws      []mem.Addr          // committer's sorted write set
 
 	counts Counts
 	err    error
@@ -88,9 +87,8 @@ type Checker struct {
 // New returns a Checker ready to attach to a machine.
 func New() *Checker {
 	return &Checker{
-		shadow: make(map[mem.Addr]mem.Line),
-		pend:   make(map[edgeKey]edge),
-		live:   make(map[edgeKey]edge),
+		shadow:  make(map[mem.Addr]mem.Line),
+		overlay: make(map[mem.Addr]uint64),
 	}
 }
 
@@ -121,10 +119,15 @@ func (c *Checker) BeginRun(m *machine.Machine) {
 	m.World().Mem.ForEachLine(func(a mem.Addr, l mem.Line) {
 		c.shadow[a] = l
 	})
-	c.ops = make([][]txOp, m.NumCores())
-	c.gen = make([]uint64, m.NumCores())
-	c.pend = make(map[edgeKey]edge)
-	c.live = make(map[edgeKey]edge)
+	n := m.NumCores()
+	c.ops = make([][]txOp, n)
+	c.gen = make([]uint64, n)
+	c.pend = make([]map[mem.Addr]edge, n)
+	c.live = make([]map[mem.Addr]edge, n)
+	for i := 0; i < n; i++ {
+		c.pend[i] = make(map[mem.Addr]edge)
+		c.live[i] = make(map[mem.Addr]edge)
+	}
 	c.counts = Counts{}
 	c.err = nil
 }
@@ -219,11 +222,7 @@ func (c *Checker) TxBegin(cycle uint64, core, attempt int, power bool) {
 	c.ops[core] = c.ops[core][:0]
 	// Pending forwards addressed to a previous attempt can never be
 	// consumed (the consumer stale-drops the delivery); clear them.
-	for k := range c.pend {
-		if k.consumer == core {
-			delete(c.pend, k)
-		}
-	}
+	clear(c.pend[core])
 }
 
 // TxCommit replays the transaction's operations against the shadow in
@@ -231,37 +230,41 @@ func (c *Checker) TxBegin(cycle uint64, core, attempt int, power bool) {
 // commit-time checks.
 func (c *Checker) TxCommit(cycle uint64, core int, consumed int) {
 	c.counts.Commits++
-	snap := c.m.CoreSnapshot(core)
-	if snap.VSBLen != 0 {
-		c.violation("cycle %d core %d: committing with %d unvalidated VSB entries", cycle, core, snap.VSBLen)
+	if n := c.m.VSBLen(core); n != 0 {
+		c.violation("cycle %d core %d: committing with %d unvalidated VSB entries", cycle, core, n)
 	}
-	if snap.Cons {
+	if c.m.TxCons(core) {
 		c.violation("cycle %d core %d: committing with Cons still set", cycle, core)
 	}
-	for k := range c.live {
-		if k.consumer == core {
-			c.violation("cycle %d core %d: committing with unvalidated consumption of %v", cycle, core, k.line)
+	if live := c.live[core]; len(live) > 0 {
+		first := true
+		var lowest mem.Addr
+		for line := range live {
+			if first || line < lowest {
+				first, lowest = false, line
+			}
 		}
+		c.violation("cycle %d core %d: committing with unvalidated consumption of %v", cycle, core, lowest)
 	}
-	c.checkSingleWriter(cycle, core, snap)
+	c.ws = c.m.AppendWriteSet(c.ws[:0], core)
+	if msg := singleWriter(c.m, cycle, core, c.ws); msg != "" {
+		c.violation("%s", msg)
+	}
 	c.replay(cycle, core)
 	// Consumer edges must already be gone (checked above); drop any
 	// leftovers so one violation does not cascade. Producer edges stay:
 	// their consumers still hold unvalidated fictions and resolve them
 	// through Validate or TxAbort (the generation tag keeps these edges
 	// out of the cycle check once this core begins a new transaction).
-	for k := range c.live {
-		if k.consumer == core {
-			delete(c.live, k)
-		}
-	}
+	clear(c.live[core])
 }
 
 // replay re-executes core's logged speculative ops against the shadow
 // with a read-your-own-writes overlay, then commits the overlay.
 func (c *Checker) replay(cycle uint64, core int) {
 	c.counts.TxReplays++
-	overlay := make(map[mem.Addr]uint64)
+	overlay := c.overlay
+	clear(overlay)
 	for _, o := range c.ops[core] {
 		c.counts.TxOps++
 		switch o.kind {
@@ -284,40 +287,43 @@ func (c *Checker) replay(cycle uint64, core int) {
 	c.ops[core] = c.ops[core][:0]
 }
 
-// checkSingleWriter verifies that the committing transaction is the only
-// REAL owner of each line it wrote. Other live transactions may hold the
-// same line in their write sets, but only as unvalidated VSB fictions
-// (forwarded copies whose validation will succeed or abort them); a
-// second directory-granted speculative copy would be a coherence bug.
-// The committing core's own copies are all real — its VSB is empty.
-func (c *Checker) checkSingleWriter(cycle uint64, core int, snap machine.CoreSnapshot) {
-	if len(snap.WriteSet) == 0 {
-		return
+// txView is the per-core transactional state the single-writer rule
+// reads; *machine.Machine implements it.
+type txView interface {
+	NumCores() int
+	TxStatus(i int) htm.Status
+	InWriteSet(i int, line mem.Addr) bool
+	InVSB(i int, line mem.Addr) bool
+}
+
+// singleWriter verifies that the committing transaction, whose write
+// set ws is sorted ascending, is the only REAL owner of each line it
+// wrote, and returns the violation message ("" if none). Other live
+// transactions may hold the same line in their write sets, but only as
+// unvalidated VSB fictions (forwarded copies whose validation will
+// succeed or abort them); a second directory-granted speculative copy
+// would be a coherence bug. The committing core's own copies are all
+// real — its VSB is empty. The report names the lowest offending core
+// and, within it, the smallest line.
+func singleWriter(v txView, cycle uint64, core int, ws []mem.Addr) string {
+	if len(ws) == 0 {
+		return ""
 	}
-	ws := make(map[mem.Addr]bool, len(snap.WriteSet))
-	for _, a := range snap.WriteSet {
-		ws[a] = true
-	}
-	for i := 0; i < c.m.NumCores(); i++ {
+	for i := 0; i < v.NumCores(); i++ {
 		if i == core {
 			continue
 		}
-		other := c.m.CoreSnapshot(i)
-		if other.Status != htm.Active && other.Status != htm.Committing {
+		if st := v.TxStatus(i); st != htm.Active && st != htm.Committing {
 			continue
 		}
-		fiction := make(map[mem.Addr]bool, len(other.VSBLines))
-		for _, a := range other.VSBLines {
-			fiction[a] = true
-		}
-		for _, a := range other.WriteSet {
-			if ws[a] && !fiction[a] {
-				c.violation("cycle %d: core %d commits line %v while core %d also holds it in its write set outside the VSB (two real owners)",
+		for _, a := range ws {
+			if v.InWriteSet(i, a) && !v.InVSB(i, a) {
+				return fmt.Sprintf("cycle %d: core %d commits line %v while core %d also holds it in its write set outside the VSB (two real owners)",
 					cycle, core, a, i)
-				return
 			}
 		}
 	}
+	return ""
 }
 
 func (c *Checker) TxAbort(cycle uint64, core int, cause htm.AbortCause) {
@@ -325,45 +331,35 @@ func (c *Checker) TxAbort(cycle uint64, core int, cause htm.AbortCause) {
 	// The abort drains this core's VSB, so its consumer edges die with
 	// it. Edges it produced stay until each consumer's own validation or
 	// abort resolves them.
-	for k := range c.live {
-		if k.consumer == core {
-			delete(c.live, k)
-		}
-	}
-	for k := range c.pend {
-		if k.consumer == core {
-			delete(c.pend, k)
-		}
-	}
+	clear(c.live[core])
+	clear(c.pend[core])
 }
 
 func (c *Checker) Forward(cycle uint64, producer, requester int, line mem.Addr, pic coherence.PiC) {
-	c.pend[edgeKey{consumer: requester, line: line}] = edge{
+	c.pend[requester][line] = edge{
 		producer: producer, prodGen: c.gen[producer], pic: pic,
 	}
 }
 
 func (c *Checker) Consume(cycle uint64, core int, line mem.Addr, pic coherence.PiC) {
 	c.counts.Edges++
-	k := edgeKey{consumer: core, line: line}
-	e, ok := c.pend[k]
+	e, ok := c.pend[core][line]
 	if !ok {
 		c.violation("cycle %d core %d: consumed %v with no preceding forward", cycle, core, line)
 		return
 	}
-	delete(c.pend, k)
-	c.live[k] = e
+	delete(c.pend[core], line)
+	c.live[core][line] = e
 
-	snap := c.m.CoreSnapshot(core)
-	if !snap.Cons {
+	if !c.m.TxCons(core) {
 		c.violation("cycle %d core %d: consumed %v without setting Cons", cycle, core, line)
 	}
-	if snap.VSBLen == 0 {
+	if c.m.VSBLen(core) == 0 {
 		c.violation("cycle %d core %d: consumed %v with an empty VSB", cycle, core, line)
 	}
-	if pic.Valid() && (!snap.PiC.Valid() || snap.PiC >= pic) {
+	if at := c.m.TxPiC(core); pic.Valid() && (!at.Valid() || at >= pic) {
 		c.violation("cycle %d core %d: consumed %v at PiC %d but sits at PiC %d (must be strictly below the producer)",
-			cycle, core, line, pic, snap.PiC)
+			cycle, core, line, pic, at)
 	}
 	// Acyclicity is a promise of the PiC protocol, so it attaches only
 	// to edges that carry a chain position (valid PiC or PiCPower). The
@@ -385,7 +381,7 @@ func (c *Checker) cyclic(core int, newEdge edge) bool {
 		if g != c.gen[p] {
 			return false
 		}
-		st := c.m.CoreSnapshot(p).Status
+		st := c.m.TxStatus(p)
 		return st == htm.Active || st == htm.Committing
 	}
 	seen := map[int]bool{core: true}
@@ -394,13 +390,15 @@ func (c *Checker) cyclic(core int, newEdge edge) bool {
 		if from == newEdge.producer {
 			return true
 		}
-		for k, e := range c.live {
-			if e.producer != from || seen[k.consumer] || !current(from, e.prodGen) {
-				continue
-			}
-			seen[k.consumer] = true
-			if reach(k.consumer) {
-				return true
+		for consumer, edges := range c.live {
+			for _, e := range edges {
+				if e.producer != from || seen[consumer] || !current(from, e.prodGen) {
+					continue
+				}
+				seen[consumer] = true
+				if reach(consumer) {
+					return true
+				}
 			}
 		}
 		return false
@@ -412,12 +410,11 @@ func (c *Checker) cyclic(core int, newEdge edge) bool {
 }
 
 func (c *Checker) Validate(cycle uint64, core int, line mem.Addr, ok bool) {
-	snap := c.m.CoreSnapshot(core)
-	if snap.VSBLen > 0 && !snap.Cons {
-		c.violation("cycle %d core %d: VSB holds %d entries but Cons is clear", cycle, core, snap.VSBLen)
+	if n := c.m.VSBLen(core); n > 0 && !c.m.TxCons(core) {
+		c.violation("cycle %d core %d: VSB holds %d entries but Cons is clear", cycle, core, n)
 	}
 	if ok {
-		delete(c.live, edgeKey{consumer: core, line: line})
+		delete(c.live[core], line)
 	}
 }
 

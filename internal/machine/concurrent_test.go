@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"chats/internal/coherence"
 	"chats/internal/core"
 	"chats/internal/faults"
 	"chats/internal/htm"
@@ -141,9 +142,18 @@ func TestThreadPanicFailsRun(t *testing.T) {
 	}
 }
 
+// panicProbePolicy is a policy whose conflict resolution panics: a bug
+// that fires inside an engine event while every thread is suspended.
+type panicProbePolicy struct{ htm.Policy }
+
+func (panicProbePolicy) DecideProbe(*htm.TxState, htm.ProbeContext) (htm.ProbeDecision, coherence.PiC) {
+	panic("policy bug")
+}
+
 // TestNoThreadLeakAfterFailedRun: however a run fails, Run returns with
 // every thread unwound, so the process is back at its pre-Run goroutine
-// count — including a thread parked on an op the engine never answered.
+// count — including a thread parked on an op the engine never answered,
+// and a run that panics out of an engine event.
 func TestNoThreadLeakAfterFailedRun(t *testing.T) {
 	spinning := testCfg()
 	spinning.CycleLimit = 2000 // all 16 threads are still inside Atomic
@@ -163,12 +173,13 @@ func TestNoThreadLeakAfterFailedRun(t *testing.T) {
 		policy htm.Policy
 		cfg    Config
 		w      Workload
-		want   any
+		want   any // nil: any error; "panic": Run panics
 	}{
 		{"cycle-limit", core.NewCHATS(), spinning, &counterWL{iters: 100}, nil},
 		{"watchdog", core.NewBaselineWith(never), livelock, &counterWL{iters: 10}, new(*LivelockError)},
 		{"max-attempts", core.NewBaselineWith(never), starved, &starveWL{}, new(*LivelockError)},
 		{"thread-panic", core.NewCHATS(), testCfg(), &panicWL{counterWL: counterWL{iters: 30}, bad: 5}, new(*ThreadPanic)},
+		{"policy-panic", panicProbePolicy{core.NewCHATS()}, testCfg(), &counterWL{iters: 30}, "panic"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -177,8 +188,18 @@ func TestNoThreadLeakAfterFailedRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := runtime.NumGoroutine()
-			_, err = m.Run(tc.w)
-			if err == nil || (tc.want != nil && !errors.As(err, tc.want)) {
+			var panicked any
+			func() {
+				defer func() { panicked = recover() }()
+				_, err = m.Run(tc.w)
+			}()
+			if tc.want == "panic" {
+				if panicked != "policy bug" {
+					t.Fatalf("Run recovered %v (error %v), want the policy's panic", panicked, err)
+				}
+			} else if panicked != nil {
+				t.Fatalf("Run panicked: %v", panicked)
+			} else if err == nil || (tc.want != nil && !errors.As(err, tc.want)) {
 				t.Fatalf("Run error = %v, want a %T", err, tc.want)
 			}
 			// Fewer is fine: an earlier test's goroutine may exit meanwhile.

@@ -316,6 +316,16 @@ func (r *runner) run(w Workload) error {
 		t.next, t.stop = iter.Pull(t.body(w))
 		r.threads = append(r.threads, t)
 	}
+	// After a failed run (cycle limit, watchdog, starvation, thread
+	// panic) threads are still suspended in do; stop unwinds them. It is
+	// a no-op for a thread that has returned. Deferred, so a panic
+	// inside an engine event (a protocol invariant, a buggy policy)
+	// leaks no suspended thread either.
+	defer func() {
+		for _, t := range r.threads {
+			t.stop()
+		}
+	}()
 	r.active = len(r.threads)
 	for _, t := range r.threads {
 		t := t
@@ -326,12 +336,6 @@ func (r *runner) run(w Workload) error {
 		r.armWatchdog()
 	}
 	_, err := r.m.eng.Run(r.m.cfg.CycleLimit)
-	// After a failed run (cycle limit, watchdog, starvation, thread
-	// panic) threads are still suspended in do; stop unwinds them. It is
-	// a no-op for a thread that has returned.
-	for _, t := range r.threads {
-		t.stop()
-	}
 	return err
 }
 

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -105,7 +106,7 @@ func (r *eventRing) events() []ringEvent {
 }
 
 // CoreSnapshot is a point-in-time view of one core's transactional
-// state, used by the watchdog dump and the invariant checker.
+// state, used by the watchdog dump.
 type CoreSnapshot struct {
 	Core    int
 	Status  htm.Status
@@ -167,6 +168,43 @@ func (m *Machine) CoreSnapshot(i int) CoreSnapshot {
 		WriteSet: sortedAddrs(tx.WriteSet),
 		VSBLines: vsbLines,
 	}
+}
+
+// The accessors below read one field of core i's transactional state
+// without building a CoreSnapshot: the invariant checker calls them on
+// every commit, consume and validate, where sorting each core's sets
+// would dominate its cost.
+
+// TxStatus returns core i's transaction status.
+func (m *Machine) TxStatus(i int) htm.Status { return m.nodes[i].tx.Status }
+
+// TxCons reports whether core i's Cons bit is set.
+func (m *Machine) TxCons(i int) bool { return m.nodes[i].tx.Cons }
+
+// TxPiC returns core i's position in chain.
+func (m *Machine) TxPiC(i int) coherence.PiC { return m.nodes[i].tx.PiC }
+
+// VSBLen returns the number of unvalidated entries in core i's VSB.
+func (m *Machine) VSBLen(i int) int { return m.nodes[i].tx.VSB.Len() }
+
+// InVSB reports whether core i's VSB holds line.
+func (m *Machine) InVSB(i int, line mem.Addr) bool {
+	_, ok := m.nodes[i].tx.VSB.Lookup(line)
+	return ok
+}
+
+// InWriteSet reports whether line is in core i's write set.
+func (m *Machine) InWriteSet(i int, line mem.Addr) bool { return m.nodes[i].tx.Writes(line) }
+
+// AppendWriteSet appends core i's write-set lines to dst in ascending
+// order and returns the extended slice.
+func (m *Machine) AppendWriteSet(dst []mem.Addr, i int) []mem.Addr {
+	start := len(dst)
+	for a := range m.nodes[i].tx.WriteSet {
+		dst = append(dst, a)
+	}
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // LivelockError is returned by Run when the watchdog kills a run: either
