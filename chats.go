@@ -61,6 +61,9 @@ type (
 	Ctx = machine.Ctx
 	// Tx is the handle inside an atomic block.
 	Tx = machine.Tx
+	// Walker is the step function of Ctx.Walk and Tx.Walk: a pure map
+	// from each loaded value to the next address of a load chain.
+	Walker = mem.Walker
 	// World is the simulated memory view used by Setup/Check.
 	World = machine.World
 	// Stats are the per-run statistics (cycles, aborts by cause, flits...).

@@ -170,14 +170,15 @@ type Victim struct {
 }
 
 // Insert places line into the cache in the given state, returning the
-// evicted victim if a valid line had to be displaced, and ok=false if the
-// set is entirely occupied by SM (write-set) lines — which forces a
-// capacity abort in a running transaction, matching hardware behavior.
+// evicted victim (by value, so an eviction allocates nothing) if a
+// valid line had to be displaced, and ok=false if the set is entirely
+// occupied by SM (write-set) lines — which forces a capacity abort in a
+// running transaction, matching hardware behavior.
 // Victim preference: invalid way, then least-recently-used non-SM line,
 // then least-recently-used SM line (only taken when the caller permits it
 // by not being in a transaction; the caller decides what an SM eviction
 // means).
-func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim *Victim, evicted bool, ok bool) {
+func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim Victim, evicted bool, ok bool) {
 	line = line.Line()
 	set := c.set(line)
 	if c.isBlank(set) {
@@ -192,14 +193,14 @@ func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim *Victim, 
 			e.State = st
 			e.Data = data
 			e.lru = c.tick
-			return nil, false, true
+			return Victim{}, false, true
 		}
 	}
 	// Invalid way.
 	for i := range set {
 		if set[i].State == Invalid {
 			set[i] = Entry{Tag: line, State: st, Data: data, lru: c.tick}
-			return nil, false, true
+			return Victim{}, false, true
 		}
 	}
 	// LRU among non-SM lines.
@@ -215,9 +216,9 @@ func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim *Victim, 
 	if best == -1 {
 		// Every way holds a write-set line: transactional overflow.
 		c.Stats.SMEvictTries++
-		return nil, false, false
+		return Victim{}, false, false
 	}
-	v := &Victim{Tag: set[best].Tag, State: set[best].State, Dirty: set[best].Dirty,
+	v := Victim{Tag: set[best].Tag, State: set[best].State, Dirty: set[best].Dirty,
 		SM: set[best].SM, Spec: set[best].Spec, Data: set[best].Data}
 	set[best] = Entry{Tag: line, State: st, Data: data, lru: c.tick}
 	c.Stats.Evictions++

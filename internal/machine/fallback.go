@@ -416,6 +416,18 @@ func (h stmHandle) Store(a mem.Addr, v uint64) {
 	h.t.do(opReq{kind: opWork, val: 1}) // buffered: one cycle, no traffic
 }
 
+// Walk runs the chain as a plain Load loop: every load goes through
+// the STM read path. Next runs on the thread here, but inNext still
+// fails a Next that calls back into Ctx or Tx, as on the other paths.
+func (h stmHandle) Walk(first mem.Addr, w mem.Walker) {
+	for a, more := first, true; more; {
+		v := h.Load(a)
+		h.t.inNext = true
+		a, more = w.Next(v)
+		h.t.inNext = false
+	}
+}
+
 func (h stmHandle) Work(n uint64) {
 	h.t.do(opReq{kind: opWork, val: n})
 }

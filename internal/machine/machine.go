@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"runtime/debug"
 
 	"chats/internal/cache"
 	"chats/internal/coherence"
@@ -211,12 +212,39 @@ func (m *Machine) progress() uint64 {
 	return p
 }
 
+// HookPanic is the error a run fails with when a workload's Setup or
+// Check panics: the counterpart of ThreadPanic for the two hooks that
+// run outside simulated time. Hook is "Setup" or "Check", Value the
+// recovered panic value and Stack the stack at recovery.
+type HookPanic struct {
+	Hook  string
+	Value any
+	Stack []byte
+}
+
+func (e *HookPanic) Error() string {
+	return fmt.Sprintf("workload %s panicked: %v\n%s", e.Hook, e.Value, e.Stack)
+}
+
+// callHook runs a workload hook, returning its panic as a *HookPanic.
+func callHook(hook string, fn func() error) (err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			err = &HookPanic{Hook: hook, Value: rec, Stack: debug.Stack()}
+		}
+	}()
+	return fn()
+}
+
 // Run executes the workload to completion and returns the collected
 // statistics. Threads min(cfg.Cores, requested) are spawned — one per
-// core.
+// core. A panic in the workload's Setup, Thread or Check fails the run
+// with a *HookPanic or *ThreadPanic instead of escaping.
 func (m *Machine) Run(w Workload) (RunStats, error) {
 	m.stats.Workload = w.Name()
-	w.Setup(m.world, m.cfg.Cores)
+	if err := callHook("Setup", func() error { w.Setup(m.world, m.cfg.Cores); return nil }); err != nil {
+		return m.stats, fmt.Errorf("machine: %s on %s: %w", m.policy.Name(), w.Name(), err)
+	}
 	if m.checker != nil {
 		m.checker.BeginRun(m)
 	}
@@ -235,7 +263,7 @@ func (m *Machine) Run(w Workload) (RunStats, error) {
 				m.policy.Name(), w.Name(), err)
 		}
 	}
-	if err := w.Check(m.world); err != nil {
+	if err := callHook("Check", func() error { return w.Check(m.world) }); err != nil {
 		return m.stats, fmt.Errorf("machine: %s on %s failed validation: %w",
 			m.policy.Name(), w.Name(), err)
 	}

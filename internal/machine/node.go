@@ -151,7 +151,7 @@ func (n *Node) install(line mem.Addr, st cache.State, data mem.Line, sm, spec bo
 	return true
 }
 
-func (n *Node) handleVictim(v *cache.Victim) {
+func (n *Node) handleVictim(v cache.Victim) {
 	if v.SM {
 		panic("machine: replacement evicted an SM line")
 	}

@@ -37,6 +37,17 @@ type Ctx interface {
 	Load(a mem.Addr) uint64
 	// Store writes a word non-transactionally.
 	Store(a mem.Addr, v uint64)
+	// Walk runs a load chain non-transactionally: it loads first,
+	// passes the value to w.Next and loads the address Next returns,
+	// until Next reports more == false. The loads, their timing and
+	// their trace are those of the same Load calls made in a loop, but
+	// the engine issues each next load itself, inside the event that
+	// completed the last, so the thread resumes once per walk rather
+	// than once per load. Next therefore runs at engine time and must
+	// be pure: no Ctx or Tx calls, no random draws, no Go state shared
+	// beyond the walker. A panic in Next, or a call back into Ctx or
+	// Tx, fails the run as this thread's ThreadPanic.
+	Walk(first mem.Addr, w mem.Walker)
 	// Work consumes n cycles of computation.
 	Work(n uint64)
 }
@@ -47,6 +58,9 @@ type Ctx interface {
 type Tx interface {
 	Load(a mem.Addr) uint64
 	Store(a mem.Addr, v uint64)
+	// Walk is Ctx.Walk inside the transaction: when a load of the chain
+	// finds the transaction dead, Walk unwinds the body as Load would.
+	Walk(first mem.Addr, w mem.Walker)
 	Work(n uint64)
 	TID() int
 	Rand() *sim.Rand
@@ -92,6 +106,7 @@ const (
 	opReleasePower
 	opFallbackBodyStart
 	opAcquire
+	opWalk
 )
 
 type opReq struct {
@@ -159,6 +174,11 @@ type tctx struct {
 	req   opReq // the op in flight
 	timer tctxTimer
 	acq   spinAcquire
+	walk  chainWalk
+	// inNext is set while the engine runs a walker's Next, so a Next
+	// that calls back into Ctx or Tx fails instead of yielding from
+	// the engine.
+	inNext bool
 
 	// Fallback-path state (thread-side): the reusable STM descriptor
 	// (lazily built on first software fallback) and the elide path's
@@ -254,6 +274,58 @@ func (s *spinAcquire) wait() {
 	s.t.node.eng.ScheduleRunner(s.span+s.t.rng.Uint64n(s.span), s)
 }
 
+// chainWalk is the opWalk payload: a chain of loads whose next address
+// is a pure function of the last value (a list or tree seek, an array
+// scan), run at engine time like spinAcquire, so the thread resumes
+// once per walk rather than once per load. Each completion emits the
+// OpLoad a thread-side load would, asks the walker for the next address
+// and issues that load inside the same event, just as a resumed thread
+// would, so every event keeps its (cycle, seq).
+type chainWalk struct {
+	t    *tctx
+	w    mem.Walker
+	addr mem.Addr
+}
+
+func (c *chainWalk) onLoadDone(v uint64, aborted bool) {
+	t := c.t
+	if aborted {
+		c.w = nil
+		t.finish(opReply{aborted: true})
+		return
+	}
+	t.r.m.emitOp(t.node.id, OpLoad, t.req.inTx, c.addr, v, 0, true)
+	next, more, ok := c.step(v)
+	if !ok {
+		return // Next panicked: the run is halting
+	}
+	if !more {
+		c.w = nil
+		t.finish(opReply{})
+		return
+	}
+	c.addr = next
+	t.node.Load(next, t.req.inTx, c)
+}
+
+// step runs the walker's Next. A panic there is the workload's bug, so
+// it halts the run with this thread's ThreadPanic and leaves the thread
+// suspended for run to unwind.
+func (c *chainWalk) step(v uint64) (next mem.Addr, more, ok bool) {
+	t := c.t
+	defer func() {
+		if rec := recover(); rec != nil {
+			t.inNext = false
+			c.w = nil
+			t.r.m.eng.Halt(&ThreadPanic{Thread: t.tid, Value: rec, Stack: debug.Stack()})
+		}
+	}()
+	t.inNext = true
+	next, more = c.w.Next(v)
+	t.inNext = false
+	return next, more, true
+}
+
 // wdTick is the livelock watchdog's event payload.
 type wdTick struct{ r *runner }
 
@@ -310,6 +382,7 @@ func (r *runner) run(w Workload) error {
 		}
 		t.timer.t = t
 		t.acq.t = t
+		t.walk.t = t
 		if r.m.cfg.Fallback.Kind == FallbackElide {
 			t.elide = r.m.cfg.Fallback.elideBudget()
 		}
@@ -392,6 +465,9 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 		t.acq.addr = req.addr
 		t.acq.span = req.val
 		n.Load(req.addr, false, &t.acq)
+	case opWalk:
+		t.walk.addr = req.addr
+		n.Load(req.addr, req.inTx, &t.walk)
 	case opWork:
 		cycles := req.val
 		if cycles == 0 {
@@ -471,6 +547,9 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 // do hands req to the engine and suspends the thread until the reply;
 // yield reports false once the run has stopped the thread.
 func (t *tctx) do(req opReq) opReply {
+	if t.inNext {
+		panic("machine: a Walker's Next called back into Ctx or Tx")
+	}
 	if !t.yield(req) {
 		panic(killedSignal{})
 	}
@@ -487,6 +566,11 @@ func (t *tctx) Load(a mem.Addr) uint64 {
 
 func (t *tctx) Store(a mem.Addr, v uint64) {
 	t.do(opReq{kind: opStore, addr: a, val: v})
+}
+
+func (t *tctx) Walk(first mem.Addr, w mem.Walker) {
+	t.walk.w = w
+	t.do(opReq{kind: opWalk, addr: first})
 }
 
 func (t *tctx) Work(n uint64) {
@@ -697,6 +781,13 @@ func (h txHandle) Load(a mem.Addr) uint64 {
 func (h txHandle) Store(a mem.Addr, v uint64) {
 	rep := h.t.do(opReq{kind: opStore, addr: a, val: v, inTx: !h.fallback})
 	if rep.aborted {
+		panic(txAbort{})
+	}
+}
+
+func (h txHandle) Walk(first mem.Addr, w mem.Walker) {
+	h.t.walk.w = w
+	if h.t.do(opReq{kind: opWalk, addr: first, inTx: !h.fallback}).aborted {
 		panic(txAbort{})
 	}
 }

@@ -36,6 +36,19 @@ func (a Addr) Plus(n int) Addr { return a + Addr(n*WordSize) }
 
 func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 
+// Walker is the step function of a load chain: a walk loads a word,
+// passes its value to Next and loads the address Next returns, until
+// Next reports more == false. The walker's own fields carry the walk's
+// result back to its caller.
+//
+// Next must be pure with respect to the simulation: it makes no Ctx or
+// Tx calls, draws no random numbers and touches no Go state shared
+// beyond the walker, because the machine calls it at engine time,
+// inside the event that completed the load.
+type Walker interface {
+	Next(v uint64) (next Addr, more bool)
+}
+
 // Line is the value of one cache line: eight 64-bit words.
 type Line [WordsPerLine]uint64
 

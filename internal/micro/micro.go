@@ -49,8 +49,15 @@ func (l *LLB) Setup(w *machine.World, threads int) {
 	l.list = structures.NewList(w.Alloc)
 	pool := structures.NewPool(w.Alloc, l.ListLen, structures.ListNodeWords)
 	d := structures.Direct{M: w.Mem}
-	for k := 0; k < l.ListLen; k++ {
-		l.list.Insert(d, pool.Get(), uint64(k), 0)
+	// Key k takes the pool's k-th record, and the keys go in from the
+	// largest down, so each insert lands at the head and building the
+	// list takes linear rather than quadratic time.
+	nodes := make([]mem.Addr, l.ListLen)
+	for k := range nodes {
+		nodes[k] = pool.Get()
+	}
+	for k := l.ListLen - 1; k >= 0; k-- {
+		l.list.Insert(d, nodes[k], uint64(k), 0)
 	}
 }
 
@@ -143,20 +150,34 @@ func (c *CAdd) Setup(w *machine.World, threads int) {
 
 func (c *CAdd) slot(tid int) mem.Addr { return c.sums + mem.Addr(tid*mem.LineSize) }
 
+// clusterSum is the walker of the cluster summation: it adds up n
+// consecutive words from base, each plus the hot variable's value s.
+type clusterSum struct {
+	base   mem.Addr
+	n, j   int
+	s, sum uint64
+}
+
+func (w *clusterSum) Next(v uint64) (mem.Addr, bool) {
+	w.sum += v + w.s
+	w.j++
+	return w.base.Plus(w.j), w.j < w.n
+}
+
 func (c *CAdd) Thread(ctx machine.Ctx, tid int) {
 	r := sim.NewRand(uint64(tid)*509 + 71)
 	var acc uint64
+	sum := new(clusterSum)
 	for i := 0; i < c.Iters; i++ {
 		cl := r.Intn(c.Clusters)
 		ctx.Atomic(func(tx machine.Tx) {
 			s := tx.Load(c.shared)
 			tx.Store(c.shared, s+1) // hot line held modified from here on
-			base := c.cluster(cl)
-			var sum uint64
-			for j := 0; j < c.ClusterLen; j++ {
-				sum += tx.Load(base.Plus(j)) + s
+			*sum = clusterSum{base: c.cluster(cl), n: c.ClusterLen, s: s}
+			if sum.n > 0 {
+				tx.Walk(sum.base, sum)
 			}
-			acc = sum
+			acc = sum.sum
 		})
 		ctx.Work(30)
 	}

@@ -57,9 +57,31 @@ func (g *Genome) Setup(w *machine.World, threads int) {
 	g.links = w.Alloc.Lines((g.Segments*mem.WordSize + mem.LineSize - 1) / mem.LineSize)
 }
 
+// claimScan is the walker of the phase-2 claim scan: it loads the
+// claim flags of a window of segments from start and stops at the first
+// free one, segment (start+o) mod Segments.
+type claimScan struct {
+	g        *Genome
+	start, o int
+	free     bool
+}
+
+func (w *claimScan) Next(v uint64) (mem.Addr, bool) {
+	if v == 0 {
+		w.free = true
+		return 0, false
+	}
+	w.o++
+	if w.o == w.g.Window {
+		return 0, false
+	}
+	return w.g.claim((w.start + w.o) % w.g.Segments), true
+}
+
 func (g *Genome) Thread(ctx machine.Ctx, tid int) {
 	r := sim.NewRand(uint64(tid)*7817 + 13)
 	pool := g.pools[tid]
+	scan := new(claimScan)
 
 	// Phase 1: segment deduplication. Keys are drawn from a space half
 	// the insert count, so duplicates are common and the insert path is
@@ -83,15 +105,18 @@ func (g *Genome) Thread(ctx machine.Ctx, tid int) {
 		start := r.Intn(g.Segments)
 		succ := r.Uint64n(uint64(g.Segments)) + 1
 		ctx.Atomic(func(tx machine.Tx) {
-			for o := 0; o < g.Window; o++ {
-				idx := (start + o) % g.Segments
-				if tx.Load(g.claim(idx)) == 0 {
-					tx.Store(g.claim(idx), uint64(tid)+1)
-					tx.Work(150) // compute the overlap extension
-					tx.Store(g.link(idx), succ)
-					return
-				}
+			if g.Window <= 0 {
+				return
 			}
+			*scan = claimScan{g: g, start: start}
+			tx.Walk(g.claim(start), scan)
+			if !scan.free {
+				return
+			}
+			idx := (start + scan.o) % g.Segments
+			tx.Store(g.claim(idx), uint64(tid)+1)
+			tx.Work(150) // compute the overlap extension
+			tx.Store(g.link(idx), succ)
 		})
 	}
 }

@@ -72,19 +72,40 @@ func (l *Labyrinth) path(r *sim.Rand) []mem.Addr {
 	return p
 }
 
+// pathCheck is the walker of the route check: it loads a route's cells
+// in order and stops at the first claimed one.
+type pathCheck struct {
+	p       []mem.Addr
+	i       int
+	blocked bool
+}
+
+func (w *pathCheck) Next(v uint64) (mem.Addr, bool) {
+	if v != 0 {
+		w.blocked = true
+		return 0, false
+	}
+	w.i++
+	if w.i == len(w.p) {
+		return 0, false
+	}
+	return w.p[w.i], true
+}
+
 func (l *Labyrinth) Thread(ctx machine.Ctx, tid int) {
 	r := sim.NewRand(uint64(tid)*3571 + 41)
 	routed := uint64(0)
+	check := new(pathCheck)
 	for i := 0; i < l.RoutesPerThread; i++ {
 		p := l.path(r)
 		ctx.Work(uint64(20 * len(p))) // private expansion (Lee's algorithm)
 		claimed := false
 		ctx.Atomic(func(tx machine.Tx) {
 			claimed = false // the body may re-execute after an abort
-			for _, c := range p {
-				if tx.Load(c) != 0 {
-					return // blocked route: give up (grid stays read-only)
-				}
+			*check = pathCheck{p: p}
+			tx.Walk(p[0], check)
+			if check.blocked {
+				return // blocked route: give up (grid stays read-only)
 			}
 			for _, c := range p {
 				tx.Store(c, uint64(tid)+1)

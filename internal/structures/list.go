@@ -28,74 +28,46 @@ func NewList(al *mem.Allocator) *List {
 func (l *List) Insert(m Mem, node mem.Addr, key, val uint64) bool {
 	m.Store(node.Plus(lKey), key)
 	m.Store(node.Plus(lVal), val)
-	prev := l.Head // header slot acts as "next" pointer
-	cur := mem.Addr(m.Load(prev))
-	for cur != 0 {
-		k := m.Load(cur.Plus(lKey))
-		if k == key {
-			return false
-		}
-		if k > key {
-			break
-		}
-		prev = cur.Plus(lNext)
-		cur = mem.Addr(m.Load(prev))
+	s := newSeek(l.Head, key, -1, lNext, false)
+	defer seekPool.Put(s)
+	m.Walk(l.Head, s)
+	if s.found {
+		return false
 	}
-	m.Store(node.Plus(lNext), uint64(cur))
-	m.Store(prev, uint64(node))
+	m.Store(node.Plus(lNext), uint64(s.cur))
+	m.Store(s.prev, uint64(node))
 	return true
 }
 
 // Find returns the value for key.
 func (l *List) Find(m Mem, key uint64) (uint64, bool) {
-	cur := mem.Addr(m.Load(l.Head))
-	for cur != 0 {
-		k := m.Load(cur.Plus(lKey))
-		if k == key {
-			return m.Load(cur.Plus(lVal)), true
-		}
-		if k > key {
-			return 0, false
-		}
-		cur = mem.Addr(m.Load(cur.Plus(lNext)))
-	}
-	return 0, false
+	s := newSeek(l.Head, key, -1, lNext, true)
+	defer seekPool.Put(s)
+	m.Walk(l.Head, s)
+	return s.val, s.found
 }
 
 // Update sets the value of an existing key, returning false if absent.
 func (l *List) Update(m Mem, key, val uint64) bool {
-	cur := mem.Addr(m.Load(l.Head))
-	for cur != 0 {
-		k := m.Load(cur.Plus(lKey))
-		if k == key {
-			m.Store(cur.Plus(lVal), val)
-			return true
-		}
-		if k > key {
-			return false
-		}
-		cur = mem.Addr(m.Load(cur.Plus(lNext)))
+	s := newSeek(l.Head, key, -1, lNext, false)
+	defer seekPool.Put(s)
+	m.Walk(l.Head, s)
+	if s.found {
+		m.Store(s.cur.Plus(lVal), val)
 	}
-	return false
+	return s.found
 }
 
 // Remove unlinks key, returning its value.
 func (l *List) Remove(m Mem, key uint64) (uint64, bool) {
-	prev := l.Head
-	cur := mem.Addr(m.Load(prev))
-	for cur != 0 {
-		k := m.Load(cur.Plus(lKey))
-		if k == key {
-			m.Store(prev, m.Load(cur.Plus(lNext)))
-			return m.Load(cur.Plus(lVal)), true
-		}
-		if k > key {
-			return 0, false
-		}
-		prev = cur.Plus(lNext)
-		cur = mem.Addr(m.Load(prev))
+	s := newSeek(l.Head, key, -1, lNext, false)
+	defer seekPool.Put(s)
+	m.Walk(l.Head, s)
+	if !s.found {
+		return 0, false
 	}
-	return 0, false
+	m.Store(s.prev, m.Load(s.cur.Plus(lNext)))
+	return m.Load(s.cur.Plus(lVal)), true
 }
 
 // Len counts the nodes.

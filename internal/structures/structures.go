@@ -11,9 +11,13 @@ import "chats/internal/mem"
 
 // Mem is a word-addressed memory accessor. machine.Tx and machine.Ctx
 // satisfy it; Direct adapts the raw backing store for setup code.
+// Walk runs a pure load chain (see mem.Walker): the machine runs it at
+// engine time, so a simulated thread resumes once per walk instead of
+// once per load.
 type Mem interface {
 	Load(a mem.Addr) uint64
 	Store(a mem.Addr, v uint64)
+	Walk(first mem.Addr, w mem.Walker)
 }
 
 // Direct accesses the backing memory outside simulated time (setup and
@@ -27,6 +31,13 @@ func (d Direct) Load(a mem.Addr) uint64 { return d.M.ReadWord(a) }
 
 // Store writes a committed word.
 func (d Direct) Store(a mem.Addr, v uint64) { d.M.WriteWord(a, v) }
+
+// Walk runs the chain as a plain load loop.
+func (d Direct) Walk(first mem.Addr, w mem.Walker) {
+	for a, more := first, true; more; {
+		a, more = w.Next(d.M.ReadWord(a))
+	}
+}
 
 // Pool is a per-thread free list of pre-allocated records, so structure
 // code can "allocate" nodes inside transactions without a shared

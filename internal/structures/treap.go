@@ -13,8 +13,8 @@ type Treap struct {
 
 // Treap node field offsets (in words).
 const (
-	tKey   = 0
-	tVal   = 1
+	tKey   = lKey // seek reads lists and treaps alike
+	tVal   = lVal
 	tPrio  = 2
 	tLeft  = 3
 	tRight = 4
@@ -97,37 +97,21 @@ func rotateLeft(m Mem, cur mem.Addr) mem.Addr {
 
 // Find returns the value stored under key.
 func (t *Treap) Find(m Mem, key uint64) (uint64, bool) {
-	cur := mem.Addr(m.Load(t.Root))
-	for cur != 0 {
-		ck := m.Load(cur.Plus(tKey))
-		switch {
-		case key == ck:
-			return m.Load(cur.Plus(tVal)), true
-		case key < ck:
-			cur = mem.Addr(m.Load(cur.Plus(tLeft)))
-		default:
-			cur = mem.Addr(m.Load(cur.Plus(tRight)))
-		}
-	}
-	return 0, false
+	s := newSeek(t.Root, key, tLeft, tRight, true)
+	defer seekPool.Put(s)
+	m.Walk(t.Root, s)
+	return s.val, s.found
 }
 
 // Update overwrites the value of an existing key.
 func (t *Treap) Update(m Mem, key, val uint64) bool {
-	cur := mem.Addr(m.Load(t.Root))
-	for cur != 0 {
-		ck := m.Load(cur.Plus(tKey))
-		switch {
-		case key == ck:
-			m.Store(cur.Plus(tVal), val)
-			return true
-		case key < ck:
-			cur = mem.Addr(m.Load(cur.Plus(tLeft)))
-		default:
-			cur = mem.Addr(m.Load(cur.Plus(tRight)))
-		}
+	s := newSeek(t.Root, key, tLeft, tRight, false)
+	defer seekPool.Put(s)
+	m.Walk(t.Root, s)
+	if s.found {
+		m.Store(s.cur.Plus(tVal), val)
 	}
-	return false
+	return s.found
 }
 
 // Remove deletes key by rotating its node down to a leaf.
