@@ -5,11 +5,17 @@
 // invalidation of SM lines on abort, and a replacement policy that
 // deprioritizes write-set blocks (Section V-A: "the replacement algorithm
 // favors write-set blocks").
+//
+// The cache also holds its core's transactional read and write sets. The
+// write set is the SM lines. The read set is a read stamp per entry plus
+// an overflow set of the lines that left the cache while read, so it
+// survives evictions like the perfect signature of Section VI-B.
 package cache
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"chats/internal/mem"
 )
@@ -43,10 +49,15 @@ type Entry struct {
 	Tag   mem.Addr // line address; meaningful only when State != Invalid
 	State State
 	Dirty bool // holds data newer than the LLC image (non-speculative)
-	SM    bool // speculatively modified: part of the transaction write set
-	Spec  bool // received via SpecResp; ownership is a fiction until validated
-	Data  mem.Line
-	lru   uint64
+	// SM marks a speculatively modified line: part of the transaction
+	// write set. Only MarkSM sets it.
+	SM   bool
+	Spec bool // received via SpecResp; ownership is a fiction until validated
+	// read is the read stamp: the line is in the read set while it
+	// equals the cache's readGen. It fills the padding after the flags.
+	read uint32
+	Data mem.Line
+	lru  uint64
 }
 
 // Stats counts cache events.
@@ -70,11 +81,17 @@ type Cache struct {
 	tick    uint64
 	Stats   Stats
 
-	// touched has one bit per set, marked whenever set hands out that
-	// set's entries. An SM bit can only be set through an entry handed
-	// out that way, so the gang operations visit just the marked sets
-	// and then clear the marks.
-	touched []uint64
+	// smSets has one bit per set, marked by MarkSM. Every SM line sits
+	// in a marked set, so the gang operations visit just those sets and
+	// then clear the marks.
+	smSets []uint64
+
+	// readGen is the current read generation: an entry whose read stamp
+	// equals it belongs to the read set. readEvicted holds the lines of
+	// such entries that were evicted or invalidated, so the read set
+	// survives them; it is allocated on the first such removal.
+	readGen     uint32
+	readEvicted map[mem.Addr]struct{}
 }
 
 // New builds a cache of sizeBytes capacity and the given associativity.
@@ -88,7 +105,7 @@ func New(sizeBytes, ways int) *Cache {
 		panic(fmt.Sprintf("cache: %d sets is not a power of two (size %d, ways %d)", nSets, sizeBytes, ways))
 	}
 	c := &Cache{blank: make([]Entry, ways), ways: ways, setMask: uint64(nSets - 1),
-		touched: make([]uint64, (nSets+63)/64)}
+		smSets: make([]uint64, (nSets+63)/64), readGen: 1}
 	c.sets = make([][]Entry, nSets)
 	for i := range c.sets {
 		c.sets[i] = c.blank
@@ -106,16 +123,16 @@ func (c *Cache) Sets() int { return len(c.sets) }
 // never be written.
 func (c *Cache) isBlank(set []Entry) bool { return &set[0] == &c.blank[0] }
 
-func (c *Cache) set(line mem.Addr) []Entry {
-	i := (uint64(line) >> mem.LineShift) & c.setMask
-	c.touched[i>>6] |= 1 << (i & 63)
-	return c.sets[i]
+func (c *Cache) setIndex(line mem.Addr) uint64 {
+	return (uint64(line) >> mem.LineShift) & c.setMask
 }
 
-// gangScan calls fn on every SM line of the touched sets, in ascending
-// set then way order (the order of a full scan), and clears the marks.
-func (c *Cache) gangScan(fn func(e *Entry)) {
-	for wi, w := range c.touched {
+func (c *Cache) set(line mem.Addr) []Entry { return c.sets[c.setIndex(line)] }
+
+// scanSM calls fn on every SM line, in ascending set then way order
+// (the order of a full scan), visiting only the sets MarkSM marked.
+func (c *Cache) scanSM(fn func(e *Entry)) {
+	for wi, w := range c.smSets {
 		for ; w != 0; w &= w - 1 {
 			set := c.sets[wi<<6+bits.TrailingZeros64(w)]
 			for i := range set {
@@ -124,7 +141,99 @@ func (c *Cache) gangScan(fn func(e *Entry)) {
 				}
 			}
 		}
-		c.touched[wi] = 0
+	}
+}
+
+// gangScan is scanSM for the gang operations, which leave no SM line
+// behind: it clears the marks afterwards.
+func (c *Cache) gangScan(fn func(e *Entry)) {
+	c.scanSM(fn)
+	clear(c.smSets)
+}
+
+// MarkSM sets e's SM bit, adding its line to the write set.
+func (c *Cache) MarkSM(e *Entry) {
+	e.SM = true
+	i := c.setIndex(e.Tag)
+	c.smSets[i>>6] |= 1 << (i & 63)
+}
+
+// Writes reports whether line is in the write set: present and SM.
+func (c *Cache) Writes(line mem.Addr) bool {
+	e := c.Peek(line)
+	return e != nil && e.SM
+}
+
+// AppendSM appends the write set's lines to dst in ascending address
+// order and returns the extended slice.
+func (c *Cache) AppendSM(dst []mem.Addr) []mem.Addr {
+	start := len(dst)
+	c.scanSM(func(e *Entry) { dst = append(dst, e.Tag) })
+	slices.Sort(dst[start:])
+	return dst
+}
+
+// MarkRead adds e's line to the read set.
+func (c *Cache) MarkRead(e *Entry) { e.read = c.readGen }
+
+// Reads reports whether line is in the read set: present with a
+// current stamp, or evicted or invalidated while read.
+func (c *Cache) Reads(line mem.Addr) bool {
+	line = line.Line()
+	if e := c.Peek(line); e != nil && e.read == c.readGen {
+		return true
+	}
+	if len(c.readEvicted) == 0 {
+		return false
+	}
+	_, ok := c.readEvicted[line]
+	return ok
+}
+
+// ResetReads empties the read set. A new generation makes every stamp
+// stale at once; only when the generation wraps are the stamps zeroed.
+func (c *Cache) ResetReads() {
+	c.readGen++
+	if c.readGen == 0 {
+		for _, set := range c.sets {
+			if !c.isBlank(set) {
+				for i := range set {
+					set[i].read = 0
+				}
+			}
+		}
+		c.readGen = 1
+	}
+	if len(c.readEvicted) > 0 {
+		clear(c.readEvicted)
+	}
+}
+
+// AppendReads appends the read set's lines to dst in ascending address
+// order and returns the extended slice. It scans the whole cache: it
+// serves diagnostics, not the access path.
+func (c *Cache) AppendReads(dst []mem.Addr) []mem.Addr {
+	start := len(dst)
+	c.ForEach(func(e *Entry) {
+		if e.read == c.readGen {
+			dst = append(dst, e.Tag)
+		}
+	})
+	for a := range c.readEvicted {
+		dst = append(dst, a)
+	}
+	slices.Sort(dst[start:])
+	return append(dst[:start], slices.Compact(dst[start:])...)
+}
+
+// keepRead notes that e is about to leave the cache: a line in the read
+// set stays there through the overflow set.
+func (c *Cache) keepRead(e *Entry) {
+	if e.read == c.readGen {
+		if c.readEvicted == nil {
+			c.readEvicted = make(map[mem.Addr]struct{})
+		}
+		c.readEvicted[e.Tag] = struct{}{}
 	}
 }
 
@@ -169,21 +278,21 @@ type Victim struct {
 	Data  mem.Line
 }
 
-// Insert places line into the cache in the given state, returning the
-// evicted victim (by value, so an eviction allocates nothing) if a
-// valid line had to be displaced, and ok=false if the set is entirely
-// occupied by SM (write-set) lines — which forces a capacity abort in a
-// running transaction, matching hardware behavior.
-// Victim preference: invalid way, then least-recently-used non-SM line,
-// then least-recently-used SM line (only taken when the caller permits it
-// by not being in a transaction; the caller decides what an SM eviction
-// means).
-func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim Victim, evicted bool, ok bool) {
+// Insert places line into the cache in the given state and returns the
+// evicted victim (by value, so an eviction allocates nothing) if a valid
+// line had to be displaced, and the line's entry. The entry is nil if
+// the set is entirely occupied by SM (write-set) lines — which forces a
+// capacity abort in a running transaction, matching hardware behavior.
+// Victim preference: invalid way, then least-recently-used non-SM line.
+// A line already present is updated in place and keeps its SM bit and
+// read stamp.
+func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim Victim, evicted bool, e *Entry) {
 	line = line.Line()
-	set := c.set(line)
+	si := c.setIndex(line)
+	set := c.sets[si]
 	if c.isBlank(set) {
 		set = make([]Entry, c.ways)
-		c.sets[(uint64(line)>>mem.LineShift)&c.setMask] = set
+		c.sets[si] = set
 	}
 	c.tick++
 	// Already present: update in place.
@@ -193,14 +302,14 @@ func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim Victim, e
 			e.State = st
 			e.Data = data
 			e.lru = c.tick
-			return Victim{}, false, true
+			return Victim{}, false, e
 		}
 	}
 	// Invalid way.
 	for i := range set {
 		if set[i].State == Invalid {
 			set[i] = Entry{Tag: line, State: st, Data: data, lru: c.tick}
-			return Victim{}, false, true
+			return Victim{}, false, &set[i]
 		}
 	}
 	// LRU among non-SM lines.
@@ -216,13 +325,14 @@ func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim Victim, e
 	if best == -1 {
 		// Every way holds a write-set line: transactional overflow.
 		c.Stats.SMEvictTries++
-		return Victim{}, false, false
+		return Victim{}, false, nil
 	}
-	v := Victim{Tag: set[best].Tag, State: set[best].State, Dirty: set[best].Dirty,
-		SM: set[best].SM, Spec: set[best].Spec, Data: set[best].Data}
-	set[best] = Entry{Tag: line, State: st, Data: data, lru: c.tick}
+	e = &set[best]
+	c.keepRead(e)
+	v := Victim{Tag: e.Tag, State: e.State, Dirty: e.Dirty, SM: e.SM, Spec: e.Spec, Data: e.Data}
+	*e = Entry{Tag: line, State: st, Data: data, lru: c.tick}
 	c.Stats.Evictions++
-	return v, true, true
+	return v, true, e
 }
 
 // Invalidate removes line from the cache, returning the entry it held.
@@ -232,6 +342,7 @@ func (c *Cache) Invalidate(line mem.Addr) (Entry, bool) {
 	for i := range set {
 		e := &set[i]
 		if e.State != Invalid && e.Tag == line {
+			c.keepRead(e)
 			old := *e
 			*e = Entry{}
 			return old, true
@@ -246,6 +357,7 @@ func (c *Cache) Invalidate(line mem.Addr) (Entry, bool) {
 func (c *Cache) GangInvalidateSM() int {
 	n := 0
 	c.gangScan(func(e *Entry) {
+		c.keepRead(e)
 		*e = Entry{}
 		n++
 	})
@@ -272,8 +384,7 @@ func (c *Cache) CommitSM(fn func(line mem.Addr, data mem.Line)) int {
 }
 
 // ForEach visits every valid entry. The callback must not insert or
-// invalidate lines, and must not set SM: ForEach does not mark the sets
-// it visits, so the gang operations would miss such a line.
+// invalidate lines, and must set SM only through MarkSM.
 func (c *Cache) ForEach(fn func(e *Entry)) {
 	for _, set := range c.sets {
 		if c.isBlank(set) {
@@ -290,10 +401,6 @@ func (c *Cache) ForEach(fn func(e *Entry)) {
 // CountSM returns the number of SM lines currently held.
 func (c *Cache) CountSM() int {
 	n := 0
-	c.ForEach(func(e *Entry) {
-		if e.SM {
-			n++
-		}
-	})
+	c.scanSM(func(*Entry) { n++ })
 	return n
 }

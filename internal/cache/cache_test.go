@@ -29,7 +29,7 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 func TestInsertLookup(t *testing.T) {
 	c := New(4*1024, 4)
 	d := mem.Line{1, 2, 3}
-	if _, _, ok := c.Insert(lineAddr(1), Shared, d); !ok {
+	if _, _, e := c.Insert(lineAddr(1), Shared, d); e == nil {
 		t.Fatal("insert failed")
 	}
 	e := c.Lookup(lineAddr(1))
@@ -65,11 +65,11 @@ func TestLRUEviction(t *testing.T) {
 	c.Insert(lineAddr(0), Shared, mem.Line{})
 	c.Insert(lineAddr(2), Shared, mem.Line{})
 	c.Lookup(lineAddr(0)) // make line 0 most recent
-	v, evicted, ok := c.Insert(lineAddr(4), Shared, mem.Line{})
-	if !ok || !evicted || v.Tag != lineAddr(2) {
+	v, evicted, e := c.Insert(lineAddr(4), Shared, mem.Line{})
+	if e == nil || !evicted || v.Tag != lineAddr(2) {
 		t.Fatalf("victim = %+v, want line 2", v)
 	}
-	if c.Peek(lineAddr(0)) == nil || c.Peek(lineAddr(4)) == nil {
+	if c.Peek(lineAddr(0)) == nil || c.Peek(lineAddr(4)) != e {
 		t.Fatal("survivors wrong")
 	}
 }
@@ -77,11 +77,11 @@ func TestLRUEviction(t *testing.T) {
 func TestSMLinesResistEviction(t *testing.T) {
 	c := New(2*mem.LineSize*2, 2)
 	c.Insert(lineAddr(0), Modified, mem.Line{})
-	c.Peek(lineAddr(0)).SM = true
+	c.MarkSM(c.Peek(lineAddr(0)))
 	c.Insert(lineAddr(2), Shared, mem.Line{})
 	// Line 0 is older but SM: line 2 must be the victim.
-	v, evicted, ok := c.Insert(lineAddr(4), Shared, mem.Line{})
-	if !ok || !evicted || v.Tag != lineAddr(2) {
+	v, evicted, e := c.Insert(lineAddr(4), Shared, mem.Line{})
+	if e == nil || !evicted || v.Tag != lineAddr(2) {
 		t.Fatalf("victim = %+v, want line 2", v)
 	}
 }
@@ -89,11 +89,10 @@ func TestSMLinesResistEviction(t *testing.T) {
 func TestAllSMOverflow(t *testing.T) {
 	c := New(2*mem.LineSize*2, 2)
 	c.Insert(lineAddr(0), Modified, mem.Line{})
-	c.Peek(lineAddr(0)).SM = true
+	c.MarkSM(c.Peek(lineAddr(0)))
 	c.Insert(lineAddr(2), Modified, mem.Line{})
-	c.Peek(lineAddr(2)).SM = true
-	_, _, ok := c.Insert(lineAddr(4), Shared, mem.Line{})
-	if ok {
+	c.MarkSM(c.Peek(lineAddr(2)))
+	if _, _, e := c.Insert(lineAddr(4), Shared, mem.Line{}); e != nil {
 		t.Fatal("expected overflow when set full of SM lines")
 	}
 	if c.Stats.SMEvictTries != 1 {
@@ -121,7 +120,7 @@ func TestGangInvalidateSM(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		c.Insert(lineAddr(i), Modified, mem.Line{})
 		if i%2 == 0 {
-			c.Peek(lineAddr(i)).SM = true
+			c.MarkSM(c.Peek(lineAddr(i)))
 		}
 	}
 	if n := c.GangInvalidateSM(); n != 3 {
@@ -142,7 +141,7 @@ func TestCommitSM(t *testing.T) {
 	c := New(4*1024, 4)
 	c.Insert(lineAddr(0), Exclusive, mem.Line{42})
 	e := c.Peek(lineAddr(0))
-	e.SM = true
+	c.MarkSM(e)
 	e.Spec = true
 	committed := map[mem.Addr]mem.Line{}
 	n := c.CommitSM(func(l mem.Addr, d mem.Line) { committed[l] = d })
@@ -171,11 +170,12 @@ func refGangScan(c *Cache, fn func(e *Entry)) {
 }
 
 // TestGangOpsMatchFullScan drives a cache and a shadow copy through the
-// same random Insert/Lookup/Peek/Invalidate calls, setting SM and Spec
-// bits through the entries they hand out. After every gang operation the
-// cache, which scans only touched sets, must match the shadow, which
-// scans them all: the same count, the same entries and, for CommitSM,
-// the same callback order.
+// same random Insert/Lookup/Peek/Invalidate calls, setting SM (through
+// MarkSM in the cache, directly in the shadow) and Spec bits on the
+// entries they hand out. After every gang operation the cache, which
+// scans only the sets MarkSM marked, must match the shadow, which scans
+// them all: the same count, the same entries and, for CommitSM, the
+// same callback order.
 func TestGangOpsMatchFullScan(t *testing.T) {
 	for _, geo := range []struct{ size, ways int }{
 		{4 * 4 * mem.LineSize, 4},   // 4 sets
@@ -207,7 +207,8 @@ func TestGangOpsMatchFullScan(t *testing.T) {
 				}
 				if e != nil && rng.Intn(2) == 0 {
 					spec := rng.Intn(2) == 0
-					e.SM, e.Spec = true, spec
+					c.MarkSM(e)
+					e.Spec = spec
 					re.SM, re.Spec = true, spec
 				}
 			case op < 12:
@@ -257,10 +258,9 @@ func TestGangOpsMatchFullScan(t *testing.T) {
 func TestVictimCarriesFullState(t *testing.T) {
 	c := New(mem.LineSize*1, 1) // 1 set, 1 way
 	c.Insert(lineAddr(0), Modified, mem.Line{9})
-	e := c.Peek(lineAddr(0))
-	e.Dirty = true
-	v, evicted, ok := c.Insert(lineAddr(1), Shared, mem.Line{})
-	if !ok || !evicted {
+	c.Peek(lineAddr(0)).Dirty = true
+	v, evicted, e := c.Insert(lineAddr(1), Shared, mem.Line{})
+	if e == nil || !evicted {
 		t.Fatal("no eviction")
 	}
 	if v.Tag != lineAddr(0) || !v.Dirty || v.State != Modified || v.Data[0] != 9 {
@@ -343,7 +343,7 @@ func TestUntouchedSetMissAllocatesNothing(t *testing.T) {
 	if got := c.CountSM(); got != 0 {
 		t.Errorf("CountSM = %d", got)
 	}
-	if _, _, ok := c.Insert(lineAddr(1), Modified, mem.Line{2}); !ok || c.isBlank(c.sets[1]) {
+	if _, _, e := c.Insert(lineAddr(1), Modified, mem.Line{2}); e == nil || c.isBlank(c.sets[1]) {
 		t.Fatal("insert did not give set 1 its own entries")
 	}
 	if e := c.Lookup(lineAddr(1)); e == nil || e.Data[0] != 2 {

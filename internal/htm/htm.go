@@ -1,17 +1,19 @@
 // Package htm models the per-core best-effort hardware transactional
 // memory state that all evaluated systems share (Section VI-B baseline):
-// a perfect read signature, a write set held as SM lines in L1, abort
-// causes, retry bookkeeping — plus the CHATS hardware additions from
-// Fig. 2: the Position-in-Chain register, the Cons bit and the Validation
-// State Buffer. Which of those structures a given system actually uses is
-// decided by the conflict-resolution policy in package core.
+// transaction status, abort causes, retry bookkeeping — plus the CHATS
+// hardware additions from Fig. 2: the Position-in-Chain register, the
+// Cons bit and the Validation State Buffer. Which of those structures a
+// given system actually uses is decided by the conflict-resolution
+// policy in package core. The read and write sets live in the core's L1
+// (package cache): read stamps plus an eviction overflow set, and the SM
+// lines.
 package htm
 
 import (
 	"fmt"
 
+	"chats/internal/cache"
 	"chats/internal/coherence"
-	"chats/internal/mem"
 )
 
 // Status is the lifecycle state of a core's current transaction.
@@ -111,13 +113,12 @@ type TxState struct {
 	Epoch   uint64 // bumped on every begin/abort; stale responses check it
 	Attempt int    // 1-based attempt number of the current atomic block
 
-	// Read signature: perfect (no false positives), tracks line
-	// addresses, survives cache evictions (Section VI-B).
-	ReadSig map[mem.Addr]struct{}
-	// WriteSet tracks line addresses speculatively written (the lines
-	// themselves live in L1 with the SM bit; this mirror makes conflict
-	// checks O(1) and survives nothing — it is cleared with the tx).
-	WriteSet map[mem.Addr]struct{}
+	// L1 is the core's L1, which holds the read set (a perfect
+	// signature that survives evictions, Section VI-B) and the write set
+	// (the SM lines). Begin, MarkAborted and Finish empty the read set;
+	// the caller gang-processes the SM lines. Nil in a bare state, which
+	// then tracks neither set.
+	L1 *cache.Cache
 
 	// CHATS hardware (Fig. 2).
 	PiC  coherence.PiC
@@ -159,24 +160,12 @@ func NewTxState(vsbSize int) *TxState {
 // to commit).
 func (t *TxState) InTx() bool { return t.Status == Active || t.Status == Committing }
 
-// Begin resets the state for a new attempt. The signature and write-set
-// maps are reused across attempts (cleared, not reallocated): a core
-// begins a transaction every few hundred simulated cycles, and the two
-// map allocations per attempt dominated the steady-state heap churn.
+// Begin resets the state for a new attempt.
 func (t *TxState) Begin(attempt int, naiveBudget int) {
 	t.Status = Active
 	t.Epoch++
 	t.Attempt = attempt
-	if t.ReadSig == nil {
-		t.ReadSig = make(map[mem.Addr]struct{})
-	} else {
-		clear(t.ReadSig)
-	}
-	if t.WriteSet == nil {
-		t.WriteSet = make(map[mem.Addr]struct{})
-	} else {
-		clear(t.WriteSet)
-	}
+	t.resetReads()
 	t.PiC = coherence.PiCNone
 	t.Cons = false
 	t.VSB.Clear()
@@ -197,8 +186,7 @@ func (t *TxState) MarkAborted(cause AbortCause) {
 	t.Status = Aborted
 	t.Epoch++
 	t.Cause = cause
-	clear(t.ReadSig)
-	clear(t.WriteSet)
+	t.resetReads()
 	t.PiC = coherence.PiCNone
 	t.Cons = false
 	t.VSB.Clear()
@@ -209,34 +197,16 @@ func (t *TxState) MarkAborted(cause AbortCause) {
 func (t *TxState) Finish() {
 	t.Status = Idle
 	t.Epoch++
-	clear(t.ReadSig)
-	clear(t.WriteSet)
+	t.resetReads()
 	t.PiC = coherence.PiCNone
 	t.Cons = false
 	t.Power = false
 	t.VSB.Clear()
 }
 
-// Reads reports whether the transaction read the line (signature hit).
-func (t *TxState) Reads(line mem.Addr) bool {
-	if t.ReadSig == nil {
-		return false
+// resetReads empties the read set held in L1.
+func (t *TxState) resetReads() {
+	if t.L1 != nil {
+		t.L1.ResetReads()
 	}
-	_, ok := t.ReadSig[line.Line()]
-	return ok
 }
-
-// Writes reports whether the line is in the write set.
-func (t *TxState) Writes(line mem.Addr) bool {
-	if t.WriteSet == nil {
-		return false
-	}
-	_, ok := t.WriteSet[line.Line()]
-	return ok
-}
-
-// AddRead records a line in the read signature.
-func (t *TxState) AddRead(line mem.Addr) { t.ReadSig[line.Line()] = struct{}{} }
-
-// AddWrite records a line in the write set.
-func (t *TxState) AddWrite(line mem.Addr) { t.WriteSet[line.Line()] = struct{}{} }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"chats/internal/cache"
 	"chats/internal/coherence"
 	"chats/internal/mem"
 )
@@ -18,21 +19,35 @@ func TestTxLifecycle(t *testing.T) {
 		t.Fatalf("post-begin: %+v", tx)
 	}
 	e0 := tx.Epoch
-	tx.AddRead(0x40)
-	tx.AddWrite(0x80)
-	if !tx.Reads(0x44) || tx.Reads(0x80) || !tx.Writes(0x9f) || tx.Writes(0x40) {
-		t.Fatal("set membership wrong")
-	}
 	tx.MarkAborted(CauseConflict)
 	if tx.Status != Aborted || tx.Cause != CauseConflict || tx.Epoch == e0 {
 		t.Fatalf("post-abort: %+v", tx)
 	}
-	if tx.Reads(0x40) || tx.Writes(0x80) {
-		t.Fatal("sets survived abort")
-	}
 	tx.Finish()
 	if tx.Status != Idle {
 		t.Fatal("not idle after finish")
+	}
+}
+
+// TestTransitionsResetL1ReadSet: Begin, MarkAborted and Finish each
+// empty the read set the L1 holds.
+func TestTransitionsResetL1ReadSet(t *testing.T) {
+	tx := NewTxState(4)
+	tx.L1 = cache.New(4*1024, 4)
+	_, _, e := tx.L1.Insert(0x40, cache.Shared, mem.Line{})
+	for _, step := range []struct {
+		name string
+		do   func()
+	}{
+		{"Begin", func() { tx.Begin(1, 16) }},
+		{"MarkAborted", func() { tx.MarkAborted(CauseConflict) }},
+		{"Finish", func() { tx.Finish() }},
+	} {
+		tx.L1.MarkRead(e)
+		step.do()
+		if tx.L1.Reads(0x40) {
+			t.Fatalf("%s kept the read set", step.name)
+		}
 	}
 }
 

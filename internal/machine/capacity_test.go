@@ -57,6 +57,72 @@ func TestWriteSetOverflowFallsBack(t *testing.T) {
 	}
 }
 
+// evictedReadWL: thread 0's transaction reads more lines of one L1 set
+// than the set has ways, so its first read line is evicted, and then
+// lingers. Meanwhile thread 1 stores to that line non-transactionally.
+// Just before the store it records core 0's view of the line.
+type evictedReadWL struct {
+	m                   *Machine
+	base                mem.Addr
+	lines               int
+	inTx, cached, reads bool
+}
+
+func (w *evictedReadWL) Name() string { return "evicted-read" }
+func (w *evictedReadWL) Setup(wd *World, threads int) {
+	w.base = wd.Alloc.Lines(1)
+	wd.Alloc.Lines(w.lines * 64)
+}
+func (w *evictedReadWL) Thread(ctx Ctx, tid int) {
+	switch tid {
+	case 0:
+		ctx.Atomic(func(tx Tx) {
+			for i := 0; i < w.lines; i++ {
+				tx.Load(w.base + mem.Addr(i*setStride))
+			}
+			tx.Work(20_000)
+		})
+	case 1:
+		ctx.Work(10_000)
+		n := w.m.nodes[0]
+		w.inTx, w.cached, w.reads = n.tx.InTx(), n.l1.Peek(w.base) != nil, n.l1.Reads(w.base)
+		ctx.Store(w.base, 1)
+	}
+}
+func (w *evictedReadWL) Check(wd *World) error {
+	if got := wd.Mem.ReadWord(w.base); got != 1 {
+		return fmt.Errorf("stored word = %d, want 1", got)
+	}
+	return nil
+}
+
+// TestEvictedReadLineStillConflicts: the read set survives evictions, so
+// a remote store to a read line the L1 no longer holds still aborts the
+// reader with a conflict.
+func TestEvictedReadLineStillConflicts(t *testing.T) {
+	policy, err := core.New(core.KindBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(testCfg(), policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &evictedReadWL{m: m, lines: 14} // 12-way set
+	stats, err := m.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.inTx || w.cached || !w.reads {
+		t.Fatalf("before the store: core 0 in tx %v, line cached %v, in read set %v; want true, false, true",
+			w.inTx, w.cached, w.reads)
+	}
+	if stats.ByCause[htm.CauseConflict] != 1 || stats.Aborts != 1 || stats.Commits != 1 {
+		t.Fatalf("aborts %d (causes %v), commits %d; want one conflict abort, then a commit",
+			stats.Aborts, stats.ByCause, stats.Commits)
+	}
+}
+
 // churnWL touches far more lines than L1 holds, forcing evictions and
 // dirty writebacks (and exercising the writeback-buffer reinstall path).
 type churnWL struct {

@@ -1,9 +1,13 @@
 package machine
 
 import (
+	"fmt"
 	"testing"
 
+	"chats/internal/cache"
+	"chats/internal/coherence"
 	"chats/internal/core"
+	"chats/internal/mem"
 )
 
 func TestDiagCauses(t *testing.T) {
@@ -18,4 +22,26 @@ func TestDiagCauses(t *testing.T) {
 				kind, w.Name(), s.Cycles, s.Commits, s.Aborts, s.ByCause, s.Fallbacks, s.SpecRespsSent, s.SpecRespsConsumed, s.ValidationsOK, s.Validations, s.ProbeConflicts, s.DecAbort, s.DecSpec, s.DecNack, s.SpecDropStale, s.SpecDropVSB, s.SpecDropReject)
 		}
 	}
+}
+
+// TestInvariantPanicNamesCycleCoreLine: a protocol-invariant panic
+// carries the cycle, core and line, so the message alone locates it.
+func TestInvariantPanicNamesCycleCoreLine(t *testing.T) {
+	policy, err := core.New(core.KindBaseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := New(testCfg(), policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := m.nodes[3]
+	e := n.install(0x80, cache.Modified, mem.Line{}, true, false)
+	defer func() {
+		want := "machine: cycle 0 core 3 line 0x80: normal reply would leak speculative data"
+		if got := fmt.Sprint(recover()); got != want {
+			t.Fatalf("panic = %q, want %q", got, want)
+		}
+	}()
+	n.replyNormal(coherence.Probe{Line: 0x80, Kind: coherence.FwdGetS}, e)
 }

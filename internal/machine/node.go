@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+
 	"chats/internal/cache"
 	"chats/internal/coherence"
 	"chats/internal/htm"
@@ -117,6 +119,7 @@ func newNode(id int, m *Machine, policy htm.Policy) *Node {
 		rng:       sim.NewRand(m.cfg.Seed*1000003 + uint64(id) + 1),
 		wbPending: make(map[mem.Addr]*pendingWB),
 	}
+	n.tx.L1 = n.l1
 	n.acc.n = n
 	n.beg.n = n
 	n.val.n = n
@@ -134,26 +137,36 @@ func (n *Node) reqInfo(inTx, isValidation bool) coherence.ReqInfo {
 	return ri
 }
 
-// install puts a line in L1, handling the victim. It returns false when
-// the set is full of write-set lines (transactional overflow).
-func (n *Node) install(line mem.Addr, st cache.State, data mem.Line, sm, spec bool) bool {
-	v, evicted, ok := n.l1.Insert(line, st, data)
-	if !ok {
-		return false
+// fail panics on a broken protocol invariant, naming the cycle, core
+// and line so the message alone locates the fault.
+func (n *Node) fail(what string, line mem.Addr) {
+	panic(fmt.Sprintf("machine: cycle %d core %d line %v: %s", n.eng.Now(), n.id, line, what))
+}
+
+// install puts a line in L1, handling the victim, and returns its
+// entry. It returns nil when the set is full of write-set lines
+// (transactional overflow).
+func (n *Node) install(line mem.Addr, st cache.State, data mem.Line, sm, spec bool) *cache.Entry {
+	v, evicted, e := n.l1.Insert(line, st, data)
+	if e == nil {
+		return nil
 	}
-	e := n.l1.Peek(line)
-	e.SM = sm
+	if sm {
+		n.l1.MarkSM(e)
+	} else {
+		e.SM = false // the fresh data replaces any speculative copy
+	}
 	e.Spec = spec
 	e.Dirty = false
 	if evicted {
 		n.handleVictim(v)
 	}
-	return true
+	return e
 }
 
 func (n *Node) handleVictim(v cache.Victim) {
 	if v.SM {
-		panic("machine: replacement evicted an SM line")
+		n.fail("replacement evicted an SM line", v.Tag)
 	}
 	if v.State == cache.Modified && v.Dirty {
 		wb := n.allocWB()
@@ -196,11 +209,10 @@ func (n *Node) reinstall(line mem.Addr) *cache.Entry {
 	}
 	wb.cancelled = true
 	delete(n.wbPending, line)
-	if !n.install(line, cache.Modified, wb.data, false, false) {
-		return nil
+	e := n.install(line, cache.Modified, wb.data, false, false)
+	if e != nil {
+		e.Dirty = true
 	}
-	e := n.l1.Peek(line)
-	e.Dirty = true
 	return e
 }
 
@@ -291,7 +303,7 @@ func (c *access) Run() {
 		}
 		n.store1(c)
 	default:
-		panic("machine: bad access stage")
+		n.fail(fmt.Sprintf("bad access stage %d", c.stage), c.a.Line())
 	}
 }
 
@@ -357,7 +369,7 @@ func (n *Node) load1(c *access) {
 	}
 	if e != nil {
 		if inTx {
-			n.tx.AddRead(line)
+			n.l1.MarkRead(e)
 		}
 		c.ld.onLoadDone(e.Data[a.WordIndex()], false)
 		return
@@ -377,34 +389,35 @@ func (n *Node) onLoadResp(c *access, resp coherence.Resp) {
 		if resp.Excl {
 			st = cache.Exclusive
 		}
-		ok := n.install(line, st, resp.Data, false, false)
+		e := n.install(line, st, resp.Data, false, false)
 		n.m.dir.SendUnblock(line)
 		if stale {
 			done.onLoadDone(0, true)
 			return
 		}
-		if !ok {
+		if e == nil {
 			if inTx {
 				n.abortTx(htm.CauseCapacity)
 				done.onLoadDone(0, true)
 				return
 			}
-			panic("machine: non-transactional install failed")
+			n.fail("non-transactional install failed", line)
 		}
 		if inTx {
-			n.tx.AddRead(line)
+			n.l1.MarkRead(e)
 		}
 		done.onLoadDone(resp.Data[a.WordIndex()], false)
 	case coherence.RespSpec:
 		if !inTx {
-			panic("machine: SpecResp delivered to a non-transactional load")
+			n.fail("SpecResp delivered to a non-transactional load", line)
 		}
 		if stale {
 			n.stats.SpecDropStale++
 			done.onLoadDone(0, true)
 			return
 		}
-		switch n.consumeSpec(line, resp, c.vsbTries) {
+		e, out := n.consumeSpec(line, resp, c.vsbTries)
+		switch out {
 		case specAborted:
 			done.onLoadDone(0, true)
 		case specRetry:
@@ -412,8 +425,7 @@ func (n *Node) onLoadResp(c *access, resp coherence.Resp) {
 			c.stage = stVSBRetry
 			n.eng.ScheduleRunner(n.m.cfg.VSBRetryDelay, c)
 		case specOK:
-			n.tx.AddRead(line)
-			e := n.l1.Peek(line)
+			n.l1.MarkRead(e)
 			done.onLoadDone(e.Data[a.WordIndex()], false)
 		}
 	case coherence.RespNack:
@@ -445,8 +457,9 @@ const (
 
 // consumeSpec handles a demand-path SpecResp: VSB capacity, the policy's
 // consumer-side rules, and installation of the fiction line (SM + Spec,
-// added to the write set per Section V-A).
-func (n *Node) consumeSpec(line mem.Addr, resp coherence.Resp, vsbTries int) specOutcome {
+// added to the write set per Section V-A). On specOK it returns the
+// installed entry.
+func (n *Node) consumeSpec(line mem.Addr, resp coherence.Resp, vsbTries int) (*cache.Entry, specOutcome) {
 	vsbFull := n.tx.VSB.Full()
 	if !vsbFull && n.m.inj != nil && n.m.inj.VSBFull() {
 		// Forced capacity pressure: treat the VSB as full for this
@@ -459,9 +472,9 @@ func (n *Node) consumeSpec(line mem.Addr, resp coherence.Resp, vsbTries int) spe
 			n.stats.SpecDropVSB++
 			if vsbTries+1 >= n.m.cfg.VSBRetryLimit {
 				n.abortTx(htm.CauseCapacity)
-				return specAborted
+				return nil, specAborted
 			}
-			return specRetry
+			return nil, specRetry
 		}
 	}
 	out := n.policy.AcceptSpec(n.tx, resp.PiC)
@@ -469,29 +482,30 @@ func (n *Node) consumeSpec(line mem.Addr, resp coherence.Resp, vsbTries int) spe
 	case out.Cause != htm.CauseNone:
 		n.stats.SpecDropReject++
 		n.abortTx(out.Cause)
-		return specAborted
+		return nil, specAborted
 	case out.Retry:
 		if vsbTries+1 >= n.m.cfg.VSBRetryLimit {
 			n.abortTx(htm.CauseStall)
-			return specAborted
+			return nil, specAborted
 		}
-		return specRetry
+		return nil, specRetry
 	case out.Accept:
 		if !n.tx.VSB.Add(line, resp.Data) {
-			panic("machine: VSB add failed after capacity check")
+			n.fail("VSB add failed after capacity check", line)
 		}
-		if !n.install(line, cache.Modified, resp.Data, true, true) {
+		e := n.install(line, cache.Modified, resp.Data, true, true)
+		if e == nil {
 			n.abortTx(htm.CauseCapacity)
-			return specAborted
+			return nil, specAborted
 		}
-		n.tx.AddWrite(line)
 		n.tx.Consumed = true
 		n.stats.SpecRespsConsumed++
 		n.m.emitConsume(n.id, line, resp.PiC)
 		n.armValidationTimer()
-		return specOK
+		return e, specOK
 	default:
-		panic("machine: empty SpecOutcome")
+		n.fail("empty SpecOutcome", line)
+		return nil, specAborted
 	}
 }
 
@@ -549,8 +563,7 @@ func (n *Node) store1(c *access) {
 					n.m.net.SendDataMsg(c)
 					return
 				}
-				e.SM = true
-				n.tx.AddWrite(line)
+				n.l1.MarkSM(e)
 				e.Data[a.WordIndex()] = v
 			} else {
 				e.State = cache.Modified
@@ -577,24 +590,22 @@ func (n *Node) onStoreResp(c *access, resp coherence.Resp) {
 	stale := inTx && n.tx.Epoch != c.epoch
 	switch resp.Kind {
 	case coherence.RespData:
-		ok := n.install(line, cache.Modified, resp.Data, false, false)
+		e := n.install(line, cache.Modified, resp.Data, false, false)
 		n.m.dir.SendUnblock(line)
 		if stale {
 			done.onStoreDone(true)
 			return
 		}
-		if !ok {
+		if e == nil {
 			if inTx {
 				n.abortTx(htm.CauseCapacity)
 				done.onStoreDone(true)
 				return
 			}
-			panic("machine: non-transactional install failed")
+			n.fail("non-transactional install failed", line)
 		}
-		e := n.l1.Peek(line)
 		if inTx {
-			e.SM = true
-			n.tx.AddWrite(line)
+			n.l1.MarkSM(e)
 		} else {
 			e.Dirty = true
 		}
@@ -602,14 +613,15 @@ func (n *Node) onStoreResp(c *access, resp coherence.Resp) {
 		done.onStoreDone(false)
 	case coherence.RespSpec:
 		if !inTx {
-			panic("machine: SpecResp delivered to a non-transactional store")
+			n.fail("SpecResp delivered to a non-transactional store", line)
 		}
 		if stale {
 			n.stats.SpecDropStale++
 			done.onStoreDone(true)
 			return
 		}
-		switch n.consumeSpec(line, resp, c.vsbTries) {
+		e, out := n.consumeSpec(line, resp, c.vsbTries)
+		switch out {
 		case specAborted:
 			done.onStoreDone(true)
 		case specRetry:
@@ -617,7 +629,6 @@ func (n *Node) onStoreResp(c *access, resp coherence.Resp) {
 			c.stage = stVSBRetry
 			n.eng.ScheduleRunner(n.m.cfg.VSBRetryDelay, c)
 		case specOK:
-			e := n.l1.Peek(line)
 			e.Data[a.WordIndex()] = v
 			done.onStoreDone(false)
 		}
@@ -693,11 +704,11 @@ func (n *Node) onCASResp(c *access, resp coherence.Resp) {
 	line := a.Line()
 	switch resp.Kind {
 	case coherence.RespData:
-		if !n.install(line, cache.Modified, resp.Data, false, false) {
-			panic("machine: CAS install failed")
+		e := n.install(line, cache.Modified, resp.Data, false, false)
+		if e == nil {
+			n.fail("CAS install failed", line)
 		}
 		n.m.dir.SendUnblock(line)
-		e := n.l1.Peek(line)
 		prev := e.Data[a.WordIndex()]
 		if prev == old {
 			e.Dirty = true
@@ -707,7 +718,7 @@ func (n *Node) onCASResp(c *access, resp coherence.Resp) {
 			done.onCASDone(prev, false)
 		}
 	case coherence.RespSpec:
-		panic("machine: SpecResp delivered to CAS")
+		n.fail("SpecResp delivered to CAS", line)
 	case coherence.RespNack:
 		c.stage = stNackRetry
 		n.eng.ScheduleRunner(n.m.cfg.NackRetryDelay, c)

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"fmt"
+
 	"chats/internal/cache"
 	"chats/internal/coherence"
 	"chats/internal/htm"
@@ -25,11 +27,11 @@ func (n *Node) HandleProbe(p coherence.Probe) {
 	conflict := false
 	inWS := false
 	if n.tx.InTx() {
-		inWS = n.tx.Writes(line)
+		inWS = e != nil && e.SM
 		if p.Kind == coherence.FwdGetS {
 			conflict = inWS // read-read is not a conflict
 		} else {
-			conflict = inWS || n.tx.Reads(line)
+			conflict = inWS || n.l1.Reads(line)
 		}
 	}
 	if !conflict {
@@ -60,7 +62,7 @@ func (n *Node) HandleProbe(p coherence.Probe) {
 		dec, pic = n.policy.DecideProbe(n.tx, pc)
 	}
 	if dec == htm.DecideSpec && !(p.Kind != coherence.InvProbe && e != nil) {
-		panic("machine: policy forwarded an unforwardable probe")
+		n.fail("policy forwarded an unforwardable probe", line)
 	}
 	n.m.emitConflict(n.id, p.Req.ID, line, p.Kind, dec)
 
@@ -104,7 +106,7 @@ func (n *Node) replyNormal(p coherence.Probe, e *cache.Entry) {
 		return
 	}
 	if e.SM {
-		panic("machine: normal reply would leak speculative data")
+		n.fail("normal reply would leak speculative data", p.Line)
 	}
 	switch p.Kind {
 	case coherence.FwdGetS:
@@ -222,7 +224,7 @@ func (b *beginOp) onLoadDone(v uint64, aborted bool) {
 		n.m.emitBegin(n.id, b.attempt, b.power)
 		b.done.onBeginDone(true)
 	default:
-		panic("machine: bad beginOp phase")
+		n.fail(fmt.Sprintf("bad beginOp phase %d", b.phase), n.m.lockLine)
 	}
 }
 
@@ -301,7 +303,8 @@ func (n *Node) EnterFallback() {
 // ExitFallback returns the core to Idle.
 func (n *Node) ExitFallback() {
 	if n.tx.Status != htm.Fallback {
-		panic("machine: ExitFallback outside fallback")
+		panic(fmt.Sprintf("machine: cycle %d core %d: ExitFallback outside fallback (status %v)",
+			n.eng.Now(), n.id, n.tx.Status))
 	}
 	n.tx.Status = htm.Idle
 }

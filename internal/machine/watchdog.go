@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -138,21 +137,10 @@ func (m *Machine) Now() uint64 { return m.eng.Now() }
 // uses it to stop on the first violation).
 func (m *Machine) Halt(err error) { m.eng.Halt(err) }
 
-func sortedAddrs(set map[mem.Addr]struct{}) []mem.Addr {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]mem.Addr, 0, len(set))
-	for a := range set {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // CoreSnapshot captures core i's current transactional state.
 func (m *Machine) CoreSnapshot(i int) CoreSnapshot {
-	tx := m.nodes[i].tx
+	n := m.nodes[i]
+	tx := n.tx
 	vsbLines := tx.VSB.Lines()
 	sort.Slice(vsbLines, func(a, b int) bool { return vsbLines[a] < vsbLines[b] })
 	return CoreSnapshot{
@@ -164,8 +152,8 @@ func (m *Machine) CoreSnapshot(i int) CoreSnapshot {
 		Cons:     tx.Cons,
 		VSBLen:   tx.VSB.Len(),
 		Cause:    tx.Cause,
-		ReadSet:  sortedAddrs(tx.ReadSig),
-		WriteSet: sortedAddrs(tx.WriteSet),
+		ReadSet:  n.l1.AppendReads(nil),
+		WriteSet: n.l1.AppendSM(nil),
 		VSBLines: vsbLines,
 	}
 }
@@ -194,17 +182,13 @@ func (m *Machine) InVSB(i int, line mem.Addr) bool {
 }
 
 // InWriteSet reports whether line is in core i's write set.
-func (m *Machine) InWriteSet(i int, line mem.Addr) bool { return m.nodes[i].tx.Writes(line) }
+func (m *Machine) InWriteSet(i int, line mem.Addr) bool { return m.nodes[i].l1.Writes(line) }
 
 // AppendWriteSet appends core i's write-set lines to dst in ascending
-// order and returns the extended slice.
+// order and returns the extended slice. It visits only the L1 sets
+// holding SM lines.
 func (m *Machine) AppendWriteSet(dst []mem.Addr, i int) []mem.Addr {
-	start := len(dst)
-	for a := range m.nodes[i].tx.WriteSet {
-		dst = append(dst, a)
-	}
-	slices.Sort(dst[start:])
-	return dst
+	return m.nodes[i].l1.AppendSM(dst)
 }
 
 // LivelockError is returned by Run when the watchdog kills a run: either
