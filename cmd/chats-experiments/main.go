@@ -43,8 +43,7 @@ func main() {
 		benchJSON = flag.String("bench-json", "", "write a machine-readable bench trajectory {cell, simcycles, wallclock_ns, allocs} to this file")
 		storeDir  = flag.String("store", "", "record every simulation into the run database at this directory")
 		progress  = flag.Bool("progress", false, "print a live done/total cell count to stderr while each grid runs")
-		benchScl  = flag.Bool("bench-scale", false, "instead of figures, run the directory-scaling grid (CHATS on kmeans/cadd at 64 and 256 cores) serially and write it with -bench-json — pair runs at different -dir-banks to check bank-count equivalence")
-		dirBanks  = flag.Int("dir-banks", 0, "address-interleaved directory banks for every simulation, power of two (0/1 = one bank; results are identical at any count)")
+		benchScl  = flag.Bool("bench-scale", false, "instead of figures, run the scale grid (CHATS on kmeans/cadd at 64 and 256 cores) serially and write it with -bench-json — diff it against BENCH_scale.json with benchdiff")
 		soak      = flag.Bool("faults-soak", false, "instead of figures, run every system × micro bench under the fault plan with invariants and the watchdog on")
 		faultSpec = flag.String("faults", "", "fault spec for -faults-soak (default: the canonical all-kinds soak plan)")
 		fbMatrix  = flag.Bool("fallback-matrix", false, "instead of figures, sweep fallback path × system × micro bench under a lockburst plan (graceful-degradation check)")
@@ -79,7 +78,6 @@ func main() {
 	// its own path axis, so it only honors -cm and -backoff.
 	applyKnobs := func(cfg *machine.Config) {
 		var err error
-		cfg.DirBanks = *dirBanks
 		if *fallback != "" {
 			if cfg.Fallback, err = machine.ParseFallback(*fallback); err != nil {
 				fatal(err)
@@ -141,7 +139,7 @@ func main() {
 		if *benchJSON == "" {
 			fatal(fmt.Errorf("-bench-scale needs -bench-json FILE"))
 		}
-		if err := runScaleBench(sz, *seed, *dirBanks, *benchJSON); err != nil {
+		if err := runScaleBench(sz, *seed, *benchJSON); err != nil {
 			fatal(err)
 		}
 		return
@@ -300,14 +298,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "total simulations: %d\n", suite.Runs)
 }
 
-// runScaleBench runs the directory-scaling grid one cell at a time (the
-// wall-clock and alloc numbers are the point, so nothing else may run
-// concurrently) and writes the trajectory. Pair runs at different
-// -dir-banks with benchdiff: cycles must match bit-for-bit.
-func runScaleBench(sz workloads.Size, seed uint64, banks int, out string) error {
+// runScaleBench runs the scale grid one cell at a time (the wall-clock
+// and alloc numbers are the point, so nothing else may run
+// concurrently) and writes the trajectory for benchdiff.
+func runScaleBench(sz workloads.Size, seed uint64, out string) error {
 	p := experiments.Params{Size: sz, Machine: machine.DefaultConfig(), Workers: 1}
 	p.Machine.Seed = seed
-	p.Machine.DirBanks = banks
 	start := time.Now()
 	cells, runs, err := experiments.RunScaleBench(p)
 	if err != nil {
@@ -320,7 +316,7 @@ func runScaleBench(sz workloads.Size, seed uint64, banks int, out string) error 
 	if err := experiments.WriteBenchCells(f, cells, 1, sz.String(), runs, time.Since(start), runstore.NowMeta()); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "scale bench: %d cells, dir-banks %d -> %s\n", runs, banks, out)
+	fmt.Fprintf(os.Stderr, "scale bench: %d cells -> %s\n", runs, out)
 	return f.Close()
 }
 

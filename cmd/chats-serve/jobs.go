@@ -165,7 +165,6 @@ func (m *jobManager) Start(req sweepRequest) (job, error) {
 			}
 			rec := runstore.FromStats(st, string(cells[i].kind), req.Seed,
 				experiments.TraitsKey(nil), req.Size, time.Since(start).Nanoseconds(), 0)
-			rec.StampDirBanks(cfg.Machine.DirBanks)
 			if col != nil {
 				runstore.AttachTelemetry(&rec, col, 16)
 			}

@@ -74,7 +74,6 @@ func main() {
 		sweepSys    = flag.String("systems", "", "comma-separated systems for -sweep (default: all)")
 		sweepBench  = flag.String("benches", "", "comma-separated benchmarks for -sweep (default: all)")
 		jobs        = flag.Int("j", 0, "cells to run in parallel with -sweep (0 = GOMAXPROCS; results are identical at any -j)")
-		dirBanks    = flag.Int("dir-banks", 0, "address-interleaved directory banks, power of two (0/1 = one bank; results are identical at any count, >1 adds per-bank load reports)")
 		dumpConfig  = flag.Bool("dump-config", false, "print Table I and exit")
 		dumpSystems = flag.Bool("dump-systems", false, "print Table II and exit")
 		list        = flag.Bool("list", false, "list benchmarks and systems and exit")
@@ -94,7 +93,6 @@ func main() {
 	cfg.Machine.Cores = *cores
 	cfg.Machine.WatchdogCycles = *wdCycles
 	cfg.Machine.MaxAttempts = *maxAttempts
-	cfg.Machine.DirBanks = *dirBanks
 	if *faultSpec != "" {
 		spec := *faultSpec
 		if spec == "soak" {
@@ -245,7 +243,6 @@ func main() {
 	}
 	if store != nil {
 		rec := runstore.FromStats(st, string(cfg.System), cfg.Machine.Seed, experiments.TraitsKey(cfg.Traits), *size, wallNS, allocs)
-		rec.StampDirBanks(cfg.Machine.DirBanks)
 		if col != nil {
 			runstore.AttachTelemetry(&rec, col, 16)
 		}
@@ -269,9 +266,6 @@ func main() {
 		}
 		if *hotLines > 0 {
 			col.WriteHotLineReport(os.Stdout, *hotLines)
-			if cfg.Machine.DirBanks > 1 {
-				col.WriteBankOccupancyReport(os.Stdout, cfg.Machine.DirBanks)
-			}
 		}
 		if *chainRep {
 			col.Chain().Fprint(os.Stdout)
@@ -417,7 +411,6 @@ func runSweep(base chats.Config, systems, benches, size string, jobs, retries, v
 		if record != nil {
 			rec := runstore.FromStats(st, string(cells[i].cfg.System), cells[i].cfg.Machine.Seed,
 				experiments.TraitsKey(cells[i].cfg.Traits), size, wallNS, allocs)
-			rec.StampDirBanks(cells[i].cfg.Machine.DirBanks)
 			record(rec)
 		}
 		results[i] = st

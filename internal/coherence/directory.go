@@ -12,12 +12,7 @@ import (
 // fixed 256-bit set so line metadata stays pointer-free and poolable).
 const MaxCores = 256
 
-// MaxBanks caps the bank count at one bank per core of the widest
-// machine (MaxCores).
-const MaxBanks = 256
-
-// Config holds the directory/memory timing parameters (Table I) and the
-// bank layout.
+// Config holds the directory/memory timing parameters (Table I).
 type Config struct {
 	// LLCLatency is the shared-LLC/directory access latency charged on
 	// every request that reaches the directory.
@@ -25,12 +20,6 @@ type Config struct {
 	// DRAMLatency is charged the first time a line is touched (cold miss
 	// filled from main memory).
 	DRAMLatency uint64
-
-	// Banks is the number of independent address-interleaved directory
-	// banks (power of two, <= MaxBanks; 0 means 1). Each bank owns the
-	// full per-line state — MESI entry, blocking queue, in-flight flow
-	// pools, NACK seam and stats shard — for the lines hashing to it.
-	Banks int
 }
 
 // Stats counts directory activity.
@@ -44,23 +33,6 @@ type Stats struct {
 	Writebacks  uint64
 	DRAMFills   uint64
 }
-
-// add folds o into s.
-func (s *Stats) add(o *Stats) {
-	s.GetS += o.GetS
-	s.GetX += o.GetX
-	s.Forwards += o.Forwards
-	s.Invs += o.Invs
-	s.SpecCancels += o.SpecCancels
-	s.Nacks += o.Nacks
-	s.Writebacks += o.Writebacks
-	s.DRAMFills += o.DRAMFills
-}
-
-// BankOf returns the bank in [0, banks) owning the line containing a.
-// banks must be a power of two <= MaxBanks. It is mem.LineShard:
-// consecutive lines round-robin across the banks.
-func BankOf(a mem.Addr, banks int) int { return mem.LineShard(a, banks) }
 
 type dirState uint8
 
@@ -116,13 +88,16 @@ type dirLine struct {
 	inLLC   bool
 }
 
-// dirBank is one address-interleaved home-node bank. It owns every line
-// hashing to it — MESI state, the blocking request queue, the in-flight
-// flow objects and their free lists, and a Stats shard.
-type dirBank struct {
-	d     *Directory
-	lines map[mem.Addr]*dirLine
-	stats Stats
+// Directory is the single home node for every line: MESI state, the
+// LLC/memory data image, and the blocking request queue per line.
+type Directory struct {
+	eng    *sim.Engine
+	net    *network.Network
+	memory *mem.Memory
+	cores  []Core
+	cfg    Config
+	lines  map[mem.Addr]*dirLine
+	stats  Stats
 
 	// Free lists for the pooled flow/message objects below. Every
 	// request hop used to capture its state in a fresh closure; the
@@ -133,50 +108,19 @@ type dirBank struct {
 	freeInvC []*invCollect
 	freeInvT []*invTarget
 
-	// forceNack, when non-nil, overrides the Directory-wide ForceNack
-	// seam for this bank only (fault plans with a bank= selector).
-	forceNack func(req ReqInfo) bool
-}
-
-// Directory is the home node for every line: MESI state, the LLC/memory
-// data image, and the blocking request queue per line, sharded into
-// independent address-interleaved banks. The public API is unchanged
-// from the single-bank directory — every call dispatches on the line
-// address — and a 1-bank directory behaves exactly as before.
-type Directory struct {
-	eng    *sim.Engine
-	net    *network.Network
-	memory *mem.Memory
-	cores  []Core
-	cfg    Config
-	banks  []*dirBank
-
 	// ForceNack, when non-nil, is consulted for every transactional
 	// request before it is admitted; returning true bounces the request
 	// with RespNack without touching line state. The fault injector uses
 	// it to model an overloaded home node. Non-transactional requests are
 	// never force-nacked: the machine's non-speculative paths do not
-	// retry nacks, and sparing them preserves forward progress. A
-	// per-bank override installed with SetBankForceNack takes precedence
-	// for its bank.
+	// retry nacks, and sparing them preserves forward progress.
 	ForceNack func(req ReqInfo) bool
 }
 
 // NewDirectory builds the home node. cores may be populated later via
 // AttachCores (the machine wires cores and directory together).
 func NewDirectory(eng *sim.Engine, net *network.Network, memory *mem.Memory, cfg Config) *Directory {
-	nbanks := cfg.Banks
-	if nbanks == 0 {
-		nbanks = 1
-	}
-	if nbanks < 0 || nbanks > MaxBanks || nbanks&(nbanks-1) != 0 {
-		panic(fmt.Sprintf("coherence: bank count %d not a power of two in [1, %d]", nbanks, MaxBanks))
-	}
-	d := &Directory{eng: eng, net: net, memory: memory, cfg: cfg}
-	for i := 0; i < nbanks; i++ {
-		d.banks = append(d.banks, &dirBank{d: d, lines: make(map[mem.Addr]*dirLine)})
-	}
-	return d
+	return &Directory{eng: eng, net: net, memory: memory, cfg: cfg, lines: make(map[mem.Addr]*dirLine)}
 }
 
 // AttachCores registers the core controllers the directory can probe.
@@ -187,55 +131,35 @@ func (d *Directory) AttachCores(cores []Core) {
 	d.cores = cores
 }
 
-// NumBanks returns the bank count.
-func (d *Directory) NumBanks() int { return len(d.banks) }
+// TotalStats returns the directory's activity counters.
+func (d *Directory) TotalStats() Stats { return d.stats }
 
-// BankIndex returns the bank owning the line containing a.
-func (d *Directory) BankIndex(a mem.Addr) int { return BankOf(a, len(d.banks)) }
+// Lines returns how many distinct lines the directory tracks.
+func (d *Directory) Lines() int { return len(d.lines) }
 
-// bankFor returns the bank owning the line containing a.
-func (d *Directory) bankFor(a mem.Addr) *dirBank { return d.banks[d.BankIndex(a)] }
-
-// SetBankForceNack installs a per-bank override of the ForceNack seam.
-// A nil fn removes the override, falling back to the directory-wide
-// hook.
-func (d *Directory) SetBankForceNack(bank int, fn func(req ReqInfo) bool) {
-	d.banks[bank].forceNack = fn
+// fail panics on a broken protocol invariant, naming the cycle and
+// line so the message alone locates the failure.
+func (d *Directory) fail(what string, line mem.Addr) {
+	panic(fmt.Sprintf("coherence: cycle %d line %v: %s", d.eng.Now(), line.Line(), what))
 }
 
-// TotalStats sums the per-bank stats shards.
-func (d *Directory) TotalStats() Stats {
-	var s Stats
-	for _, b := range d.banks {
-		s.add(&b.stats)
-	}
-	return s
-}
-
-// BankStats returns one bank's stats shard.
-func (d *Directory) BankStats(bank int) Stats { return d.banks[bank].stats }
-
-// BankLines returns how many distinct lines bank tracks, a cheap
-// occupancy measure for the per-bank load reports.
-func (d *Directory) BankLines(bank int) int { return len(d.banks[bank].lines) }
-
-func (b *dirBank) line(a mem.Addr) *dirLine {
+func (d *Directory) line(a mem.Addr) *dirLine {
 	a = a.Line()
-	l, ok := b.lines[a]
+	l, ok := d.lines[a]
 	if !ok {
 		l = &dirLine{state: dirI, owner: -1}
-		b.lines[a] = l
+		d.lines[a] = l
 	}
 	return l
 }
 
 // accessLatency charges LLC latency plus a DRAM fill on first touch.
-func (b *dirBank) accessLatency(l *dirLine) uint64 {
-	lat := b.d.cfg.LLCLatency
+func (d *Directory) accessLatency(l *dirLine) uint64 {
+	lat := d.cfg.LLCLatency
 	if !l.inLLC {
 		l.inLLC = true
-		lat += b.d.cfg.DRAMLatency
-		b.stats.DRAMFills++
+		lat += d.cfg.DRAMLatency
+		d.stats.DRAMFills++
 	}
 	return lat
 }
@@ -260,10 +184,9 @@ const (
 
 // dirMsg is the one pooled event payload for directory flows that need
 // no per-flow identity; op selects the behavior, the other fields are a
-// union over the ops. Each message belongs to (and returns to) the pool
-// of the bank that owns its line.
+// union over the ops.
 type dirMsg struct {
-	b    *dirBank
+	d    *Directory
 	op   uint8
 	isX  bool
 	core int
@@ -274,68 +197,68 @@ type dirMsg struct {
 	resp Resp
 }
 
-func (b *dirBank) newMsg() *dirMsg {
-	if n := len(b.freeMsgs); n > 0 {
-		m := b.freeMsgs[n-1]
-		b.freeMsgs[n-1] = nil
-		b.freeMsgs = b.freeMsgs[:n-1]
+func (d *Directory) newMsg() *dirMsg {
+	if n := len(d.freeMsgs); n > 0 {
+		m := d.freeMsgs[n-1]
+		d.freeMsgs[n-1] = nil
+		d.freeMsgs = d.freeMsgs[:n-1]
 		return m
 	}
-	return &dirMsg{b: b}
+	return &dirMsg{d: d}
 }
 
-func (b *dirBank) freeMsg(m *dirMsg) {
+func (d *Directory) freeMsg(m *dirMsg) {
 	m.h = nil
 	m.l = nil
 	m.resp = Resp{}
-	b.freeMsgs = append(b.freeMsgs, m)
+	d.freeMsgs = append(d.freeMsgs, m)
 }
 
 // sendResp schedules a response delivery at the requester over the
 // given message class.
-func (b *dirBank) sendResp(data bool, h RespHandler, r Resp) {
-	m := b.newMsg()
+func (d *Directory) sendResp(data bool, h RespHandler, r Resp) {
+	m := d.newMsg()
 	m.op = mResp
 	m.h = h
 	m.resp = r
 	if data {
-		b.d.net.SendDataMsg(m)
+		d.net.SendDataMsg(m)
 	} else {
-		b.d.net.SendControlMsg(m)
+		d.net.SendControlMsg(m)
 	}
 }
 
 func (m *dirMsg) Run() {
-	b := m.b
+	d := m.d
 	switch m.op {
 	case mResp:
 		h, r := m.h, m.resp
-		b.freeMsg(m)
+		d.freeMsg(m)
 		h.HandleResp(r)
 	case mStart:
 		isX, line, req, h := m.isX, m.line, m.req, m.h
-		b.freeMsg(m)
+		d.freeMsg(m)
 		if isX {
-			b.getX(line, req, h)
+			d.GetX(line, req, h)
 		} else {
-			b.getS(line, req, h)
+			d.GetS(line, req, h)
 		}
 	case mGrantExcl:
 		line, l, req, h := m.line, m.l, m.req, m.h
-		b.freeMsg(m)
-		data := b.d.memory.ReadLine(line)
+		d.freeMsg(m)
+		data := d.memory.ReadLine(line)
 		l.state = dirE
 		l.owner = req.ID
 		l.sharers = sharerSet{}
-		b.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: true})
+		d.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: true})
 	case mGrantShared:
 		line, l, req, h := m.line, m.l, m.req, m.h
-		b.freeMsg(m)
-		data := b.d.memory.ReadLine(line)
+		d.freeMsg(m)
+		data := d.memory.ReadLine(line)
 		l.sharers.set(req.ID)
-		b.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: false})
+		d.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: false})
 	case mFwd:
-		f := b.newFwd()
+		f := d.newFwd()
 		f.line = m.line
 		f.l = m.l
 		f.req = m.req
@@ -343,18 +266,18 @@ func (m *dirMsg) Run() {
 		f.owner = m.core
 		f.isX = m.isX
 		f.phase = fwdDeliver
-		b.freeMsg(m)
-		b.d.net.SendControlMsg(f)
+		d.freeMsg(m)
+		d.net.SendControlMsg(f)
 	case mCollect:
 		line, l, req, h := m.line, m.l, m.req, m.h
-		b.freeMsg(m)
-		b.collectInvs(line, l, req, h)
+		d.freeMsg(m)
+		d.collectInvs(line, l, req, h)
 	case mUnblockLine:
 		line := m.line
-		b.freeMsg(m)
-		b.unblock(b.line(line))
+		d.freeMsg(m)
+		d.unblock(line, d.line(line))
 	default:
-		panic("coherence: unknown dirMsg op")
+		d.fail(fmt.Sprintf("unknown dirMsg op %d", m.op), m.line)
 	}
 }
 
@@ -362,10 +285,10 @@ func (m *dirMsg) Run() {
 // owner: it is the probe's own delivery payload (fwdDeliver phase
 // invokes HandleProbe at the owner), the probe's replier, and the
 // payload of every second directory-side hop. The spec-cancel and nack
-// replies ship the flow itself back to the bank and do their
+// replies ship the flow itself back to the directory and do their
 // bookkeeping on arrival, one control hop later.
 type fwdFlow struct {
-	b     *dirBank
+	d     *Directory
 	line  mem.Addr
 	l     *dirLine
 	req   ReqInfo
@@ -381,112 +304,114 @@ const (
 	fwdMemX                    // GetX data reply: refresh memory, move ownership
 	fwdNoData                  // owner dropped the line: serve memory, grant E
 	fwdDeliver                 // deliver the probe at the exclusive owner
-	fwdCancelSpec              // bank side of a spec-forwarded cancel: count, unblock
-	fwdCancelNack              // bank side of a nack: count, unblock
+	fwdCancelSpec              // directory side of a spec-forwarded cancel: count, unblock
+	fwdCancelNack              // directory side of a nack: count, unblock
 )
 
-func (b *dirBank) newFwd() *fwdFlow {
-	if n := len(b.freeFwds); n > 0 {
-		f := b.freeFwds[n-1]
-		b.freeFwds[n-1] = nil
-		b.freeFwds = b.freeFwds[:n-1]
+func (d *Directory) newFwd() *fwdFlow {
+	if n := len(d.freeFwds); n > 0 {
+		f := d.freeFwds[n-1]
+		d.freeFwds[n-1] = nil
+		d.freeFwds = d.freeFwds[:n-1]
 		return f
 	}
-	return &fwdFlow{b: b}
+	return &fwdFlow{d: d}
 }
 
-func (b *dirBank) freeFwd(f *fwdFlow) {
+func (d *Directory) freeFwd(f *fwdFlow) {
 	f.h = nil
 	f.l = nil
-	b.freeFwds = append(b.freeFwds, f)
+	d.freeFwds = append(d.freeFwds, f)
 }
 
 func (f *fwdFlow) ReplyData(data mem.Line) {
-	b := f.b
+	d := f.d
 	if f.isX {
 		// Ownership moves; memory refreshed so the (possibly
 		// transactional) new owner can be silently invalidated.
-		b.sendResp(true, f.h, Resp{Kind: RespData, Data: data, Excl: true})
+		d.sendResp(true, f.h, Resp{Kind: RespData, Data: data, Excl: true})
 		f.phase = fwdMemX
 	} else {
 		// Owner keeps a Shared copy; data to requester and to memory.
-		b.sendResp(true, f.h, Resp{Kind: RespData, Data: data, Excl: false})
+		d.sendResp(true, f.h, Resp{Kind: RespData, Data: data, Excl: false})
 		f.phase = fwdMemS
 	}
 	f.data = data
-	b.d.net.SendDataMsg(f)
+	d.net.SendDataMsg(f)
 }
 
 func (f *fwdFlow) ReplyNoData() {
 	f.phase = fwdNoData
-	f.b.d.net.SendControlMsg(f)
+	f.d.net.SendControlMsg(f)
 }
 
 func (f *fwdFlow) ReplySpec(data mem.Line, pic PiC) {
-	b := f.b
-	b.sendResp(true, f.h, Resp{Kind: RespSpec, Data: data, PiC: pic})
+	d := f.d
+	d.sendResp(true, f.h, Resp{Kind: RespSpec, Data: data, PiC: pic})
 	f.phase = fwdCancelSpec // cancel at directory
-	b.d.net.SendControlMsg(f)
+	d.net.SendControlMsg(f)
 }
 
 func (f *fwdFlow) ReplyNack() {
-	b := f.b
-	b.sendResp(false, f.h, Resp{Kind: RespNack})
+	d := f.d
+	d.sendResp(false, f.h, Resp{Kind: RespNack})
 	f.phase = fwdCancelNack
-	b.d.net.SendControlMsg(f)
+	d.net.SendControlMsg(f)
 }
 
 func (f *fwdFlow) Run() {
-	b := f.b
+	d := f.d
 	switch f.phase {
 	case fwdMemS:
-		b.d.memory.WriteLine(f.line, f.data)
+		d.memory.WriteLine(f.line, f.data)
 		f.l.state = dirS
 		f.l.sharers = sharerSet{}
 		f.l.sharers.set(f.owner)
 		f.l.sharers.set(f.req.ID)
 		f.l.owner = -1
 		// requester's Unblock releases the line
-		b.freeFwd(f)
+		d.freeFwd(f)
 	case fwdMemX:
-		b.d.memory.WriteLine(f.line, f.data)
+		d.memory.WriteLine(f.line, f.data)
 		f.l.state = dirE
 		f.l.owner = f.req.ID
 		f.l.sharers = sharerSet{}
-		b.freeFwd(f)
+		d.freeFwd(f)
 	case fwdNoData:
-		data := b.d.memory.ReadLine(f.line)
+		data := d.memory.ReadLine(f.line)
 		f.l.state = dirE
 		f.l.owner = f.req.ID
 		f.l.sharers = sharerSet{}
 		h := f.h
-		b.freeFwd(f)
-		b.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: true})
+		d.freeFwd(f)
+		d.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: true})
 	case fwdDeliver:
 		kind := FwdGetS
 		if f.isX {
 			kind = FwdGetX
 		}
-		b.d.cores[f.owner].HandleProbe(Probe{Line: f.line, Kind: kind, Req: f.req, Reply: f})
+		d.cores[f.owner].HandleProbe(Probe{Line: f.line, Kind: kind, Req: f.req, Reply: f})
 	case fwdCancelSpec:
-		b.stats.SpecCancels++
+		d.stats.SpecCancels++
 		l := f.l
-		b.freeFwd(f)
-		b.unblock(l)
+		line := f.line
+		d.freeFwd(f)
+		d.unblock(line, l)
 	case fwdCancelNack:
-		b.stats.Nacks++
+		d.stats.Nacks++
 		l := f.l
-		b.freeFwd(f)
-		b.unblock(l)
+		line := f.line
+		d.freeFwd(f)
+		d.unblock(line, l)
 	default:
-		panic("coherence: bad fwdFlow phase")
+		d.fail(fmt.Sprintf("bad fwdFlow phase %d", f.phase), f.line)
 	}
 }
 
 // invCollect aggregates the outcome of the invalidation probes sent on a
 // GetX against a Shared line.
 type invCollect struct {
-	b       *dirBank
+	d       *Directory
 	line    mem.Addr
 	l       *dirLine
 	req     ReqInfo
@@ -497,20 +422,20 @@ type invCollect struct {
 	minPiC  PiC
 }
 
-func (b *dirBank) newInvC() *invCollect {
-	if n := len(b.freeInvC); n > 0 {
-		c := b.freeInvC[n-1]
-		b.freeInvC[n-1] = nil
-		b.freeInvC = b.freeInvC[:n-1]
+func (d *Directory) newInvC() *invCollect {
+	if n := len(d.freeInvC); n > 0 {
+		c := d.freeInvC[n-1]
+		d.freeInvC[n-1] = nil
+		d.freeInvC = d.freeInvC[:n-1]
 		return c
 	}
-	return &invCollect{b: b}
+	return &invCollect{d: d}
 }
 
-func (b *dirBank) freeInvCollect(c *invCollect) {
+func (d *Directory) freeInvCollect(c *invCollect) {
 	c.h = nil
 	c.l = nil
-	b.freeInvC = append(b.freeInvC, c)
+	d.freeInvC = append(d.freeInvC, c)
 }
 
 func (c *invCollect) done() {
@@ -518,33 +443,33 @@ func (c *invCollect) done() {
 	if c.pending > 0 {
 		return
 	}
-	b := c.b
+	d := c.d
 	switch {
 	case c.nacked:
-		b.stats.Nacks++
-		b.sendResp(false, c.h, Resp{Kind: RespNack})
-		b.unblock(c.l)
+		d.stats.Nacks++
+		d.sendResp(false, c.h, Resp{Kind: RespNack})
+		d.unblock(c.line, c.l)
 	case c.refused:
-		b.stats.SpecCancels++
-		data := b.d.memory.ReadLine(c.line)
-		b.sendResp(true, c.h, Resp{Kind: RespSpec, Data: data, PiC: c.minPiC})
-		b.unblock(c.l)
+		d.stats.SpecCancels++
+		data := d.memory.ReadLine(c.line)
+		d.sendResp(true, c.h, Resp{Kind: RespSpec, Data: data, PiC: c.minPiC})
+		d.unblock(c.line, c.l)
 	default:
-		data := b.d.memory.ReadLine(c.line)
+		data := d.memory.ReadLine(c.line)
 		c.l.state = dirE
 		c.l.owner = c.req.ID
 		c.l.sharers = sharerSet{}
-		b.sendResp(true, c.h, Resp{Kind: RespData, Data: data, Excl: true})
+		d.sendResp(true, c.h, Resp{Kind: RespData, Data: data, Excl: true})
 		// requester's Unblock releases the line
 	}
-	b.freeInvCollect(c)
+	d.freeInvCollect(c)
 }
 
 // invTarget is one sharer's probe delivery payload (invDeliver phase
 // invokes HandleProbe at the sharer), its probe replier, and the
-// payload of its ack hop back to the directory bank. The reply methods
-// only route the ack; all bookkeeping (and the object's recycling)
-// happens bank-side in Run.
+// payload of its ack hop back to the directory. The reply methods only
+// route the ack; all bookkeeping (and the object's recycling) happens
+// directory-side in Run.
 type invTarget struct {
 	c      *invCollect
 	target int
@@ -555,7 +480,7 @@ type invTarget struct {
 
 const (
 	invDeliver uint8 = iota // deliver the invalidation probe at the sharer
-	invAck                  // ack arrived back at the bank
+	invAck                  // ack arrived back at the directory
 )
 
 const (
@@ -564,11 +489,11 @@ const (
 	ackNack
 )
 
-func (b *dirBank) newInvT(c *invCollect, target int) *invTarget {
-	if n := len(b.freeInvT); n > 0 {
-		t := b.freeInvT[n-1]
-		b.freeInvT[n-1] = nil
-		b.freeInvT = b.freeInvT[:n-1]
+func (d *Directory) newInvT(c *invCollect, target int) *invTarget {
+	if n := len(d.freeInvT); n > 0 {
+		t := d.freeInvT[n-1]
+		d.freeInvT[n-1] = nil
+		d.freeInvT = d.freeInvT[:n-1]
 		t.c = c
 		t.target = target
 		t.phase = invDeliver
@@ -577,10 +502,10 @@ func (b *dirBank) newInvT(c *invCollect, target int) *invTarget {
 	return &invTarget{c: c, target: target, phase: invDeliver}
 }
 
-// ack routes the reply back to the owning bank.
+// ack routes the reply back to the directory.
 func (t *invTarget) ack() {
 	t.phase = invAck
-	t.c.b.d.net.SendControlMsg(t)
+	t.c.d.net.SendControlMsg(t)
 }
 
 func (t *invTarget) ReplyData(mem.Line) { // invalidated (clean sharer)
@@ -605,12 +530,12 @@ func (t *invTarget) ReplyNack() {
 func (t *invTarget) Run() {
 	if t.phase == invDeliver {
 		c := t.c
-		c.b.d.cores[t.target].HandleProbe(Probe{Line: c.line, Kind: InvProbe, Req: c.req, Reply: t})
+		c.d.cores[t.target].HandleProbe(Probe{Line: c.line, Kind: InvProbe, Req: c.req, Reply: t})
 		return
 	}
 	c, target, act, pic := t.c, t.target, t.act, t.pic
 	t.c = nil
-	c.b.freeInvT = append(c.b.freeInvT, t)
+	c.d.freeInvT = append(c.d.freeInvT, t)
 	switch act {
 	case ackInv:
 		c.l.sharers.clear(target)
@@ -627,30 +552,30 @@ func (t *invTarget) Run() {
 
 // ---------- request handling ----------
 
-func (b *dirBank) unblock(l *dirLine) {
+func (d *Directory) unblock(line mem.Addr, l *dirLine) {
 	if !l.busy {
-		panic("coherence: unblock on non-busy line")
+		d.fail("unblock on non-busy line", line)
 	}
 	l.busy = false
-	b.startNext(l)
+	d.startNext(l)
 }
 
 // startNext pops the next queued request if the line is free. Called
 // from unblock and from the force-nack path: a dequeued request that is
 // bounced by ForceNack never reaches unblock, and without this the rest
 // of the queue would strand until a new request happened to complete.
-func (b *dirBank) startNext(l *dirLine) {
+func (d *Directory) startNext(l *dirLine) {
 	if !l.busy && len(l.queue) > 0 {
 		next := l.queue[0]
 		l.queue[0] = queuedReq{}
 		l.queue = l.queue[1:]
-		m := b.newMsg()
+		m := d.newMsg()
 		m.op = mStart
 		m.isX = next.isX
 		m.line = next.line
 		m.req = next.req
 		m.h = next.resp
-		b.d.eng.ScheduleRunner(0, m)
+		d.eng.ScheduleRunner(0, m)
 	}
 }
 
@@ -658,19 +583,21 @@ func (b *dirBank) startNext(l *dirLine) {
 // it lets the directory start the next queued request for the line.
 // (The call is already network-delayed by the requester.)
 func (d *Directory) Unblock(line mem.Addr) {
-	b := d.bankFor(line)
-	b.unblock(b.line(line))
+	d.unblock(line, d.line(line))
 }
 
 // SendUnblock sends the requester's Unblock message for line over the
-// interconnect (control class); the line is released on delivery at its
-// bank.
+// interconnect (control class); the line is released on delivery.
 func (d *Directory) SendUnblock(line mem.Addr) {
-	b := d.bankFor(line)
-	m := b.newMsg()
+	m := d.newMsg()
 	m.op = mUnblockLine
 	m.line = line
 	d.net.SendControlMsg(m)
+}
+
+// shouldForceNack consults the fault seam.
+func (d *Directory) shouldForceNack(req ReqInfo) bool {
+	return req.IsTx && d.ForceNack != nil && d.ForceNack(req)
 }
 
 // GetS handles a read request from core req.ID. resp is invoked at the
@@ -678,44 +605,23 @@ func (d *Directory) SendUnblock(line mem.Addr) {
 // must send Unblock after installing the line; RespSpec and RespNack need
 // no unblock.
 func (d *Directory) GetS(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
-	d.bankFor(lineAddr).getS(lineAddr, req, resp)
-}
-
-// GetX handles a write (or upgrade) request from core req.ID.
-func (d *Directory) GetX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
-	d.bankFor(lineAddr).getX(lineAddr, req, resp)
-}
-
-// shouldForceNack consults the bank's fault seam (per-bank override
-// first, then the directory-wide hook).
-func (b *dirBank) shouldForceNack(req ReqInfo) bool {
-	if !req.IsTx {
-		return false
-	}
-	if b.forceNack != nil {
-		return b.forceNack(req)
-	}
-	return b.d.ForceNack != nil && b.d.ForceNack(req)
-}
-
-func (b *dirBank) getS(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	lineAddr = lineAddr.Line()
-	l := b.line(lineAddr)
+	l := d.line(lineAddr)
 	if l.busy {
 		l.queue = append(l.queue, queuedReq{isX: false, line: lineAddr, req: req, resp: resp})
 		return
 	}
-	if b.shouldForceNack(req) {
-		b.stats.Nacks++
-		b.sendResp(false, resp, Resp{Kind: RespNack})
-		b.startNext(l)
+	if d.shouldForceNack(req) {
+		d.stats.Nacks++
+		d.sendResp(false, resp, Resp{Kind: RespNack})
+		d.startNext(l)
 		return
 	}
-	b.stats.GetS++
+	d.stats.GetS++
 	l.busy = true
-	lat := b.accessLatency(l)
+	lat := d.accessLatency(l)
 
-	m := b.newMsg()
+	m := d.newMsg()
 	m.line = lineAddr
 	m.l = l
 	m.req = req
@@ -728,32 +634,33 @@ func (b *dirBank) getS(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	case l.state == dirS:
 		m.op = mGrantShared
 	case l.state == dirE:
-		b.stats.Forwards++
+		d.stats.Forwards++
 		m.op = mFwd
 		m.isX = false
 		m.core = l.owner
 	}
-	b.d.eng.ScheduleRunner(lat, m)
+	d.eng.ScheduleRunner(lat, m)
 }
 
-func (b *dirBank) getX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
+// GetX handles a write (or upgrade) request from core req.ID.
+func (d *Directory) GetX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	lineAddr = lineAddr.Line()
-	l := b.line(lineAddr)
+	l := d.line(lineAddr)
 	if l.busy {
 		l.queue = append(l.queue, queuedReq{isX: true, line: lineAddr, req: req, resp: resp})
 		return
 	}
-	if b.shouldForceNack(req) {
-		b.stats.Nacks++
-		b.sendResp(false, resp, Resp{Kind: RespNack})
-		b.startNext(l)
+	if d.shouldForceNack(req) {
+		d.stats.Nacks++
+		d.sendResp(false, resp, Resp{Kind: RespNack})
+		d.startNext(l)
 		return
 	}
-	b.stats.GetX++
+	d.stats.GetX++
 	l.busy = true
-	lat := b.accessLatency(l)
+	lat := d.accessLatency(l)
 
-	m := b.newMsg()
+	m := d.newMsg()
 	m.line = lineAddr
 	m.l = l
 	m.req = req
@@ -765,31 +672,31 @@ func (b *dirBank) getX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 		// sharer: grant from memory.
 		m.op = mGrantExcl
 	case l.state == dirE:
-		b.stats.Forwards++
+		d.stats.Forwards++
 		m.op = mFwd
 		m.isX = true
 		m.core = l.owner
 	case l.state == dirS:
 		m.op = mCollect
 	}
-	b.d.eng.ScheduleRunner(lat, m)
+	d.eng.ScheduleRunner(lat, m)
 }
 
 // collectInvs sends invalidation probes to every sharer except the
 // requester and aggregates the outcome: all invalidated → exclusive
 // grant; any refusal (speculative forwarding by a reader) → SpecResp with
 // the committed data and the minimum producer PiC; any nack → RespNack.
-func (b *dirBank) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp RespHandler) {
+func (d *Directory) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp RespHandler) {
 	count := 0
-	for i := range b.d.cores {
+	for i := range d.cores {
 		if l.sharers.has(i) && i != req.ID {
 			count++
 		}
 	}
 	if count == 0 {
-		panic("coherence: collectInvs with no targets")
+		d.fail("collectInvs with no targets", lineAddr)
 	}
-	c := b.newInvC()
+	c := d.newInvC()
 	c.line = lineAddr
 	c.l = l
 	c.req = req
@@ -798,12 +705,12 @@ func (b *dirBank) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp R
 	c.refused = false
 	c.nacked = false
 	c.minPiC = PiC(127)
-	for i := range b.d.cores {
+	for i := range d.cores {
 		if !l.sharers.has(i) || i == req.ID {
 			continue
 		}
-		b.stats.Invs++
-		b.d.net.SendControlMsg(b.newInvT(c, i))
+		d.stats.Invs++
+		d.net.SendControlMsg(d.newInvT(c, i))
 	}
 }
 
@@ -815,9 +722,8 @@ func (d *Directory) WriteBack(lineAddr mem.Addr, data mem.Line, sender int, canc
 	if cancelled != nil && *cancelled {
 		return
 	}
-	b := d.bankFor(lineAddr)
-	l := b.line(lineAddr)
-	b.stats.Writebacks++
+	l := d.line(lineAddr)
+	d.stats.Writebacks++
 	d.memory.WriteLine(lineAddr, data)
 	if !l.busy && l.state == dirE && l.owner == sender {
 		l.state = dirI
@@ -832,7 +738,7 @@ func (d *Directory) WriteBack(lineAddr mem.Addr, data mem.Line, sender int, canc
 // are written back to L2 before a block in L1 is speculatively
 // modified"). Coherence state is untouched.
 func (d *Directory) WriteBackData(lineAddr mem.Addr, data mem.Line) {
-	d.bankFor(lineAddr).stats.Writebacks++
+	d.stats.Writebacks++
 	d.memory.WriteLine(lineAddr, data)
 }
 
@@ -840,7 +746,7 @@ func (d *Directory) WriteBackData(lineAddr mem.Addr, data mem.Line) {
 // baseline protocol does not require this message (sharer lists may be
 // stale); it exists for tests that want exact sharer tracking.
 func (d *Directory) DropSharer(lineAddr mem.Addr, id int) {
-	l := d.bankFor(lineAddr).line(lineAddr)
+	l := d.line(lineAddr)
 	if l.state == dirS {
 		l.sharers.clear(id)
 	}
@@ -851,7 +757,7 @@ func (d *Directory) DropSharer(lineAddr mem.Addr, id int) {
 // StateOf reports the directory state of a line as a string, the owner,
 // and the low 64 bits of the sharer bitset (tests address cores 0..63).
 func (d *Directory) StateOf(lineAddr mem.Addr) (string, int, uint64) {
-	l := d.bankFor(lineAddr).line(lineAddr)
+	l := d.line(lineAddr)
 	switch l.state {
 	case dirI:
 		return "I", -1, 0
@@ -860,15 +766,16 @@ func (d *Directory) StateOf(lineAddr mem.Addr) (string, int, uint64) {
 	case dirE:
 		return "E", l.owner, 0
 	}
-	panic(fmt.Sprintf("bad dir state %d", l.state))
+	d.fail(fmt.Sprintf("bad dir state %d", l.state), lineAddr)
+	return "", 0, 0
 }
 
 // Busy reports whether the line has a request in flight.
 func (d *Directory) Busy(lineAddr mem.Addr) bool {
-	return d.bankFor(lineAddr).line(lineAddr).busy
+	return d.line(lineAddr).busy
 }
 
 // QueuedLen reports how many requests wait in the line's blocking queue.
 func (d *Directory) QueuedLen(lineAddr mem.Addr) int {
-	return len(d.bankFor(lineAddr).line(lineAddr).queue)
+	return len(d.line(lineAddr).queue)
 }

@@ -170,7 +170,6 @@ func CheckSystem(p *randprog.Program, kind core.Kind, opts Options) error {
 	if opts.Record != nil && err == nil {
 		r := runstore.FromStats(st, string(kind), cfg.Seed, cfg.KnobsKey(), "fuzz",
 			time.Since(start).Nanoseconds(), 0)
-		r.StampDirBanks(m.DirBanks())
 		r.StampWaves(m.WaveStats())
 		opts.Record(r)
 	}

@@ -103,10 +103,7 @@ var scaleBenches = []string{"kmeans-l", "kmeans-h", "cadd"}
 
 // RunScaleBench executes the directory-scaling bench grid: CHATS on
 // every scale bench at each ScaleBenchCores width, cells labeled
-// <system>/<bench>/c<cores>. The bank count under test comes from
-// p.Machine.DirBanks — run once per bank count into separate files and
-// diff them with benchdiff: common cells must be cycle-identical at any
-// bank count.
+// <system>/<bench>/c<cores>.
 func RunScaleBench(p Params) ([]CellBench, int, error) {
 	var cells []CellBench
 	runs := 0

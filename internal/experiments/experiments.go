@@ -284,7 +284,6 @@ func (s *Suite) runOnce(kind core.Kind, traits *htm.Traits, bench string, seed u
 	if s.p.Recorder != nil {
 		r := runstore.FromStats(st, string(kind), seed, ConfigKey(traits, cfg),
 			s.p.Size.String(), rec.bench.WallclockNS, rec.bench.Allocs)
-		r.StampDirBanks(m.DirBanks())
 		s.p.Recorder(r)
 	}
 	s.mu.Lock()

@@ -181,7 +181,6 @@ func FallbackMatrix(p Params, benches []string) *FallbackReport {
 		if p.Recorder != nil {
 			r := runstore.FromStats(st, string(c.System), cfg.Seed, ConfigKey(&traits, cfg),
 				p.Size.String(), rec.bench.WallclockNS, rec.bench.Allocs)
-			r.StampDirBanks(m.DirBanks())
 			p.Recorder(r)
 		}
 		c.Stats = st

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"testing"
 
-	"chats/internal/machine"
 	"chats/internal/workloads"
 )
 
@@ -67,63 +66,6 @@ func withinBand(got, want uint64, frac float64, slack uint64) bool {
 		lo = 0
 	}
 	return got >= lo && got <= hi
-}
-
-// runMatrixStats runs the Tiny-size main matrix with the given
-// directory bank count, returning the full RunStats per cell.
-func runMatrixStats(t *testing.T, banks int) map[string]machine.RunStats {
-	t.Helper()
-	p := Params{Size: workloads.Tiny, Machine: machine.DefaultConfig()}
-	p.Machine.CycleLimit = 200_000_000
-	p.Machine.DirBanks = banks
-	s := NewSuite(p)
-	out := make(map[string]machine.RunStats)
-	for _, kind := range mainSystems() {
-		for _, bench := range workloads.AllNames() {
-			st, err := s.Run(kind, nil, bench)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, bench, err)
-			}
-			out[goldenKey(string(kind), bench)] = st
-		}
-	}
-	return out
-}
-
-// TestGoldenStatsBanked re-runs the main matrix with the directory
-// sharded into four banks and demands bit-exact RunStats agreement
-// with the single-bank matrix, plus exact
-// commits/fallbacks agreement with the committed golden file. Both
-// references are computed or pinned independently of the banked run, so
-// -update-golden cannot silence a banking divergence.
-func TestGoldenStatsBanked(t *testing.T) {
-	serial := runMatrixStats(t, 1)
-	banked := runMatrixStats(t, 4)
-	for key, ref := range serial {
-		if got := banked[key]; got != ref {
-			t.Errorf("%s: DirBanks=4 diverged from single-bank serial:\nserial: %+v\nbanked: %+v",
-				key, ref, got)
-		}
-	}
-
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("read golden file: %v", err)
-	}
-	var want map[string]goldenCell
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("parse %s: %v", goldenPath, err)
-	}
-	for key, w := range want {
-		g, ok := banked[key]
-		if !ok {
-			continue // golden covers exactly the main matrix; guarded by TestGoldenStats
-		}
-		if g.Commits != w.Commits || g.Fallbacks != w.Fallbacks {
-			t.Errorf("%s: banked commits/fallbacks %d/%d, golden %d/%d",
-				key, g.Commits, g.Fallbacks, w.Commits, w.Fallbacks)
-		}
-	}
 }
 
 // TestGoldenStats is the statistics regression gate: the Tiny-size

@@ -121,7 +121,6 @@ func FaultSoak(p Params, benches []string) *SoakReport {
 		if p.Recorder != nil {
 			r := runstore.FromStats(st, string(c.System), cfg.Seed, ConfigKey(nil, cfg),
 				p.Size.String(), rec.bench.WallclockNS, rec.bench.Allocs)
-			r.StampDirBanks(m.DirBanks())
 			p.Recorder(r)
 		}
 		c.Stats = st

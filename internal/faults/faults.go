@@ -35,22 +35,12 @@ type Plan struct {
 	JitterMax uint64  // maximum extra cycles per jittered message (default 8)
 
 	Nack float64 // bounce a transactional request at the directory
-	// NackBank selects which directory bank force-nacks: -1 (the
-	// default, rendered as no bank= option) targets every bank, >= 0
-	// arms only that bank's seam. Plans built literally (not via Parse)
-	// may leave it 0 only if they also leave Nack 0.
-	NackBank int
 
 	PowerDeny float64 // deny a power-token acquisition
 	LockBurst float64 // hold the fallback lock for extra cycles on entry
 	// LockBurstCycles is the length of an injected lock-contention burst
 	// (default 500).
 	LockBurstCycles uint64
-	// LockBurstBank, when >= 0, restricts bursts to machines whose
-	// fallback-lock line is owned by that directory bank (-1 = any, the
-	// default). Pinning the burst to the lock's bank exercises the
-	// interaction between a saturated bank and the fallback path.
-	LockBurstBank int
 }
 
 // faultNames lists the spec grammar's fault names in canonical order.
@@ -82,11 +72,10 @@ const (
 //
 // e.g. "spurious:p=0.01;jitter:p=0.2,max=16;nack:p=0.05". Every fault
 // takes p= (probability in [0,1]); jitter also takes max= (cycles),
-// lockburst takes cycles=, and nack/lockburst take an optional bank=
-// directory-bank selector (default: all banks). Unknown names and keys
-// are errors that list the valid options.
+// and lockburst takes cycles=. Unknown names and keys are errors that
+// list the valid options.
 func Parse(spec string) (Plan, error) {
-	p := Plan{NackBank: -1, LockBurstBank: -1}
+	var p Plan
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
 		return p, nil
@@ -132,18 +121,6 @@ func Parse(spec string) (Plan, error) {
 			}
 			return u, nil
 		}
-		bank := func() (int, error) {
-			s, ok := kv["bank"]
-			if !ok {
-				return -1, nil // all banks
-			}
-			delete(kv, "bank")
-			b, err := strconv.Atoi(s)
-			if err != nil || b < 0 {
-				return 0, fmt.Errorf("faults: %q: bank=%q is not a non-negative bank index", name, s)
-			}
-			return b, nil
-		}
 		var err error
 		switch name {
 		case "spurious":
@@ -157,17 +134,12 @@ func Parse(spec string) (Plan, error) {
 				p.JitterMax, err = cycles("max", defaultJitterMax)
 			}
 		case "nack":
-			if p.Nack, err = prob(); err == nil {
-				p.NackBank, err = bank()
-			}
+			p.Nack, err = prob()
 		case "powerdeny":
 			p.PowerDeny, err = prob()
 		case "lockburst":
 			if p.LockBurst, err = prob(); err == nil {
 				p.LockBurstCycles, err = cycles("cycles", defaultLockBurstCycles)
-			}
-			if err == nil {
-				p.LockBurstBank, err = bank()
 			}
 		default:
 			return Plan{}, fmt.Errorf("faults: unknown fault %q (valid: %s)", name, strings.Join(faultNames, ", "))
@@ -189,11 +161,8 @@ func Parse(spec string) (Plan, error) {
 	if p.Jitter == 0 {
 		p.JitterMax = 0
 	}
-	if p.Nack == 0 {
-		p.NackBank = -1
-	}
 	if p.LockBurst == 0 {
-		p.LockBurstCycles, p.LockBurstBank = 0, -1
+		p.LockBurstCycles = 0
 	}
 	return p, p.Validate()
 }
@@ -243,21 +212,13 @@ func (p Plan) String() string {
 		jmax = defaultJitterMax
 	}
 	add("jitter", p.Jitter, "max="+strconv.FormatUint(jmax, 10))
-	nackOpts := ""
-	if p.NackBank >= 0 {
-		nackOpts = "bank=" + strconv.Itoa(p.NackBank)
-	}
-	add("nack", p.Nack, nackOpts)
+	add("nack", p.Nack, "")
 	add("powerdeny", p.PowerDeny, "")
 	lcyc := p.LockBurstCycles
 	if lcyc == 0 {
 		lcyc = defaultLockBurstCycles
 	}
-	lbOpts := "cycles=" + strconv.FormatUint(lcyc, 10)
-	if p.LockBurstBank >= 0 {
-		lbOpts += ",bank=" + strconv.Itoa(p.LockBurstBank)
-	}
-	add("lockburst", p.LockBurst, lbOpts)
+	add("lockburst", p.LockBurst, "cycles="+strconv.FormatUint(lcyc, 10))
 	return strings.Join(parts, ";")
 }
 

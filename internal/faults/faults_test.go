@@ -31,42 +31,6 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestParseBankSelectorRoundTrip(t *testing.T) {
-	// Without bank=, both selectors default to -1 (all banks) and the
-	// canonical rendering omits them.
-	p, err := Parse("nack:p=0.05;lockburst:p=0.1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NackBank != -1 || p.LockBurstBank != -1 {
-		t.Fatalf("default bank selectors should be -1: %+v", p)
-	}
-	if s := p.String(); strings.Contains(s, "bank=") {
-		t.Fatalf("default rendering should omit bank=: %q", s)
-	}
-
-	p, err = Parse("nack:p=0.05,bank=3;lockburst:p=0.1,cycles=200,bank=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NackBank != 3 || p.LockBurstBank != 0 {
-		t.Fatalf("bank selectors not parsed: %+v", p)
-	}
-	p2, err := Parse(p.String())
-	if err != nil {
-		t.Fatalf("reparse %q: %v", p.String(), err)
-	}
-	if p2 != p {
-		t.Fatalf("round trip: %+v != %+v", p2, p)
-	}
-
-	for _, bad := range []string{"nack:p=0.1,bank=-1", "nack:p=0.1,bank=x", "lockburst:p=0.1,bank=1.5", "spurious:p=0.1,bank=2"} {
-		if _, err := Parse(bad); err == nil {
-			t.Errorf("Parse(%q) should fail", bad)
-		}
-	}
-}
-
 func TestParseEmptyAndDefaults(t *testing.T) {
 	p, err := Parse("  ")
 	if err != nil {
@@ -95,6 +59,8 @@ func TestParseErrors(t *testing.T) {
 		{"jitter:p=0.1,max=0", "positive cycle count"},
 		{"spurious:p=0.1,zap=2", "unknown option"},
 		{"spurious:p", "key=value"},
+		{"nack:p=0.1,bank=3", "unknown option(s) bank"},
+		{"lockburst:p=0.1,cycles=9,bank=0", "unknown option(s) bank"},
 	}
 	for _, c := range cases {
 		if _, err := Parse(c.spec); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -423,21 +423,3 @@ func (cm *AdaptiveCM) HotLines() []mem.Addr {
 	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
 	return lines
 }
-
-// BankHeat folds the per-line abort heat onto an address-interleaved
-// directory of the given bank count (the same line-granular hash the
-// sharded directory uses): heat[b] sums the recent abort heat of bank
-// b's lines, hot[b] counts its currently-hot lines. A skewed profile
-// means the contention storm sits on few banks.
-func (cm *AdaptiveCM) BankHeat(banks int) (heat []int, hot []int) {
-	heat = make([]int, banks)
-	hot = make([]int, banks)
-	for line, h := range cm.heat {
-		b := mem.LineShard(line, banks)
-		heat[b] += h
-		if h >= cm.cfg.HotLine {
-			hot[b]++
-		}
-	}
-	return heat, hot
-}

@@ -178,28 +178,3 @@ func TestParseCMEdges(t *testing.T) {
 		t.Fatalf("canonical adaptive = %q", s)
 	}
 }
-
-func TestCMBankHeat(t *testing.T) {
-	cfg := CMConfig{Kind: CMAdaptive, HotLine: 2}
-	cm := NewAdaptiveCM(cfg, 1, sim.NewRand(1))
-	// Lines 0x40 and 0x140 share bank 1 of 4; 0x80 sits in bank 2.
-	cm.NoteLineAbort(mem.Addr(0x40))
-	cm.NoteLineAbort(mem.Addr(0x40))
-	cm.NoteLineAbort(mem.Addr(0x140))
-	cm.NoteLineAbort(mem.Addr(0x80))
-	heat, hot := cm.BankHeat(4)
-	if len(heat) != 4 || len(hot) != 4 {
-		t.Fatalf("lengths %d/%d", len(heat), len(hot))
-	}
-	if heat[1] != 3 || heat[2] != 1 || heat[0] != 0 || heat[3] != 0 {
-		t.Fatalf("heat = %v", heat)
-	}
-	if hot[1] != 1 || hot[0]+hot[2]+hot[3] != 0 {
-		t.Fatalf("hot = %v", hot)
-	}
-	// A single bank absorbs everything.
-	heat, hot = cm.BankHeat(1)
-	if heat[0] != 4 || hot[0] != 1 {
-		t.Fatalf("1-bank fold: heat %v hot %v", heat, hot)
-	}
-}

@@ -255,9 +255,6 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.Cores = 0 },
 		func(c *Config) { c.Cores = coherence.MaxCores + 1 },
 		func(c *Config) { c.L1Size = 0 },
-		func(c *Config) { c.DirBanks = 3 },
-		func(c *Config) { c.DirBanks = -4 },
-		func(c *Config) { c.DirBanks = 2 * coherence.MaxBanks },
 		func(c *Config) { c.NackRetryLimit = 0 },
 		func(c *Config) { c.VSBRetryLimit = 0 },
 		func(c *Config) { c.PowerAttemptLimit = 0 },

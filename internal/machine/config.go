@@ -103,13 +103,6 @@ type Config struct {
 	// block; a transaction beginning attempt MaxAttempts+1 trips the
 	// watchdog with a starvation diagnostic. Zero means unlimited.
 	MaxAttempts int
-
-	// DirBanks is the number of address-interleaved directory banks
-	// (power of two in 1..coherence.MaxBanks; 0 means 1). Each bank owns
-	// its lines' MESI state, blocking queues, in-flight flows, NACK seam
-	// and stats shard, which the per-bank load reports and bank-selective
-	// fault plans read. Results are bit-identical at any bank count.
-	DirBanks int
 }
 
 // DefaultConfig returns the Table I machine.
@@ -141,9 +134,6 @@ func DefaultConfig() Config {
 func (c Config) Validate() error {
 	if c.Cores <= 0 || c.Cores > coherence.MaxCores {
 		return fmt.Errorf("machine: cores must be in 1..%d, got %d", coherence.MaxCores, c.Cores)
-	}
-	if b := c.DirBanks; b != 0 && (b < 0 || b > coherence.MaxBanks || b&(b-1) != 0) {
-		return fmt.Errorf("machine: DirBanks must be a power of two in 1..%d, got %d", coherence.MaxBanks, b)
 	}
 	if c.L1Size <= 0 || c.L1Ways <= 0 {
 		return fmt.Errorf("machine: bad L1 geometry %d/%d", c.L1Size, c.L1Ways)
@@ -184,9 +174,6 @@ func (c Config) KnobsKey() string {
 	}
 	if c.Backoff != (BackoffConfig{}) {
 		parts = append(parts, "bo="+c.Backoff.String())
-	}
-	if c.DirBanks > 1 {
-		parts = append(parts, fmt.Sprintf("db=%d", c.DirBanks))
 	}
 	if len(parts) == 0 {
 		return ""

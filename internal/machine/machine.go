@@ -86,7 +86,6 @@ func New(cfg Config, policy htm.Policy) (*Machine, error) {
 	m.dir = coherence.NewDirectory(m.eng, m.net, m.memory, coherence.Config{
 		LLCLatency:  cfg.LLCLatency,
 		DRAMLatency: cfg.DRAMLatency,
-		Banks:       cfg.DirBanks,
 	})
 	if cfg.Faults != nil && cfg.Faults.Enabled() {
 		// The injector owns a dedicated PRNG stream: sharing one with the
@@ -102,20 +101,12 @@ func New(cfg Config, policy htm.Policy) (*Machine, error) {
 			}
 		}
 		if cfg.Faults.Nack > 0 {
-			fn := func(req coherence.ReqInfo) bool {
+			m.dir.ForceNack = func(req coherence.ReqInfo) bool {
 				if m.inj.ForceNack() {
 					m.countFault(req.ID, "nack")
 					return true
 				}
 				return false
-			}
-			if b := cfg.Faults.NackBank; b >= 0 && m.dir.NumBanks() > 1 {
-				// The plan names one bank: arm only its seam (modulo the
-				// actual bank count, so a plan written for 16 banks still
-				// targets a bank on a 4-bank machine).
-				m.dir.SetBankForceNack(b%m.dir.NumBanks(), fn)
-			} else {
-				m.dir.ForceNack = fn
 			}
 		}
 	}
@@ -152,19 +143,6 @@ func New(cfg Config, policy htm.Policy) (*Machine, error) {
 
 // World returns the simulated memory handles for setup and checking.
 func (m *Machine) World() *World { return m.world }
-
-// lockBurstArmed reports whether lockburst injection applies to this
-// machine: when the plan names a bank, bursts only fire on machines
-// whose fallback-lock line is owned by that bank (modulo the actual
-// bank count). The PRNG is not consumed on ineligible machines, like
-// any other disabled fault kind.
-func (m *Machine) lockBurstArmed() bool {
-	b := m.cfg.Faults.LockBurstBank
-	if b < 0 || m.dir.NumBanks() <= 1 {
-		return true
-	}
-	return coherence.BankOf(m.lockLine, m.dir.NumBanks()) == b%m.dir.NumBanks()
-}
 
 func (m *Machine) nextTS() uint64 {
 	m.tsCounter++
@@ -321,25 +299,20 @@ func (m *Machine) WaveStats() (events, waves, serial uint64) {
 	return n, n, n
 }
 
-// DirBanks returns the directory bank count of the assembled machine.
-func (m *Machine) DirBanks() int { return m.dir.NumBanks() }
-
-// DirBankLoad reports per-bank directory occupancy after a run: how
-// many distinct lines each bank tracked and each bank's share of
-// directory requests (GetS+GetX). The hot-line and CM reports use it to
-// show whether contention concentrated on one bank.
+// DirBankLoad reports directory occupancy after a run: how many
+// distinct lines the directory tracked and how many requests
+// (GetS+GetX) it served. Bank is always 0.
 type DirBankLoad struct {
 	Bank     int
 	Lines    int
 	Requests uint64
 }
 
-// DirBankLoads returns one DirBankLoad per bank, in bank order.
+// DirBankLoads returns the whole directory as a one-entry report. It
+// remains only because the benchmark harness (cmd/chats-benchmark)
+// sums Requests over it; delete it once that harness reads a directory
+// total instead.
 func (m *Machine) DirBankLoads() []DirBankLoad {
-	loads := make([]DirBankLoad, m.dir.NumBanks())
-	for i := range loads {
-		st := m.dir.BankStats(i)
-		loads[i] = DirBankLoad{Bank: i, Lines: m.dir.BankLines(i), Requests: st.GetS + st.GetX}
-	}
-	return loads
+	st := m.dir.TotalStats()
+	return []DirBankLoad{{Lines: m.dir.Lines(), Requests: st.GetS + st.GetX}}
 }

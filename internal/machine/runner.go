@@ -497,7 +497,7 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 			n.fbStart = m.eng.Now()
 		}
 		delay := uint64(1)
-		if m.inj != nil && m.lockBurstArmed() {
+		if m.inj != nil {
 			if d := m.inj.LockBurstDelay(); d > 0 {
 				// Contention burst: the lock holder stalls inside the
 				// critical section, stressing subscribed transactions.

@@ -52,15 +52,6 @@ type Walker interface {
 // Line is the value of one cache line: eight 64-bit words.
 type Line [WordsPerLine]uint64
 
-// LineShard returns the shard index in [0, shards) of the line
-// containing a. shards must be a power of two. It is the directory's
-// bank selection (coherence.BankOf): consecutive cache lines
-// round-robin across shards, so regular strides spread load over all
-// banks.
-func LineShard(a Addr, shards int) int {
-	return int((uint64(a) >> LineShift) & uint64(shards-1))
-}
-
 const (
 	// pageShift is log2 of the page size: a page is 64 lines, 4 KiB.
 	pageShift = 12

@@ -16,7 +16,7 @@ type arrival struct {
 func (a *arrival) Run() { *a.log = append(*a.log, a.eng.Now()) }
 
 // TestEndpointFlitAccounting pins the per-class cost model on the
-// typed-message path every node and directory bank sends through: a
+// typed-message path every node and the directory send through: a
 // control message is ControlFlits flits delivered after
 // linkLatency+ControlFlits cycles, a data message DataFlits flits after
 // linkLatency+DataFlits, and the network counts every class and flit

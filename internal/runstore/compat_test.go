@@ -7,10 +7,11 @@ import (
 )
 
 // TestOpenSegmentWithEngineFields: a segment line written while the
-// intra-run parallel engine existed carries engine_mode, intra_workers
-// and non-trivial wave counters. Stores holding such lines must still
-// open, query and serve them; the engine fields are simply dropped and
-// the wave counters survive.
+// intra-run parallel engine and the banked directory existed carries
+// engine_mode, intra_workers, dir_banks and non-trivial wave counters.
+// Stores holding such lines must still open, query and serve them; the
+// engine and bank fields are simply dropped and the wave counters
+// survive.
 func TestOpenSegmentWithEngineFields(t *testing.T) {
 	line, err := os.ReadFile(filepath.Join("testdata", "seg-wave-fields.jsonl"))
 	if err != nil {
@@ -33,8 +34,8 @@ func TestOpenSegmentWithEngineFields(t *testing.T) {
 	if !ok {
 		t.Fatal("Get(3) found nothing")
 	}
-	if r.SimCycles != 123456 || r.DirBanks != 4 || r.Counters["commits"] != 640 {
-		t.Errorf("record = %+v, want simcycles 123456, dir_banks 4, 640 commits", r)
+	if r.SimCycles != 123456 || r.Counters["commits"] != 640 {
+		t.Errorf("record = %+v, want simcycles 123456, 640 commits", r)
 	}
 	if r.WaveEvents != 500000 || r.Waves != 210000 || r.SerialEvents != 42000 {
 		t.Errorf("wave counters = (%d, %d, %d), want (500000, 210000, 42000)", r.WaveEvents, r.Waves, r.SerialEvents)
@@ -50,14 +51,14 @@ func TestOpenSegmentWithEngineFields(t *testing.T) {
 }
 
 // TestImportCommittedBenchWithWaveFields imports the committed
-// BENCH_banks1.json, whose cells carry wave counters.
+// BENCH_scale.json, whose cells carry wave counters.
 func TestImportCommittedBenchWithWaveFields(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	n, err := s.ImportBench(filepath.Join("..", "..", "BENCH_banks1.json"))
+	n, err := s.ImportBench(filepath.Join("..", "..", "BENCH_scale.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

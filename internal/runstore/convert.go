@@ -60,16 +60,6 @@ func FromStats(st machine.RunStats, system string, seed uint64, config, size str
 	}
 }
 
-// StampDirBanks records the directory bank count of the producing run;
-// counts <= 1 are normalized to 1 so the monolithic and single-bank
-// directories stamp identically.
-func (r *Record) StampDirBanks(banks int) {
-	if banks <= 1 {
-		banks = 1
-	}
-	r.DirBanks = banks
-}
-
 // StampWaves records the producing run's engine counters
 // (machine.WaveStats): fired events, waves and serial events.
 // Scheduling structure, not simulation results — never compared by the

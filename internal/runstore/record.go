@@ -93,10 +93,6 @@ type Record struct {
 	// "experiments", "serve", or "import:<file>" for bench history.
 	Source string `json:"source,omitempty"`
 
-	// DirBanks is the directory bank count of the producing run; zero
-	// on records from before the sharded directory (equivalent to 1).
-	DirBanks int `json:"dir_banks,omitempty"`
-
 	// WaveEvents/Waves/SerialEvents are the engine counters of
 	// machine.WaveStats. The engine fires one event at a time, so all
 	// three equal the fired-event count; records written while an

@@ -55,33 +55,6 @@ func (c *Collector) HotLines(k int) []HotLine {
 // attributed event.
 func (c *Collector) TrackedLines() int { return len(c.hot) }
 
-// BankOccupancy folds the per-line profile onto an address-interleaved
-// directory of the given bank count (the line-granular hash the sharded
-// directory uses): lines[b] is how many tracked lines bank b owns,
-// events[b] how much contention machinery they engaged. The skew tells
-// whether the workload's storm spreads across banks or pins one bank.
-func (c *Collector) BankOccupancy(banks int) (lines []int, events []uint64) {
-	lines = make([]int, banks)
-	events = make([]uint64, banks)
-	for a, lc := range c.hot {
-		b := mem.LineShard(a, banks)
-		lines[b]++
-		events[b] += lc.total()
-	}
-	return lines, events
-}
-
-// WriteBankOccupancyReport renders the per-bank fold as a short table.
-func (c *Collector) WriteBankOccupancyReport(w io.Writer, banks int) {
-	lines, events := c.BankOccupancy(banks)
-	fmt.Fprintf(w, "== directory bank occupancy (%d banks, %d tracked lines) ==\n", banks, len(c.hot))
-	fmt.Fprintf(w, "%4s %7s %10s\n", "bank", "lines", "events")
-	for b := 0; b < banks; b++ {
-		fmt.Fprintf(w, "%4d %7d %10d\n", b, lines[b], events[b])
-	}
-	fmt.Fprintln(w)
-}
-
 // WriteHotLineReport renders the top-k profile as a fixed-width table.
 func (c *Collector) WriteHotLineReport(w io.Writer, k int) {
 	top := c.HotLines(k)

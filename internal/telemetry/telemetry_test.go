@@ -296,27 +296,3 @@ func TestMultiTracerFansOutToCollector(t *testing.T) {
 		t.Errorf("writer saw: %s", got)
 	}
 }
-
-func TestBankOccupancy(t *testing.T) {
-	c := New(2, Options{})
-	// 0x100 and 0x40/0x1c0: line 4 -> bank 0, lines 1 and 7 -> banks 1, 3.
-	for i := 0; i < 3; i++ {
-		c.Conflict(uint64(i), 0, 1, 0x100, coherence.FwdGetS, htm.DecideAbort)
-	}
-	c.Conflict(10, 0, 1, 0x40, coherence.FwdGetS, htm.DecideNack)
-	c.Conflict(11, 0, 1, 0x1c0, coherence.FwdGetS, htm.DecideNack)
-	lines, events := c.BankOccupancy(4)
-	if lines[0] != 1 || lines[1] != 1 || lines[2] != 0 || lines[3] != 1 {
-		t.Errorf("lines = %v", lines)
-	}
-	// Each conflict counts twice: once as a conflict, once as the
-	// abort/nack it resolved to.
-	if events[0] != 6 || events[1] != 2 || events[3] != 2 {
-		t.Errorf("events = %v", events)
-	}
-	var buf strings.Builder
-	c.WriteBankOccupancyReport(&buf, 4)
-	if !strings.Contains(buf.String(), "4 banks, 3 tracked lines") {
-		t.Errorf("report:\n%s", buf.String())
-	}
-}
