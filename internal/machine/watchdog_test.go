@@ -120,3 +120,28 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 		t.Fatalf("watchdog perturbed the run:\nplain   %+v\nwatched %+v", plain, watched)
 	}
 }
+
+// TestWatchdogDumpKeepsRecentEvents pins the "last N events" block of a
+// starvation dump byte for byte: the ring must keep recording the same
+// events, in the same order and text, whatever else observes the run.
+// Regenerate with go test -run TestWatchdogDumpKeepsRecentEvents -update.
+func TestWatchdogDumpKeepsRecentEvents(t *testing.T) {
+	policy := core.NewBaselineWith(htm.Traits{Retries: 1 << 30})
+	cfg := testCfg()
+	cfg.Cores = 2
+	cfg.MaxAttempts = 15
+	m, err := New(cfg, policy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Run(&starveWL{})
+	var ll *LivelockError
+	if !errors.As(err, &ll) {
+		t.Fatalf("err = %v, want *LivelockError", err)
+	}
+	i := strings.Index(ll.Dump, "  last ")
+	if i < 0 {
+		t.Fatalf("dump has no recent-events block:\n%s", ll.Dump)
+	}
+	checkGolden(t, "starve_watchdog_events.txt", []byte(ll.Dump[i:]+"\n"))
+}
