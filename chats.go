@@ -76,8 +76,6 @@ type (
 	// Tracer observes the transactional event stream of a run (see
 	// machine.Tracer; telemetry.New builds a collecting implementation).
 	Tracer = machine.Tracer
-	// MultiTracer fans events out to several tracers at once.
-	MultiTracer = machine.MultiTracer
 )
 
 // Config selects the machine, the HTM system and optional trait
@@ -120,15 +118,15 @@ func RunTraced(cfg Config, w Workload, out io.Writer) (Stats, error) {
 // w (what chatsim -trace and RunTraced attach).
 func WriterTracer(w io.Writer) Tracer { return machine.WriterTracer{W: w} }
 
-// RunWithTracer is Run with an arbitrary tracer attached — a
-// machine.WriterTracer, a telemetry.Collector, or several at once via a
-// MultiTracer. The tracer observes every transactional event of the run.
-func RunWithTracer(cfg Config, w Workload, t Tracer) (Stats, error) {
+// RunWithTracer is Run with tracers attached — a machine.WriterTracer,
+// a telemetry.Collector, an invariant.Checker, or several at once. Each
+// observes every transactional event of the run, in argument order.
+func RunWithTracer(cfg Config, w Workload, ts ...Tracer) (Stats, error) {
 	m, err := build(cfg)
 	if err != nil {
 		return Stats{}, err
 	}
-	m.SetTracer(t)
+	m.SetTracer(ts...)
 	return m.Run(w)
 }
 

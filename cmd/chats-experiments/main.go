@@ -23,6 +23,7 @@ import (
 	"chats/internal/faults"
 	"chats/internal/htm"
 	"chats/internal/machine"
+	"chats/internal/profiling"
 	"chats/internal/runstore"
 	"chats/internal/stats"
 	"chats/internal/telemetry"
@@ -62,7 +63,7 @@ func main() {
 		cellJobs = runtime.GOMAXPROCS(0)
 	}
 
-	stopProf, err := startProfiles(*cpuProf, *memProf)
+	stopProf, err := profiling.Start(*cpuProf, *memProf)
 	if err != nil {
 		fatal(err)
 	}

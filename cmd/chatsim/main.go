@@ -30,6 +30,7 @@ import (
 	"chats/internal/htm"
 	"chats/internal/invariant"
 	"chats/internal/machine"
+	"chats/internal/profiling"
 	"chats/internal/runstore"
 	"chats/internal/sweep"
 	"chats/internal/telemetry"
@@ -82,7 +83,7 @@ func main() {
 	)
 	flag.Parse()
 
-	stopProf, err := startProfiles(*cpuProfile, *memProfile)
+	stopProf, err := profiling.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fatal(err)
 	}
@@ -208,13 +209,13 @@ func main() {
 		fatal(err)
 	}
 
-	// Assemble the tracer stack: the line tracer and the telemetry
-	// collector can be attached together through a MultiTracer.
+	// Assemble the tracers: the line tracer, the telemetry collector and
+	// the invariant checker observe the same run together.
 	var col *telemetry.Collector
 	if *traceJSON != "" || *traceChrome != "" || *hotLines > 0 || *chainRep || *metrics {
 		col = telemetry.New(cfg.Machine.Cores, telemetry.Options{Window: *window})
 	}
-	var tracers chats.MultiTracer
+	var tracers []chats.Tracer
 	if *trace {
 		tracers = append(tracers, chats.WriterTracer(os.Stderr))
 	}
@@ -229,14 +230,7 @@ func main() {
 
 	var st chats.Stats
 	cost := beginCost()
-	switch len(tracers) {
-	case 0:
-		st, err = chats.Run(cfg, w)
-	case 1:
-		st, err = chats.RunWithTracer(cfg, w, tracers[0])
-	default:
-		st, err = chats.RunWithTracer(cfg, w, tracers)
-	}
+	st, err = chats.RunWithTracer(cfg, w, tracers...)
 	wallNS, allocs := cost.finish()
 	if err != nil {
 		fatal(err)

@@ -41,7 +41,6 @@ import (
 	"chats/internal/htm"
 	"chats/internal/invariant"
 	"chats/internal/machine"
-	"chats/internal/mem"
 	"chats/internal/randprog"
 	"chats/internal/runstore"
 	"chats/internal/sweep"
@@ -114,6 +113,7 @@ func (o *Options) machineConfig(p *randprog.Program) machine.Config {
 // hardware commit or fallback entry. It relies on blocks executing in
 // program order per core (each Atomic call commits exactly once).
 type recorder struct {
+	machine.NopTracer
 	order []randprog.BlockRef
 	next  []int // per-core next block index
 }
@@ -128,13 +128,8 @@ func (r *recorder) note(core int) {
 	r.next[core]++
 }
 
-func (r *recorder) TxBegin(cycle uint64, core, attempt int, power bool)                          {}
-func (r *recorder) TxCommit(cycle uint64, core int, consumed int)                                { r.note(core) }
-func (r *recorder) TxAbort(cycle uint64, core int, cause htm.AbortCause)                         {}
-func (r *recorder) Forward(cycle uint64, producer, requester int, line mem.Addr, pic coherence.PiC) {}
-func (r *recorder) Consume(cycle uint64, core int, line mem.Addr, pic coherence.PiC)             {}
-func (r *recorder) Validate(cycle uint64, core int, line mem.Addr, ok bool)                      {}
-func (r *recorder) Fallback(cycle uint64, core int)                                              { r.note(core) }
+func (r *recorder) TxCommit(cycle uint64, core int, consumed int) { r.note(core) }
+func (r *recorder) Fallback(cycle uint64, core int)               { r.note(core) }
 
 // CheckSystem runs the program on one system and applies the full
 // oracle. The returned error carries the system name and the first
@@ -156,13 +151,13 @@ func CheckSystem(p *randprog.Program, kind core.Kind, opts Options) error {
 		return err
 	}
 	rec := newRecorder(p.Cores)
-	tracers := machine.MultiTracer{rec}
+	tracers := []machine.Tracer{rec}
 	var chk *invariant.Checker
 	if !opts.NoInvariants {
 		chk = invariant.New()
 		tracers = append(tracers, chk)
 	}
-	m.SetTracer(tracers)
+	m.SetTracer(tracers...)
 
 	w := randprog.NewWorkload(p)
 	start := time.Now()

@@ -258,13 +258,7 @@ func (s *Suite) runOnce(kind core.Kind, traits *htm.Traits, bench string, seed u
 		chk = invariant.New()
 		tracers = append(tracers, chk)
 	}
-	switch len(tracers) {
-	case 0:
-	case 1:
-		m.SetTracer(tracers[0])
-	default:
-		m.SetTracer(machine.MultiTracer(tracers))
-	}
+	m.SetTracer(tracers...)
 	rec := beginCellBench(cellName(kind, traits, bench, seed, labelSeed))
 	st, err := m.Run(w)
 	if err == nil && chk != nil {

@@ -65,9 +65,9 @@ type edge struct {
 }
 
 // Checker implements machine.Tracer, machine.OpTracer and
-// machine.RunChecker. Attach with machine.SetTracer (possibly inside a
-// machine.MultiTracer) before Run.
+// machine.RunChecker. Attach with machine.SetTracer before Run.
 type Checker struct {
+	machine.NopTracer
 	m      *machine.Machine
 	shadow map[mem.Addr]mem.Line // line addr -> committed value
 	ops    [][]txOp              // per-core speculative op log
@@ -417,5 +417,3 @@ func (c *Checker) Validate(cycle uint64, core int, line mem.Addr, ok bool) {
 		delete(c.live[core], line)
 	}
 }
-
-func (c *Checker) Fallback(cycle uint64, core int) {}

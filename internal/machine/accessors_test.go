@@ -14,6 +14,7 @@ import (
 // accessorProbe compares, at every transactional event, each core's
 // single-field accessors against its CoreSnapshot.
 type accessorProbe struct {
+	NopTracer
 	m      *Machine
 	events int
 	err    error

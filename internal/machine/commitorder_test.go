@@ -17,6 +17,7 @@ import (
 // incarnations through begin/commit/abort events and the forwarding
 // edges between them.
 type orderOracle struct {
+	NopTracer
 	t *testing.T
 	// current transaction incarnation per core (0 = none).
 	cur     [64]int
@@ -72,9 +73,6 @@ func (o *orderOracle) Consume(cycle uint64, core int, line mem.Addr, pic coheren
 		o.edges = append(o.edges, [2]int{consumer, producer})
 	}
 }
-
-func (o *orderOracle) Validate(uint64, int, mem.Addr, bool) {}
-func (o *orderOracle) Fallback(uint64, int)                 {}
 
 // check asserts the ordering property over all recorded edges.
 func (o *orderOracle) check() (checked int) {

@@ -45,3 +45,37 @@ func TestInvariantPanicNamesCycleCoreLine(t *testing.T) {
 	}()
 	n.replyNormal(coherence.Probe{Line: 0x80, Kind: coherence.FwdGetS}, e)
 }
+
+// TestFlushPanicNamesCoreAndLine: the end-of-run flush refuses leftover
+// speculative state, and its panic names the cycle and core (and the
+// line, for a surviving SM line).
+func TestFlushPanicNamesCoreAndLine(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		force func(n *Node)
+		want  string
+	}{
+		{"live transaction", func(n *Node) { n.tx.Begin(1, 0) },
+			"machine: cycle 0 core 2 line 0x0: transaction still active after run (active, attempt 1)"},
+		{"SM line", func(n *Node) { n.install(0x80, cache.Modified, mem.Line{}, true, false) },
+			"machine: cycle 0 core 2 line 0x80: speculative line survived the run"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			policy, err := core.New(core.KindCHATS)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := New(testCfg(), policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.force(m.nodes[2])
+			defer func() {
+				if got := fmt.Sprint(recover()); got != tc.want {
+					t.Fatalf("panic = %q, want %q", got, tc.want)
+				}
+			}()
+			m.flushCaches()
+		})
+	}
+}

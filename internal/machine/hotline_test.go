@@ -6,7 +6,6 @@ import (
 
 	"chats/internal/coherence"
 	"chats/internal/core"
-	"chats/internal/htm"
 	"chats/internal/mem"
 )
 
@@ -89,21 +88,17 @@ func TestHotLinePinnedBankSaturation(t *testing.T) {
 // picWatcher records every PiC the coherence layer hands out on the
 // forward and consume edges.
 type picWatcher struct {
+	NopTracer
 	max      coherence.PiC
 	forwards int
 	invalid  int
 }
 
-func (w *picWatcher) TxBegin(uint64, int, int, bool)      {}
-func (w *picWatcher) TxCommit(uint64, int, int)           {}
-func (w *picWatcher) TxAbort(uint64, int, htm.AbortCause) {}
 func (w *picWatcher) Forward(_ uint64, _, _ int, _ mem.Addr, pic coherence.PiC) {
 	w.forwards++
 	w.note(pic)
 }
 func (w *picWatcher) Consume(_ uint64, _ int, _ mem.Addr, pic coherence.PiC) { w.note(pic) }
-func (w *picWatcher) Validate(uint64, int, mem.Addr, bool)                   {}
-func (w *picWatcher) Fallback(uint64, int)                                   {}
 func (w *picWatcher) note(pic coherence.PiC) {
 	if !pic.Valid() {
 		w.invalid++

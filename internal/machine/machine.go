@@ -48,15 +48,10 @@ type Machine struct {
 
 	powerHolder int
 	tsCounter   uint64
-	tracer      Tracer
-	xtracer     XTracer     // tracer's XTracer view, resolved once at SetTracer
-	optracer    OpTracer    // ditto for the op-level stream
-	ftracer     FaultTracer // ditto for injected-fault events
-	checker     RunChecker  // ditto for the run-lifecycle hooks
-	cmtracer    CMTracer    // ditto for contention-manager decisions
+	obs         observers
 
 	inj  *faults.Injector
-	ring *eventRing // recent-event buffer for watchdog diagnostics
+	ring *eventRing // recent-event buffer for watchdog diagnostics, an observer
 
 	// cm is the adaptive contention manager (nil under the fixed
 	// manager), holding per-core attempt windows and per-line heat.
@@ -68,6 +63,16 @@ type Machine struct {
 	stmLock []mem.Addr
 
 	stats RunStats
+}
+
+// observers holds the attached tracers, sorted by SetTracer into one
+// slice per hook family, so each emit helper is a single loop.
+type observers struct {
+	tx    []Tracer
+	op    []OpTracer
+	fault []FaultTracer
+	cm    []CMTracer
+	run   []RunChecker
 }
 
 // New assembles a machine running the given HTM system.
@@ -137,6 +142,7 @@ func New(cfg Config, policy htm.Policy) (*Machine, error) {
 		cores[i] = n
 	}
 	m.dir.AttachCores(cores)
+	m.SetTracer() // registers the watchdog ring, if armed
 	m.stats.System = policy.Name()
 	return m, nil
 }
@@ -223,8 +229,8 @@ func (m *Machine) Run(w Workload) (RunStats, error) {
 	if err := callHook("Setup", func() error { w.Setup(m.world, m.cfg.Cores); return nil }); err != nil {
 		return m.stats, fmt.Errorf("machine: %s on %s: %w", m.policy.Name(), w.Name(), err)
 	}
-	if m.checker != nil {
-		m.checker.BeginRun(m)
+	for _, c := range m.obs.run {
+		c.BeginRun(m)
 	}
 
 	r := newRunner(m)
@@ -235,11 +241,15 @@ func (m *Machine) Run(w Workload) (RunStats, error) {
 		return m.stats, fmt.Errorf("machine: %s on %s: %w", m.policy.Name(), w.Name(), runErr)
 	}
 	m.flushCaches()
-	if m.checker != nil {
-		if err := m.checker.EndRun(m); err != nil {
-			return m.stats, fmt.Errorf("machine: %s on %s failed invariant check: %w",
-				m.policy.Name(), w.Name(), err)
+	var checkErr error
+	for _, c := range m.obs.run {
+		if err := c.EndRun(m); err != nil && checkErr == nil {
+			checkErr = err
 		}
+	}
+	if checkErr != nil {
+		return m.stats, fmt.Errorf("machine: %s on %s failed invariant check: %w",
+			m.policy.Name(), w.Name(), checkErr)
 	}
 	if err := callHook("Check", func() error { return w.Check(m.world) }); err != nil {
 		return m.stats, fmt.Errorf("machine: %s on %s failed validation: %w",
@@ -268,11 +278,11 @@ func (m *Machine) collectStats() {
 func (m *Machine) flushCaches() {
 	for _, n := range m.nodes {
 		if n.tx.InTx() {
-			panic("machine: transaction still active after run")
+			n.fail(fmt.Sprintf("transaction still active after run (%s, attempt %d)", n.tx.Status, n.tx.Attempt), 0)
 		}
 		n.l1.ForEach(func(e *cache.Entry) {
 			if e.SM {
-				panic("machine: speculative line survived the run")
+				n.fail("speculative line survived the run", e.Tag)
 			}
 			if e.Dirty {
 				m.memory.WriteLine(e.Tag, e.Data)

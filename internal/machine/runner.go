@@ -538,7 +538,7 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 		t.timer.ok = true
 		n.eng.ScheduleRunner(1, &t.timer)
 	default:
-		panic("machine: unknown op")
+		n.fail(fmt.Sprintf("unknown op %d", req.kind), req.addr)
 	}
 }
 

@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"io"
 	"testing"
 
 	"chats/internal/core"
@@ -20,7 +19,7 @@ type lockWordOp struct {
 // lockWordLog records every operation on the workload's lock word, in
 // emission order.
 type lockWordLog struct {
-	WriterTracer
+	NopTracer
 	w   *lockHoldWL
 	ops []lockWordOp
 }
@@ -101,7 +100,7 @@ func TestSpinAcquire(t *testing.T) {
 				t.Fatal(err)
 			}
 			w := &lockHoldWL{m: m, stm: tc.stm, hold: 2000}
-			log := &lockWordLog{WriterTracer: WriterTracer{W: io.Discard}, w: w}
+			log := &lockWordLog{w: w}
 			m.SetTracer(log)
 			stats, err := m.Run(w)
 			if err != nil {

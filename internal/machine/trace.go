@@ -9,9 +9,10 @@ import (
 	"chats/internal/mem"
 )
 
-// Tracer receives the interesting transactional events of a run. Attach
-// one with Machine.SetTracer before Run to debug a workload or to study
-// how chains form; the zero cost path (no tracer) is a nil check.
+// Tracer receives the transactional event stream of a run. Attach one
+// or more with Machine.SetTracer before Run to debug a workload, study
+// how chains form or check the protocol's rules. Embed NopTracer to
+// implement only the hooks you need.
 type Tracer interface {
 	// TxBegin: core starts attempt n (power = holds the PowerTM token).
 	TxBegin(cycle uint64, core, attempt int, power bool)
@@ -28,14 +29,6 @@ type Tracer interface {
 	Validate(cycle uint64, core int, line mem.Addr, ok bool)
 	// Fallback: core takes the global-lock path.
 	Fallback(cycle uint64, core int)
-}
-
-// XTracer extends Tracer with the attribution events the telemetry layer
-// consumes. A plain Tracer keeps working unchanged; the machine detects
-// an XTracer once at SetTracer time so the per-event fast path stays a
-// single pointer check.
-type XTracer interface {
-	Tracer
 	// Conflict: a probe hit holder's read/write set and the policy chose
 	// dec (the line is the contended address; requester is the other
 	// side). Emitted for every conflicting probe, whatever the outcome.
@@ -45,6 +38,21 @@ type XTracer interface {
 	// VSBOccupancy: core's VSB occupancy changed to occ.
 	VSBOccupancy(cycle uint64, core, occ int)
 }
+
+// NopTracer implements every Tracer hook as a no-op. Embed it in a
+// tracer that observes only some of the events.
+type NopTracer struct{}
+
+func (NopTracer) TxBegin(uint64, int, int, bool)                                              {}
+func (NopTracer) TxCommit(uint64, int, int)                                                   {}
+func (NopTracer) TxAbort(uint64, int, htm.AbortCause)                                         {}
+func (NopTracer) Forward(uint64, int, int, mem.Addr, coherence.PiC)                           {}
+func (NopTracer) Consume(uint64, int, mem.Addr, coherence.PiC)                                {}
+func (NopTracer) Validate(uint64, int, mem.Addr, bool)                                        {}
+func (NopTracer) Fallback(uint64, int)                                                        {}
+func (NopTracer) Conflict(uint64, int, int, mem.Addr, coherence.ProbeKind, htm.ProbeDecision) {}
+func (NopTracer) NackRetry(uint64, int, mem.Addr)                                             {}
+func (NopTracer) VSBOccupancy(uint64, int, int)                                               {}
 
 // OpKind classifies a workload-level memory operation in the OpTracer
 // stream.
@@ -72,7 +80,7 @@ func (k OpKind) String() string {
 // workload-level memory operation (the Ctx/Tx API surface — internal
 // protocol traffic such as lock subscriptions and validation requests is
 // not reported). The invariant checker's serializability oracle consumes
-// this stream. Resolved once at SetTracer, like XTracer.
+// this stream.
 type OpTracer interface {
 	// Op: core completed a memory operation. For OpLoad val is the value
 	// read; for OpStore the value written; for OpCAS val is the previous
@@ -94,8 +102,7 @@ type FaultTracer interface {
 
 // CMTracer is an optional Tracer extension receiving every post-abort
 // contention-manager decision (wait, speculate, or fallback) — the
-// fixed manager reports waits only. Resolved once at SetTracer, like
-// XTracer.
+// fixed manager reports waits only.
 type CMTracer interface {
 	CMDecision(cycle uint64, core int, act htm.CMAction)
 }
@@ -110,41 +117,39 @@ type RunChecker interface {
 	EndRun(m *Machine) error
 }
 
-// SetTracer attaches a tracer (nil detaches). Call before Run. When the
-// tracer also implements XTracer, the extended events (conflict
-// attribution, nack retries, VSB occupancy) are delivered too; the same
-// applies to the OpTracer, FaultTracer and RunChecker extensions.
-func (m *Machine) SetTracer(t Tracer) {
-	m.tracer = t
-	m.xtracer = nil
-	m.optracer = nil
-	m.ftracer = nil
-	m.checker = nil
-	m.cmtracer = nil
-	if t != nil {
-		if x, ok := t.(XTracer); ok {
-			m.xtracer = x
+// SetTracer attaches the given tracers in order, replacing any attached
+// before; nil entries are skipped and no argument detaches them all.
+// Call before Run. Each tracer's OpTracer, FaultTracer, CMTracer and
+// RunChecker extensions are detected here, once, so an event costs one
+// loop over the observers of its kind. When the watchdog is armed, its
+// event ring stays attached as the first observer.
+func (m *Machine) SetTracer(ts ...Tracer) {
+	m.obs = observers{}
+	if m.ring != nil {
+		ts = append([]Tracer{m.ring}, ts...)
+	}
+	for _, t := range ts {
+		if t == nil {
+			continue
 		}
+		m.obs.tx = append(m.obs.tx, t)
 		if o, ok := t.(OpTracer); ok {
-			m.optracer = o
+			m.obs.op = append(m.obs.op, o)
 		}
 		if f, ok := t.(FaultTracer); ok {
-			m.ftracer = f
-		}
-		if c, ok := t.(RunChecker); ok {
-			m.checker = c
+			m.obs.fault = append(m.obs.fault, f)
 		}
 		if c, ok := t.(CMTracer); ok {
-			m.cmtracer = c
+			m.obs.cm = append(m.obs.cm, c)
+		}
+		if c, ok := t.(RunChecker); ok {
+			m.obs.run = append(m.obs.run, c)
 		}
 	}
 	for _, n := range m.nodes {
 		n.tx.VSB.Observer = nil
-		if m.xtracer != nil {
-			n := n
-			n.tx.VSB.Observer = func(occ int) {
-				m.xtracer.VSBOccupancy(m.eng.Now(), n.id, occ)
-			}
+		if len(m.obs.tx) > 0 {
+			n.tx.VSB.Observer = func(occ int) { m.emitVSBOccupancy(n.id, occ) }
 		}
 	}
 }
@@ -152,6 +157,7 @@ func (m *Machine) SetTracer(t Tracer) {
 // WriterTracer formats events as one line each, prefixed with the cycle
 // — handy with chatsim -trace.
 type WriterTracer struct {
+	NopTracer
 	W io.Writer
 }
 
@@ -199,6 +205,7 @@ func (t WriterTracer) Fallback(cycle uint64, core int) {
 // every producer→consumer edge with its cycle, usable to reconstruct the
 // chains CHATS built (and to assert acyclicity in tests).
 type ChainTracer struct {
+	NopTracer
 	Edges []ChainEdge
 }
 
@@ -211,23 +218,17 @@ type ChainEdge struct {
 	PiC      coherence.PiC
 }
 
-func (t *ChainTracer) TxBegin(uint64, int, int, bool)               {}
-func (t *ChainTracer) TxCommit(uint64, int, int)                    {}
-func (t *ChainTracer) TxAbort(uint64, int, htm.AbortCause)          {}
-func (t *ChainTracer) Validate(uint64, int, mem.Addr, bool)         {}
-func (t *ChainTracer) Fallback(uint64, int)                         {}
-func (t *ChainTracer) Consume(uint64, int, mem.Addr, coherence.PiC) {}
-
 func (t *ChainTracer) Forward(cycle uint64, producer, requester int, line mem.Addr, pic coherence.PiC) {
 	t.Edges = append(t.Edges, ChainEdge{
 		Cycle: cycle, Producer: producer, Consumer: requester, Line: line, PiC: pic,
 	})
 }
 
-// MaxChainDepth estimates the longest producer chain observed: the
-// maximum number of distinct producers transitively upstream of any
-// consumer within a sliding window of edges. It is approximate (cores
-// recycle across transactions) but good enough to see chains form.
+// MaxChainDepth estimates the longest producer chain observed. One pass
+// over the edges in order raises each consumer's depth to one more than
+// its producer's. Depths are kept per core for the whole run, so a core
+// carries its depth into later transactions: the estimate is
+// approximate but good enough to see chains form.
 func (t *ChainTracer) MaxChainDepth() int {
 	depth := map[int]int{}
 	max := 0

@@ -14,7 +14,7 @@ import (
 const ringCapacity = 64
 
 // ring event kinds (a compact mirror of the tracer events; the ring is
-// populated even without a tracer attached so a livelock dump always has
+// attached whenever the watchdog is armed, so a livelock dump always has
 // recent history).
 const (
 	ringBegin uint8 = iota
@@ -39,7 +39,7 @@ type ringEvent struct {
 	core  int
 	peer  int
 	line  mem.Addr
-	a, b  uint64
+	a     uint64
 	s     string
 }
 
@@ -73,8 +73,11 @@ func (e ringEvent) String() string {
 	return fmt.Sprintf("%d ringEvent(%d)", e.cycle, e.kind)
 }
 
-// eventRing is a fixed-capacity overwrite-oldest buffer.
+// eventRing is a fixed-capacity overwrite-oldest buffer. It observes
+// the run like any tracer (Tracer, OpTracer, FaultTracer, CMTracer);
+// VSB occupancy is the one event it does not keep.
 type eventRing struct {
+	NopTracer
 	buf  []ringEvent
 	next int
 	full bool
@@ -91,6 +94,58 @@ func (r *eventRing) add(e ringEvent) {
 		r.next = 0
 		r.full = true
 	}
+}
+
+func (r *eventRing) TxBegin(cycle uint64, core, attempt int, power bool) {
+	r.add(ringEvent{cycle: cycle, kind: ringBegin, core: core, a: uint64(attempt)})
+}
+
+func (r *eventRing) TxCommit(cycle uint64, core int, consumed int) {
+	r.add(ringEvent{cycle: cycle, kind: ringCommit, core: core})
+}
+
+func (r *eventRing) TxAbort(cycle uint64, core int, cause htm.AbortCause) {
+	r.add(ringEvent{cycle: cycle, kind: ringAbort, core: core, s: cause.String()})
+}
+
+func (r *eventRing) Forward(cycle uint64, producer, requester int, line mem.Addr, pic coherence.PiC) {
+	r.add(ringEvent{cycle: cycle, kind: ringForward, core: producer, peer: requester, line: line, a: uint64(pic)})
+}
+
+func (r *eventRing) Consume(cycle uint64, core int, line mem.Addr, pic coherence.PiC) {
+	r.add(ringEvent{cycle: cycle, kind: ringConsume, core: core, line: line, a: uint64(pic)})
+}
+
+func (r *eventRing) Validate(cycle uint64, core int, line mem.Addr, ok bool) {
+	var okBit uint64
+	if ok {
+		okBit = 1
+	}
+	r.add(ringEvent{cycle: cycle, kind: ringValidate, core: core, line: line, a: okBit})
+}
+
+func (r *eventRing) Fallback(cycle uint64, core int) {
+	r.add(ringEvent{cycle: cycle, kind: ringFallback, core: core})
+}
+
+func (r *eventRing) Conflict(cycle uint64, holder, requester int, line mem.Addr, kind coherence.ProbeKind, dec htm.ProbeDecision) {
+	r.add(ringEvent{cycle: cycle, kind: ringConflict, core: holder, peer: requester, line: line, s: dec.String()})
+}
+
+func (r *eventRing) NackRetry(cycle uint64, core int, line mem.Addr) {
+	r.add(ringEvent{cycle: cycle, kind: ringNack, core: core, line: line})
+}
+
+func (r *eventRing) Op(cycle uint64, core int, op OpKind, inTx bool, addr mem.Addr, val, val2 uint64, ok bool) {
+	r.add(ringEvent{cycle: cycle, kind: ringOp, core: core, line: addr, a: val, s: op.String()})
+}
+
+func (r *eventRing) FaultInjected(cycle uint64, core int, kind string) {
+	r.add(ringEvent{cycle: cycle, kind: ringFault, core: core, s: kind})
+}
+
+func (r *eventRing) CMDecision(cycle uint64, core int, act htm.CMAction) {
+	r.add(ringEvent{cycle: cycle, kind: ringCM, core: core, s: act.String()})
 }
 
 // events returns the retained events, oldest first.

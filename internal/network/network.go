@@ -52,17 +52,11 @@ func New(eng *sim.Engine, linkLatency uint64) *Network {
 
 // SendControl delivers a 1-flit message (requests, acks, nacks,
 // cancellations) and invokes deliver at the destination.
-func (n *Network) SendControl(deliver func()) {
-	n.eng.Schedule(n.delay(ControlFlits), deliver)
-	n.Stats.ControlMsgs++
-}
+func (n *Network) SendControl(deliver func()) { n.SendControlMsg(sim.Func(deliver)) }
 
 // SendData delivers a 5-flit message (any message carrying a cache line:
 // data responses, SpecResp, writebacks).
-func (n *Network) SendData(deliver func()) {
-	n.eng.Schedule(n.delay(DataFlits), deliver)
-	n.Stats.DataMsgs++
-}
+func (n *Network) SendData(deliver func()) { n.SendDataMsg(sim.Func(deliver)) }
 
 // SendControlMsg is SendControl with a typed payload: the hot paths use
 // pooled message structs instead of per-hop closures so sending does not

@@ -30,6 +30,13 @@ import (
 // call.
 type Runner interface{ Run() }
 
+// Func adapts a plain function to Runner. A func value is pointer-sized,
+// so storing it in the Runner interface does not allocate.
+type Func func()
+
+// Run calls f.
+func (f Func) Run() { f() }
+
 const (
 	wheelBits  = 8
 	wheelSize  = 1 << wheelBits // near-wheel horizon in cycles
@@ -63,7 +70,6 @@ const maxFreeEvents = 4096
 type Event struct {
 	cycle uint64
 	seq   uint64 // global insertion sequence
-	fn    func()
 	run   Runner
 	// next/prev link the event into its timing-wheel bucket (nil while
 	// in the far heap).
@@ -173,7 +179,7 @@ func (e *Engine) Schedule(delay uint64, fn func()) *Event {
 	if fn == nil {
 		panic("sim: Schedule called with nil fn")
 	}
-	return e.insert(delay, fn, nil)
+	return e.ScheduleRunner(delay, Func(fn))
 }
 
 // ScheduleRunner runs r.Run() delay cycles from now, with the same
@@ -184,10 +190,6 @@ func (e *Engine) ScheduleRunner(delay uint64, r Runner) *Event {
 	if r == nil {
 		panic("sim: ScheduleRunner called with nil Runner")
 	}
-	return e.insert(delay, nil, r)
-}
-
-func (e *Engine) insert(delay uint64, fn func(), r Runner) *Event {
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -198,7 +200,6 @@ func (e *Engine) insert(delay uint64, fn func(), r Runner) *Event {
 	}
 	ev.cycle = e.now + delay
 	ev.seq = e.seq
-	ev.fn = fn
 	ev.run = r
 	e.seq++
 	if delay < wheelSize {
@@ -287,7 +288,7 @@ func (e *Engine) scanWheel() uint64 {
 			return e.now + uint64((idx-p)&wheelMask)
 		}
 		if steps > wheelWords {
-			panic("sim: wheel count positive but no occupied bucket")
+			panic(fmt.Sprintf("sim: cycle %d: wheel count %d positive but no occupied bucket", e.now, e.wheelCount))
 		}
 		w = (w + 1) & (wheelWords - 1)
 		word = e.occ[w]
@@ -311,7 +312,6 @@ func (e *Engine) Cancel(ev *Event) {
 	ev.index = idxCancelled
 	// Recycle: the object keeps reporting Cancelled() until Schedule
 	// hands it out again.
-	ev.fn = nil
 	ev.run = nil
 	e.release(ev)
 }
@@ -346,7 +346,7 @@ func (e *Engine) step(c uint64) {
 	b := &e.buckets[i]
 	ev := b.head
 	if ev == nil || ev.cycle != e.now {
-		panic("sim: timing wheel bucket out of sync with clock")
+		panic(fmt.Sprintf("sim: cycle %d: timing wheel bucket %d out of sync with clock", e.now, i))
 	}
 	b.head = ev.next
 	if b.head == nil {
@@ -359,15 +359,9 @@ func (e *Engine) step(c uint64) {
 	ev.index = idxFired
 	e.wheelCount--
 	e.fired++
-	if r := ev.run; r != nil {
-		r.Run()
-	} else {
-		fn := ev.fn
-		fn()
-	}
+	ev.run.Run()
 	// The callback may observe its own popped handle (index -1), so the
 	// object joins the free list only after it returns.
-	ev.fn = nil
 	ev.run = nil
 	e.release(ev)
 }

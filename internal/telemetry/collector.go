@@ -29,7 +29,8 @@ type coreState struct {
 }
 
 // Collector consumes the machine's event stream (it implements
-// machine.Tracer and machine.XTracer structurally) and aggregates it
+// machine.Tracer, machine.CMTracer and machine.FaultTracer
+// structurally) and aggregates it
 // into metrics, a hot-line profile and chain topology, while retaining
 // the raw events for the JSONL / Chrome exports.
 //
@@ -199,8 +200,6 @@ func (c *Collector) Fallback(cycle uint64, core int) {
 	c.Reg.Counter("tx/fallbacks").Inc()
 	c.record(Event{Cycle: cycle, Kind: KindFallback, Core: core, Peer: -1})
 }
-
-// ---------- machine.XTracer ----------
 
 func (c *Collector) Conflict(cycle uint64, holder, requester int, line mem.Addr, kind coherence.ProbeKind, dec htm.ProbeDecision) {
 	c.conflicts.Add(cycle, 1)

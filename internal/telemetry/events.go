@@ -1,5 +1,5 @@
 // Package telemetry is the simulator's observability layer: a Collector
-// that implements machine.Tracer/XTracer and turns the event stream into
+// that implements machine.Tracer and turns the event stream into
 // (1) a metrics registry of counters, gauges, fixed-bucket histograms and
 // cycle-windowed time series, (2) structured exports — JSON Lines and
 // Chrome trace_event format loadable in Perfetto — and (3) attribution
@@ -9,7 +9,7 @@
 // The package deliberately does not import internal/machine: the
 // Collector satisfies the machine's tracer interfaces structurally, so
 // the simulator core carries no telemetry dependency and its no-tracer
-// fast path stays a single pointer check.
+// path stays an empty loop.
 package telemetry
 
 import (

@@ -7,9 +7,11 @@ import (
 	"testing"
 
 	"chats/internal/coherence"
+	"chats/internal/core"
 	"chats/internal/htm"
 	"chats/internal/machine"
 	"chats/internal/mem"
+	"chats/internal/testutil"
 )
 
 // The Collector must keep satisfying the machine's tracer interfaces
@@ -17,7 +19,7 @@ import (
 // outside its tests, so these assertions are the only compile-time tie.
 var (
 	_ machine.Tracer      = (*Collector)(nil)
-	_ machine.XTracer     = (*Collector)(nil)
+	_ machine.CMTracer    = (*Collector)(nil)
 	_ machine.FaultTracer = (*Collector)(nil)
 )
 
@@ -277,22 +279,46 @@ func TestRegistryReuseAndRender(t *testing.T) {
 	}
 }
 
+// TestMultiTracerFansOutToCollector attaches a WriterTracer and two
+// collectors through one SetTracer call on a real contended CHATS run:
+// each observer sees the whole stream, so the two collectors agree, and
+// the writer, which prints only the base events, prints no conflicts.
 func TestMultiTracerFansOutToCollector(t *testing.T) {
-	a := New(2, Options{})
-	b := New(2, Options{})
+	cfg := testutil.Config()
+	m := testutil.Machine(t, cfg, testutil.Policy(t, core.KindCHATS))
+	a := New(cfg.Cores, Options{})
+	b := New(cfg.Cores, Options{})
 	var sink bytes.Buffer
-	mt := machine.MultiTracer{machine.WriterTracer{W: &sink}, a, b}
-	var x machine.XTracer = mt // MultiTracer always offers the extended view
-	x.TxBegin(10, 0, 1, false)
-	x.Conflict(20, 0, 1, 0x80, coherence.FwdGetX, htm.DecideSpec)
-	x.TxCommit(30, 0, 0)
-	for name, c := range map[string]*Collector{"a": a, "b": b} {
-		if c.Reg.Counter("tx/commits").N != 1 || c.Reg.Counter("conflict/spec").N != 1 {
-			t.Errorf("collector %s missed fanned-out events", name)
+	m.SetTracer(machine.WriterTracer{W: &sink}, a, b)
+	if _, err := m.Run(&testutil.Migratory{Slots: 2, Iters: 3}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Reg.Counter("tx/commits").N == 0 || a.Reg.Counter("conflict/spec").N == 0 {
+		t.Fatalf("collector saw no commits or speculative conflicts:\n%s", sink.String())
+	}
+	var ja, jb bytes.Buffer
+	if err := a.WriteJSONL(&ja); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.WriteJSONL(&jb); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ja.Bytes(), jb.Bytes()) {
+		t.Error("the two collectors recorded different event streams")
+	}
+	base := map[string]bool{"begin": true, "commit": true, "abort": true, "forward": true,
+		"consume": true, "validate": true, "fallback": true}
+	var commits uint64
+	for _, l := range strings.Split(strings.TrimSpace(sink.String()), "\n") {
+		f := strings.Fields(l)
+		if len(f) < 3 || !base[f[2]] {
+			t.Fatalf("writer printed a line that is no base event: %q", l)
+		}
+		if f[2] == "commit" {
+			commits++
 		}
 	}
-	// The plain WriterTracer only sees the base Tracer events.
-	if got := sink.String(); !strings.Contains(got, "commit") || strings.Contains(got, "conflict") {
-		t.Errorf("writer saw: %s", got)
+	if want := a.Reg.Counter("tx/commits").N; commits != want {
+		t.Errorf("writer printed %d commits, collector counted %d", commits, want)
 	}
 }
