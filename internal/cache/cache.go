@@ -70,12 +70,11 @@ type Stats struct {
 
 // Cache is a private set-associative cache.
 type Cache struct {
-	// sets holds every set, each ways entries long. A set no Insert
-	// has reached yet is blank, the one all-Invalid set the cache
-	// shares among them; Insert gives a set its own entries before
-	// writing, so a cache costs memory only for the sets it uses.
+	// sets holds every set. A set starts empty and Insert grows it one
+	// way at a time, up to ways entries, so a cache costs memory only
+	// for the ways it uses. Ways past a set's length are Invalid, and a
+	// line lands at the way index a fixed ways-long set would give it.
 	sets    [][]Entry
-	blank   []Entry
 	ways    int
 	setMask uint64
 	tick    uint64
@@ -104,13 +103,8 @@ func New(sizeBytes, ways int) *Cache {
 	if nSets == 0 || nSets&(nSets-1) != 0 {
 		panic(fmt.Sprintf("cache: %d sets is not a power of two (size %d, ways %d)", nSets, sizeBytes, ways))
 	}
-	c := &Cache{blank: make([]Entry, ways), ways: ways, setMask: uint64(nSets - 1),
+	return &Cache{sets: make([][]Entry, nSets), ways: ways, setMask: uint64(nSets - 1),
 		smSets: make([]uint64, (nSets+63)/64), readGen: 1}
-	c.sets = make([][]Entry, nSets)
-	for i := range c.sets {
-		c.sets[i] = c.blank
-	}
-	return c
 }
 
 // Ways returns the associativity.
@@ -118,10 +112,6 @@ func (c *Cache) Ways() int { return c.ways }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return len(c.sets) }
-
-// isBlank reports whether set is the shared all-Invalid set, which must
-// never be written.
-func (c *Cache) isBlank(set []Entry) bool { return &set[0] == &c.blank[0] }
 
 func (c *Cache) setIndex(line mem.Addr) uint64 {
 	return (uint64(line) >> mem.LineShift) & c.setMask
@@ -196,10 +186,8 @@ func (c *Cache) ResetReads() {
 	c.readGen++
 	if c.readGen == 0 {
 		for _, set := range c.sets {
-			if !c.isBlank(set) {
-				for i := range set {
-					set[i].read = 0
-				}
+			for i := range set {
+				set[i].read = 0
 			}
 		}
 		c.readGen = 1
@@ -238,7 +226,8 @@ func (c *Cache) keepRead(e *Entry) {
 }
 
 // Lookup returns the entry holding line, or nil. It counts a hit or miss
-// and refreshes LRU state on hit.
+// and refreshes LRU state on hit. The entry stays valid only until the
+// next Insert into this cache, which may move its set.
 func (c *Cache) Lookup(line mem.Addr) *Entry {
 	line = line.Line()
 	set := c.set(line)
@@ -256,6 +245,7 @@ func (c *Cache) Lookup(line mem.Addr) *Entry {
 }
 
 // Peek returns the entry holding line without touching LRU or stats.
+// Like Lookup's, the entry stays valid only until the next Insert.
 func (c *Cache) Peek(line mem.Addr) *Entry {
 	line = line.Line()
 	set := c.set(line)
@@ -283,34 +273,40 @@ type Victim struct {
 // line had to be displaced, and the line's entry. The entry is nil if
 // the set is entirely occupied by SM (write-set) lines — which forces a
 // capacity abort in a running transaction, matching hardware behavior.
-// Victim preference: invalid way, then least-recently-used non-SM line.
+// Victim preference: the lowest Invalid way (a way the set has not
+// grown to yet counts as one), then least-recently-used non-SM line.
 // A line already present is updated in place and keeps its SM bit and
-// read stamp.
+// read stamp. Growing a set may move it, so Insert invalidates every
+// entry pointer Lookup, Peek or Insert handed out before.
 func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim Victim, evicted bool, e *Entry) {
 	line = line.Line()
 	si := c.setIndex(line)
 	set := c.sets[si]
-	if c.isBlank(set) {
-		set = make([]Entry, c.ways)
-		c.sets[si] = set
-	}
 	c.tick++
-	// Already present: update in place.
+	free := -1
 	for i := range set {
 		e := &set[i]
-		if e.State != Invalid && e.Tag == line {
+		if e.State == Invalid {
+			if free < 0 {
+				free = i
+			}
+			continue
+		}
+		if e.Tag == line {
+			// Already present: update in place.
 			e.State = st
 			e.Data = data
 			e.lru = c.tick
 			return Victim{}, false, e
 		}
 	}
-	// Invalid way.
-	for i := range set {
-		if set[i].State == Invalid {
-			set[i] = Entry{Tag: line, State: st, Data: data, lru: c.tick}
-			return Victim{}, false, &set[i]
-		}
+	if free < 0 && len(set) < c.ways {
+		set = c.grow(si)
+		free = len(set) - 1
+	}
+	if free >= 0 {
+		set[free] = Entry{Tag: line, State: st, Data: data, lru: c.tick}
+		return Victim{}, false, &set[free]
 	}
 	// LRU among non-SM lines.
 	best := -1
@@ -333,6 +329,24 @@ func (c *Cache) Insert(line mem.Addr, st State, data mem.Line) (victim Victim, e
 	*e = Entry{Tag: line, State: st, Data: data, lru: c.tick}
 	c.Stats.Evictions++
 	return v, true, e
+}
+
+// grow adds one Invalid way to set si and returns the set. A set's
+// first array holds two ways and its second all of them: most sets of
+// a 256-core run hold one or two lines, and a full set then leaves
+// just two entries of garbage behind.
+func (c *Cache) grow(si uint64) []Entry {
+	set := c.sets[si]
+	if len(set) == cap(set) {
+		n := c.ways
+		if len(set) == 0 {
+			n = min(2, c.ways)
+		}
+		set = append(make([]Entry, 0, n), set...)
+	}
+	set = set[:len(set)+1]
+	c.sets[si] = set
+	return set
 }
 
 // Invalidate removes line from the cache, returning the entry it held.
@@ -387,9 +401,6 @@ func (c *Cache) CommitSM(fn func(line mem.Addr, data mem.Line)) int {
 // invalidate lines, and must set SM only through MarkSM.
 func (c *Cache) ForEach(fn func(e *Entry)) {
 	for _, set := range c.sets {
-		if c.isBlank(set) {
-			continue
-		}
 		for wi := range set {
 			if set[wi].State != Invalid {
 				fn(&set[wi])

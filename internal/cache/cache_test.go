@@ -314,8 +314,7 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-// TestUntouchedSetMissAllocatesNothing: sets are allocated on their
-// first insert, so a miss in a set no Insert has reached allocates
+// TestUntouchedSetMissAllocatesNothing: sets grow on insert, so a miss in a set no Insert has reached allocates
 // nothing and counts exactly as a miss in an allocated set: Lookup adds
 // one miss, Peek and Invalidate leave the stats alone.
 func TestUntouchedSetMissAllocatesNothing(t *testing.T) {
@@ -337,14 +336,14 @@ func TestUntouchedSetMissAllocatesNothing(t *testing.T) {
 			t.Errorf("after missing %v: stats = %+v, want %+v", line, c.Stats, want)
 		}
 	}
-	if !c.isBlank(c.sets[1]) {
+	if c.sets[1] != nil {
 		t.Error("misses allocated set 1")
 	}
 	if got := c.CountSM(); got != 0 {
 		t.Errorf("CountSM = %d", got)
 	}
-	if _, _, e := c.Insert(lineAddr(1), Modified, mem.Line{2}); e == nil || c.isBlank(c.sets[1]) {
-		t.Fatal("insert did not give set 1 its own entries")
+	if _, _, e := c.Insert(lineAddr(1), Modified, mem.Line{2}); e == nil || len(c.sets[1]) != 1 {
+		t.Fatal("insert did not grow set 1 to one way")
 	}
 	if e := c.Lookup(lineAddr(1)); e == nil || e.Data[0] != 2 {
 		t.Fatalf("lookup after first insert = %+v", e)

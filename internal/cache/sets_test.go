@@ -98,7 +98,8 @@ func TestReadGenWrap(t *testing.T) {
 // signature (it survives evictions until ResetReads), the write set the
 // lines MarkSM marked that are still cached. After every op the
 // membership tests, the sorted set lists and the gang-op counts must
-// match the model.
+// match the model. The same ops also drive the fixed-layout reference:
+// every line must sit at the way index a fixed ways-long set gives it.
 func FuzzCacheSets(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2, 0, 0, 4, 0, 8, 1, 8, 0, 12, 6, 0, 1, 0, 3, 4, 5, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -107,6 +108,7 @@ func FuzzCacheSets(f *testing.F) {
 		}
 		const sets, ways = 4, 2
 		c := New(sets*ways*mem.LineSize, ways)
+		ref := newFixed(c)
 		nLines := 3 * sets * ways
 		cached := map[mem.Addr]bool{} // line -> SM
 		reads := map[mem.Addr]bool{}
@@ -135,6 +137,9 @@ func FuzzCacheSets(f *testing.F) {
 					}
 				}
 				v, evicted, e := c.Insert(line, st, mem.Line{uint64(i)})
+				if rv, revicted, _ := ref.insert(line, st, mem.Line{uint64(i)}); v != rv || evicted != revicted {
+					t.Fatalf("op %d: Insert(%v) victim %+v (evicted %v), fixed layout %+v (%v)", i/2, line, v, evicted, rv, revicted)
+				}
 				_, present := cached[line]
 				switch {
 				case present || inSet < ways:
@@ -161,6 +166,7 @@ func FuzzCacheSets(f *testing.F) {
 				}
 			case 1:
 				e := c.Lookup(line)
+				ref.lookup(line)
 				if _, ok := cached[line]; (e != nil) != ok {
 					t.Fatalf("op %d: Lookup(%v) = %v, model has it: %v", i/2, line, e, ok)
 				}
@@ -175,16 +181,19 @@ func FuzzCacheSets(f *testing.F) {
 				}
 				if e != nil {
 					c.MarkSM(e)
+					ref.peek(line).SM = true
 					cached[line] = true
 				}
 			case 3:
 				_, ok := c.Invalidate(line)
+				ref.invalidate(line)
 				if _, want := cached[line]; ok != want {
 					t.Fatalf("op %d: Invalidate(%v) = %v, model has it: %v", i/2, line, ok, want)
 				}
 				delete(cached, line)
 			case 4:
 				want := smLines()
+				ref.gang(false)
 				if n := c.GangInvalidateSM(); n != len(want) {
 					t.Fatalf("op %d: GangInvalidateSM = %d, model %d", i/2, n, len(want))
 				}
@@ -195,6 +204,9 @@ func FuzzCacheSets(f *testing.F) {
 				want := smLines()
 				var got []mem.Addr
 				n := c.CommitSM(func(l mem.Addr, _ mem.Line) { got = append(got, l) })
+				if order := ref.gang(true); !slices.Equal(got, order) {
+					t.Fatalf("op %d: CommitSM order %v, fixed layout %v", i/2, got, order)
+				}
 				slices.Sort(got)
 				if n != len(want) || !slices.Equal(got, want) {
 					t.Fatalf("op %d: CommitSM = %d %v, model %v", i/2, n, got, want)
@@ -205,6 +217,9 @@ func FuzzCacheSets(f *testing.F) {
 			case 6:
 				c.ResetReads()
 				clear(reads)
+			}
+			if err := sameWays(c, ref); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
 			}
 			for l := 0; l < nLines; l++ {
 				a := lineAddr(l)

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"chats/internal/mem"
 	"chats/internal/network"
@@ -45,18 +46,8 @@ const (
 // sharerSet is a fixed bitset over core IDs (up to MaxCores).
 type sharerSet [MaxCores / 64]uint64
 
-func (s *sharerSet) set(i int)      { s[i>>6] |= 1 << uint(i&63) }
-func (s *sharerSet) clear(i int)    { s[i>>6] &^= 1 << uint(i&63) }
-func (s *sharerSet) has(i int) bool { return s[i>>6]&(1<<uint(i&63)) != 0 }
-
-func (s *sharerSet) empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
+func (s *sharerSet) set(i int)   { s[i>>6] |= 1 << uint(i&63) }
+func (s *sharerSet) clear(i int) { s[i>>6] &^= 1 << uint(i&63) }
 
 // onlyMember reports whether no core other than id is in the set.
 func (s *sharerSet) onlyMember(id int) bool {
@@ -79,12 +70,40 @@ type queuedReq struct {
 	resp RespHandler
 }
 
+// reqQueue is the FIFO of requests parked behind a busy line. It is a
+// ring whose length is a power of two, so a line reuses its slots for
+// as long as it keeps a queue and grows only past its deepest backlog.
+type reqQueue struct {
+	buf  []queuedReq
+	head int
+	n    int
+}
+
+func (q *reqQueue) push(r queuedReq) {
+	if q.n == len(q.buf) {
+		buf := make([]queuedReq, max(4, 2*len(q.buf)))
+		k := copy(buf, q.buf[q.head:])
+		copy(buf[k:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = r
+	q.n++
+}
+
+func (q *reqQueue) pop() queuedReq {
+	r := q.buf[q.head]
+	q.buf[q.head] = queuedReq{}
+	q.head = (q.head + 1) & (len(q.buf) - 1)
+	q.n--
+	return r
+}
+
 type dirLine struct {
 	state   dirState
 	owner   int
 	sharers sharerSet
 	busy    bool
-	queue   []queuedReq
+	queue   reqQueue
 	inLLC   bool
 }
 
@@ -565,10 +584,8 @@ func (d *Directory) unblock(line mem.Addr, l *dirLine) {
 // bounced by ForceNack never reaches unblock, and without this the rest
 // of the queue would strand until a new request happened to complete.
 func (d *Directory) startNext(l *dirLine) {
-	if !l.busy && len(l.queue) > 0 {
-		next := l.queue[0]
-		l.queue[0] = queuedReq{}
-		l.queue = l.queue[1:]
+	if !l.busy && l.queue.n > 0 {
+		next := l.queue.pop()
 		m := d.newMsg()
 		m.op = mStart
 		m.isX = next.isX
@@ -608,7 +625,7 @@ func (d *Directory) GetS(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	lineAddr = lineAddr.Line()
 	l := d.line(lineAddr)
 	if l.busy {
-		l.queue = append(l.queue, queuedReq{isX: false, line: lineAddr, req: req, resp: resp})
+		l.queue.push(queuedReq{isX: false, line: lineAddr, req: req, resp: resp})
 		return
 	}
 	if d.shouldForceNack(req) {
@@ -647,7 +664,7 @@ func (d *Directory) GetX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	lineAddr = lineAddr.Line()
 	l := d.line(lineAddr)
 	if l.busy {
-		l.queue = append(l.queue, queuedReq{isX: true, line: lineAddr, req: req, resp: resp})
+		l.queue.push(queuedReq{isX: true, line: lineAddr, req: req, resp: resp})
 		return
 	}
 	if d.shouldForceNack(req) {
@@ -686,12 +703,13 @@ func (d *Directory) GetX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 // requester and aggregates the outcome: all invalidated → exclusive
 // grant; any refusal (speculative forwarding by a reader) → SpecResp with
 // the committed data and the minimum producer PiC; any nack → RespNack.
+// Targets get their probes in ascending core order.
 func (d *Directory) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp RespHandler) {
+	targets := l.sharers
+	targets.clear(req.ID)
 	count := 0
-	for i := range d.cores {
-		if l.sharers.has(i) && i != req.ID {
-			count++
-		}
+	for _, w := range targets {
+		count += bits.OnesCount64(w)
 	}
 	if count == 0 {
 		d.fail("collectInvs with no targets", lineAddr)
@@ -705,12 +723,11 @@ func (d *Directory) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp
 	c.refused = false
 	c.nacked = false
 	c.minPiC = PiC(127)
-	for i := range d.cores {
-		if !l.sharers.has(i) || i == req.ID {
-			continue
+	for wi, w := range targets {
+		for ; w != 0; w &= w - 1 {
+			d.stats.Invs++
+			d.net.SendControlMsg(d.newInvT(c, wi<<6+bits.TrailingZeros64(w)))
 		}
-		d.stats.Invs++
-		d.net.SendControlMsg(d.newInvT(c, i))
 	}
 }
 
@@ -777,5 +794,5 @@ func (d *Directory) Busy(lineAddr mem.Addr) bool {
 
 // QueuedLen reports how many requests wait in the line's blocking queue.
 func (d *Directory) QueuedLen(lineAddr mem.Addr) int {
-	return len(d.line(lineAddr).queue)
+	return d.line(lineAddr).queue.n
 }

@@ -325,6 +325,41 @@ func TestBusyLineQueuesRequests(t *testing.T) {
 	}
 }
 
+// TestReqQueueReusesSlots: the request queue stays FIFO while its head
+// wraps and while it grows, and a queue that keeps the same backlog
+// reuses its slots instead of allocating.
+func TestReqQueueReusesSlots(t *testing.T) {
+	var q reqQueue
+	var model []mem.Addr
+	next := mem.Addr(0)
+	for step := 0; step < 2000; step++ {
+		if step%3 != 2 || len(model) == 0 {
+			q.push(queuedReq{line: next})
+			model = append(model, next)
+			next++
+		} else {
+			if got := q.pop().line; got != model[0] {
+				t.Fatalf("step %d: popped %v, want %v", step, got, model[0])
+			}
+			model = model[1:]
+		}
+		if q.n != len(model) {
+			t.Fatalf("step %d: %d queued, want %d", step, q.n, len(model))
+		}
+	}
+	for q.n > 5 {
+		q.pop()
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			q.push(queuedReq{})
+			q.pop()
+		}
+	}); n != 0 {
+		t.Fatalf("steady-depth queue allocated %v times per run", n)
+	}
+}
+
 func TestWriteBack(t *testing.T) {
 	r := newRig(1)
 	r.request(t, true, 0x2c0, 0)

@@ -177,7 +177,7 @@ func (e *Engine) Pending() int { return e.wheelCount + len(e.far) }
 // fires or is cancelled (see Event).
 func (e *Engine) Schedule(delay uint64, fn func()) *Event {
 	if fn == nil {
-		panic("sim: Schedule called with nil fn")
+		panic(fmt.Sprintf("sim: cycle %d: Schedule called with nil fn", e.now))
 	}
 	return e.ScheduleRunner(delay, Func(fn))
 }
@@ -188,7 +188,7 @@ func (e *Engine) Schedule(delay uint64, fn func()) *Event {
 // nothing.
 func (e *Engine) ScheduleRunner(delay uint64, r Runner) *Event {
 	if r == nil {
-		panic("sim: ScheduleRunner called with nil Runner")
+		panic(fmt.Sprintf("sim: cycle %d: ScheduleRunner called with nil Runner", e.now))
 	}
 	var ev *Event
 	if n := len(e.free); n > 0 {

@@ -203,13 +203,16 @@ func TestStepEmpty(t *testing.T) {
 	}
 }
 
+// TestScheduleNilPanics: the panic names the cycle it happened at.
 func TestScheduleNilPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+		if msg, _ := recover().(string); msg != "sim: cycle 5: Schedule called with nil fn" {
+			t.Fatalf("panic = %q", msg)
 		}
 	}()
 	var e Engine
+	e.Schedule(5, func() {})
+	e.Step()
 	e.Schedule(1, nil)
 }
 

@@ -242,11 +242,13 @@ func TestRunnerPayloadOrdering(t *testing.T) {
 
 func TestScheduleRunnerNilPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+		if msg, _ := recover().(string); msg != "sim: cycle 5: ScheduleRunner called with nil Runner" {
+			t.Fatalf("panic = %q", msg)
 		}
 	}()
 	var e Engine
+	e.Schedule(5, func() {})
+	e.Step()
 	e.ScheduleRunner(1, nil)
 }
 
