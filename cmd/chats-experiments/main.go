@@ -21,7 +21,6 @@ import (
 	"chats"
 	"chats/internal/experiments"
 	"chats/internal/faults"
-	"chats/internal/htm"
 	"chats/internal/machine"
 	"chats/internal/profiling"
 	"chats/internal/runstore"
@@ -49,7 +48,7 @@ func main() {
 		faultSpec = flag.String("faults", "", "fault spec for -faults-soak (default: the canonical all-kinds soak plan)")
 		fbMatrix  = flag.Bool("fallback-matrix", false, "instead of figures, sweep fallback path × system × micro bench under a lockburst plan (graceful-degradation check)")
 		fallback  = flag.String("fallback", "", "fallback path for every simulation: lock (default), stm[:locks=N], elide[:budget=N,refill=N]")
-		cmSpec    = flag.String("cm", "", "contention manager: fixed (default) or adaptive[:window=N,spec=F,wait=N,cap=N,fallbackafter=N,hotline=N]")
+		hotLine   = flag.Int("hotline", 0, "NACK transactional probes for a line once its recent conflict aborts reach N (0 = off)")
 		backoff   = flag.String("backoff", "", "post-abort backoff variant: exp (default), linear, jitter, each with optional :cap=N")
 		fuzzN     = flag.Int("fuzz-smoke", 0, "instead of figures, differentially fuzz N seeded random programs across all systems (0 = off)")
 		fuzzSeed  = flag.Uint64("fuzz-seed", 1, "first generator seed for -fuzz-smoke")
@@ -74,9 +73,9 @@ func main() {
 		fatal(err)
 	}
 
-	// The -fallback/-cm/-backoff knobs apply to every simulation of the
-	// chosen mode (figures, soak, fuzz-smoke). The fallback matrix sweeps
-	// its own path axis, so it only honors -cm and -backoff.
+	// The -fallback/-hotline/-backoff knobs apply to every simulation of
+	// the chosen mode (figures, soak, fuzz-smoke). The fallback matrix
+	// sweeps its own path axis, so it only honors -hotline and -backoff.
 	applyKnobs := func(cfg *machine.Config) {
 		var err error
 		if *fallback != "" {
@@ -84,11 +83,7 @@ func main() {
 				fatal(err)
 			}
 		}
-		if *cmSpec != "" {
-			if cfg.CM, err = htm.ParseCM(*cmSpec); err != nil {
-				fatal(err)
-			}
-		}
+		cfg.HotLine = *hotLine
 		if *backoff != "" {
 			if cfg.Backoff, err = machine.ParseBackoff(*backoff); err != nil {
 				fatal(err)

@@ -57,7 +57,7 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "print statistics as JSON")
 		faultSpec   = flag.String("faults", "", "fault-injection spec, e.g. 'spurious:p=0.01;jitter:p=0.1,max=8' ('soak' = the canonical all-kinds plan)")
 		fallbackFB  = flag.String("fallback", "", "fallback path: lock (default), stm[:locks=N], elide[:budget=N,refill=N]")
-		cmSpec      = flag.String("cm", "", "contention manager: fixed (default) or adaptive[:window=N,spec=F,wait=N,cap=N,fallbackafter=N,hotline=N]")
+		hotLine     = flag.Int("hotline", 0, "NACK transactional probes for a line once its recent conflict aborts reach N (0 = off)")
 		backoffSpec = flag.String("backoff", "", "post-abort backoff variant: exp (default), linear, jitter, each with optional :cap=N")
 		invariants  = flag.Bool("invariants", false, "attach the runtime invariant checker (chains, coherence, serializability oracle)")
 		wdCycles    = flag.Uint64("watchdog-cycles", 0, "arm the livelock watchdog: kill the run with a diagnostic dump after this many cycles without a commit or fallback (0 = off)")
@@ -112,13 +112,7 @@ func main() {
 		}
 		cfg.Machine.Fallback = fb
 	}
-	if *cmSpec != "" {
-		cm, err := htm.ParseCM(*cmSpec)
-		if err != nil {
-			fatal(err)
-		}
-		cfg.Machine.CM = cm
-	}
+	cfg.Machine.HotLine = *hotLine
 	if *backoffSpec != "" {
 		bo, err := machine.ParseBackoff(*backoffSpec)
 		if err != nil {

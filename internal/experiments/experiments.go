@@ -170,7 +170,7 @@ func traitsKey(t *htm.Traits) string {
 func TraitsKey(t *htm.Traits) string { return traitsKey(t) }
 
 // ConfigKey combines the trait fingerprint with the machine's
-// fallback/cm/backoff knob spec — the Config component of a run-store
+// fallback/hot-line/backoff knob spec — the Config component of a run-store
 // key for entry points that may override either. Defaults collapse to
 // "" so records from knobless runs keep their historical identity.
 func ConfigKey(t *htm.Traits, cfg machine.Config) string {

@@ -10,7 +10,6 @@ import (
 
 	"chats/internal/coherence"
 	"chats/internal/faults"
-	"chats/internal/htm"
 )
 
 // Config carries the Table I system parameters plus the simulator knobs
@@ -58,12 +57,11 @@ type Config struct {
 	// per-core retry budgets.
 	Fallback FallbackConfig
 
-	// CM selects the contention manager making the post-abort
-	// speculate/wait/fallback decision. The zero value is the fixed
-	// manager (wait with backoff, fall back past the policy's retry
-	// budget); the adaptive manager decides online per core and per
-	// hot line.
-	CM htm.CMConfig
+	// HotLine, when > 0, NACKs transactional conflict probes for lines
+	// whose decayed conflict-abort count reaches this threshold, so
+	// requesters back off instead of killing the current owner. 0 (the
+	// default) leaves every probe to the policy.
+	HotLine int
 
 	// NackRetryDelay is the requester-stall retry period; NackRetryLimit
 	// bounds retries before the transaction gives up (escape from
@@ -155,13 +153,13 @@ func (c Config) Validate() error {
 	if err := c.Fallback.Validate(); err != nil {
 		return fmt.Errorf("machine: %w", err)
 	}
-	if err := c.CM.Validate(); err != nil {
-		return fmt.Errorf("machine: %w", err)
+	if c.HotLine < 0 {
+		return fmt.Errorf("machine: HotLine must be non-negative, got %d", c.HotLine)
 	}
 	return nil
 }
 
-// KnobsKey renders the non-default fallback/CM/backoff knobs as a
+// KnobsKey renders the non-default fallback/hot-line/backoff knobs as a
 // short spec fragment for record keys and cell labels; empty for a
 // default config, so existing keys are unchanged.
 func (c Config) KnobsKey() string {
@@ -169,8 +167,8 @@ func (c Config) KnobsKey() string {
 	if c.Fallback.Kind != FallbackLock || c.Fallback != (FallbackConfig{}) {
 		parts = append(parts, "fb="+c.Fallback.String())
 	}
-	if c.CM.Kind != htm.CMFixed {
-		parts = append(parts, "cm="+c.CM.String())
+	if c.HotLine != 0 {
+		parts = append(parts, fmt.Sprintf("hl=%d", c.HotLine))
 	}
 	if c.Backoff != (BackoffConfig{}) {
 		parts = append(parts, "bo="+c.Backoff.String())

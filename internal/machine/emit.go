@@ -20,29 +20,14 @@ func (m *Machine) emitBegin(core, attempt int, power bool) {
 }
 
 func (m *Machine) emitCommit(core, consumed int) {
-	if m.cm != nil {
-		m.cm.NoteCommit(core)
-	}
 	for _, t := range m.obs.tx {
 		t.TxCommit(m.eng.Now(), core, consumed)
 	}
 }
 
 func (m *Machine) emitAbort(core int, cause htm.AbortCause) {
-	if m.cm != nil {
-		m.cm.NoteAbort(core)
-	}
 	for _, t := range m.obs.tx {
 		t.TxAbort(m.eng.Now(), core, cause)
-	}
-}
-
-// emitCMDecision records one post-abort contention-manager verdict.
-// It is called from thread-side code, which is safe: the engine is
-// suspended in this thread's coroutine switch while it runs.
-func (m *Machine) emitCMDecision(core int, act htm.CMAction) {
-	for _, t := range m.obs.cm {
-		t.CMDecision(m.eng.Now(), core, act)
 	}
 }
 

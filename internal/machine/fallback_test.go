@@ -62,29 +62,6 @@ func TestBackoffSpecRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCMSpecRoundTrip(t *testing.T) {
-	good := []string{"fixed", "adaptive", "adaptive:window=8,spec=0.5,wait=128,cap=4096,fallbackafter=4,hotline=3"}
-	for _, spec := range good {
-		c, err := htm.ParseCM(spec)
-		if err != nil {
-			t.Fatalf("ParseCM(%q): %v", spec, err)
-		}
-		back, err := htm.ParseCM(c.String())
-		if err != nil {
-			t.Fatalf("re-parse %q: %v", c.String(), err)
-		}
-		if back != c {
-			t.Errorf("round trip %q: %+v -> %q -> %+v", spec, c, c.String(), back)
-		}
-	}
-	bad := []string{"bogus", "fixed:window=2", "adaptive:spec=1.5", "adaptive:window=100", "adaptive:zzz=1"}
-	for _, spec := range bad {
-		if _, err := htm.ParseCM(spec); err == nil {
-			t.Errorf("ParseCM(%q) accepted", spec)
-		}
-	}
-}
-
 func TestConfigValidateKnobs(t *testing.T) {
 	base := testutil.Config()
 	if err := base.Validate(); err != nil {
@@ -99,10 +76,7 @@ func TestConfigValidateKnobs(t *testing.T) {
 		{"negative elide budget", func(c *machine.Config) { c.Fallback.Budget = -2 }},
 		{"bad fallback kind", func(c *machine.Config) { c.Fallback.Kind = machine.FallbackKind(9) }},
 		{"bad backoff kind", func(c *machine.Config) { c.Backoff.Kind = machine.BackoffKind(7) }},
-		{"bad cm kind", func(c *machine.Config) { c.CM.Kind = htm.CMKind(5) }},
-		{"cm spec frac out of range", func(c *machine.Config) { c.CM.Kind = htm.CMAdaptive; c.CM.SpecFrac = 1.5 }},
-		{"cm window too wide", func(c *machine.Config) { c.CM.Kind = htm.CMAdaptive; c.CM.Window = 65 }},
-		{"cm cap below base", func(c *machine.Config) { c.CM.Kind = htm.CMAdaptive; c.CM.WaitBase = 100; c.CM.WaitCap = 10 }},
+		{"negative hotline", func(c *machine.Config) { c.HotLine = -1 }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -110,6 +84,29 @@ func TestConfigValidateKnobs(t *testing.T) {
 		if err := cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted", tc.name)
 		}
+	}
+}
+
+// KnobsKey names the non-default knobs in run-store keys: empty for the
+// defaults, one space-separated fragment per knob otherwise.
+func TestKnobsKey(t *testing.T) {
+	cfg := testutil.Config()
+	if k := cfg.KnobsKey(); k != "" {
+		t.Fatalf("default KnobsKey = %q, want empty", k)
+	}
+	cfg.HotLine = 8
+	if k := cfg.KnobsKey(); k != "hl=8" {
+		t.Fatalf("KnobsKey = %q, want hl=8", k)
+	}
+	var err error
+	if cfg.Fallback, err = machine.ParseFallback("stm:locks=32"); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Backoff, err = machine.ParseBackoff("linear:cap=4096"); err != nil {
+		t.Fatal(err)
+	}
+	if k, want := cfg.KnobsKey(), "fb=stm:locks=32 hl=8 bo=linear:cap=4096"; k != want {
+		t.Fatalf("KnobsKey = %q, want %q", k, want)
 	}
 }
 
@@ -229,26 +226,26 @@ func TestSTMFallbackOverlapsBank(t *testing.T) {
 	}
 }
 
-// ---------- adaptive contention manager ----------
+// ---------- contention management ----------
 
+// On a requester-wins counter (one migratory slot: every block
+// increments the same word) the hot-line override must heat the
+// counter's line and NACK probes for it, while every abort still waits
+// out the paper's backoff.
 func TestAdaptiveCMDecidesOnCounter(t *testing.T) {
 	cfg := testutil.Config()
 	cfg.Cores = 8
-	var err error
-	cfg.CM, err = htm.ParseCM("adaptive")
+	cfg.HotLine = 4
+	m := testutil.Machine(t, cfg, testutil.Policy(t, core.KindBaseline))
+	st, err := m.Run(&testutil.Migratory{Slots: 1, Iters: 25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := testutil.Machine(t, cfg, testutil.Policy(t, core.KindCHATS))
-	st, err := m.Run(&testutil.Counter{Iters: 25})
-	if err != nil {
-		t.Fatal(err)
+	if st.CMHotNacks == 0 {
+		t.Error("hot-line override never NACKed on a contended counter")
 	}
-	if st.CMWaits+st.CMSpecs+st.CMFallbacks == 0 {
-		t.Error("adaptive CM made no decisions on a contended counter")
-	}
-	if st.CMSpecs == 0 {
-		t.Error("adaptive CM never speculated")
+	if st.CMWaits == 0 {
+		t.Error("no abort waited out a backoff")
 	}
 	blocks := uint64(8 * 25)
 	if st.Commits+st.Fallbacks != blocks {
@@ -256,20 +253,14 @@ func TestAdaptiveCMDecidesOnCounter(t *testing.T) {
 	}
 }
 
-// A mis-tuned adaptive CM that answers almost every abort with an
-// astronomically long wait must trip the livelock watchdog instead of
-// spinning to the cycle limit (satellite: watchdog under mis-tuned CM).
+// A mis-tuned backoff that answers every abort with an astronomically
+// long wait must trip the livelock watchdog instead of spinning to the
+// cycle limit.
 func TestAdaptiveCMMisTunedTripsWatchdog(t *testing.T) {
 	cfg := testutil.Config()
 	cfg.Cores = 8
 	cfg.WatchdogCycles = 200_000
-	cfg.CM = htm.CMConfig{
-		Kind:          htm.CMAdaptive,
-		Window:        1,       // one abort -> 100% abort rate -> wait
-		WaitBase:      1 << 30, // ... for ~2^30 cycles
-		WaitCap:       1 << 31,
-		FallbackAfter: 1 << 30, // never rescue via fallback
-	}
+	cfg.BackoffBase = 1 << 30 // every abort waits >= 2^30 cycles
 	m := testutil.Machine(t, cfg, testutil.Policy(t, core.KindCHATS))
 	_, err := m.Run(&testutil.Counter{Iters: 25})
 	var ll *machine.LivelockError
@@ -281,18 +272,13 @@ func TestAdaptiveCMMisTunedTripsWatchdog(t *testing.T) {
 	}
 }
 
-// A mis-tuned adaptive CM that always speculates (and never falls
-// back) must trip the per-block starvation budget, naming the core.
+// A retry budget so large that no block ever falls back must trip the
+// per-block starvation budget, naming the core.
 func TestAdaptiveCMStarvationTripsMaxAttempts(t *testing.T) {
 	cfg := testutil.Config()
-	cfg.Cores = 8
+	cfg.Cores = 16
 	cfg.MaxAttempts = 40
-	cfg.CM = htm.CMConfig{
-		Kind:          htm.CMAdaptive,
-		SpecFrac:      1,       // retry immediately forever
-		FallbackAfter: 1 << 30, // never rescue via fallback
-	}
-	m := testutil.Machine(t, cfg, testutil.Policy(t, core.KindCHATS))
+	m := testutil.Machine(t, cfg, core.NewBaselineWith(htm.Traits{Retries: 1 << 30}))
 	_, err := m.Run(&testutil.Counter{Iters: 50})
 	var ll *machine.LivelockError
 	if !errors.As(err, &ll) {

@@ -53,9 +53,8 @@ type Machine struct {
 	inj  *faults.Injector
 	ring *eventRing // recent-event buffer for watchdog diagnostics, an observer
 
-	// cm is the adaptive contention manager (nil under the fixed
-	// manager), holding per-core attempt windows and per-line heat.
-	cm *htm.AdaptiveCM
+	// heat is the hot-line table (nil when Config.HotLine is 0).
+	heat *htm.HeatTable
 	// stmLock is the STM fallback path's version-lock table: one word
 	// per entry, each on its own line, hashed by data word address.
 	// Allocated only when Fallback.Kind == FallbackSTM so other
@@ -71,7 +70,6 @@ type observers struct {
 	tx    []Tracer
 	op    []OpTracer
 	fault []FaultTracer
-	cm    []CMTracer
 	run   []RunChecker
 }
 
@@ -128,11 +126,7 @@ func New(cfg Config, policy htm.Policy) (*Machine, error) {
 			m.stmLock[i] = alloc.LineAligned(1)
 		}
 	}
-	if cfg.CM.Kind != htm.CMFixed {
-		// Dedicated PRNG stream, like the fault injector: the adaptive
-		// waits must never reshuffle workload or fault draws.
-		m.cm = htm.NewAdaptiveCM(cfg.CM, cfg.Cores, sim.NewRand(cfg.Seed*9176156071+77))
-	}
+	m.heat = htm.NewHeatTable(cfg.HotLine)
 	m.world = &World{Mem: m.memory, Alloc: alloc}
 
 	cores := make([]coherence.Core, cfg.Cores)

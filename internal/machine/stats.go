@@ -60,12 +60,10 @@ type RunStats struct {
 	FallbackElideExtends uint64 // lock acquisitions converted to extra attempts
 	FallbackBodyCycles   uint64
 
-	// Contention-manager decision counts (the fixed manager always
-	// waits; the adaptive manager splits across all three).
-	CMWaits     uint64
-	CMSpecs     uint64
-	CMFallbacks uint64
-	CMHotNacks  uint64 // probes NACKed by the hot-line override
+	// Contention-manager counts: backoff waits after an abort, and
+	// probes NACKed by the hot-line override.
+	CMWaits    uint64
+	CMHotNacks uint64
 
 	// FaultsInjected counts every injected fault across all kinds (zero
 	// without a fault plan). Its presence in the comparable struct makes
@@ -107,8 +105,6 @@ func (s *RunStats) addShard(o *RunStats) {
 	s.FallbackElideExtends += o.FallbackElideExtends
 	s.FallbackBodyCycles += o.FallbackBodyCycles
 	s.CMWaits += o.CMWaits
-	s.CMSpecs += o.CMSpecs
-	s.CMFallbacks += o.CMFallbacks
 	s.CMHotNacks += o.CMHotNacks
 }
 

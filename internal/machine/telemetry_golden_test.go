@@ -125,7 +125,7 @@ func TestNilTracerEmitsNoAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.obs.tx != nil || m.obs.op != nil || m.obs.fault != nil || m.obs.cm != nil || m.obs.run != nil {
+	if m.obs.tx != nil || m.obs.op != nil || m.obs.fault != nil || m.obs.run != nil {
 		t.Fatal("fresh machine has a tracer attached")
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -169,14 +169,13 @@ func TestNilTracerEmitsNoAllocationsWatchdogArmed(t *testing.T) {
 		m.emitConflict(0, 1, 0x80, 0, htm.DecideSpec)
 		m.emitNackRetry(0, 0x80)
 		m.emitOp(0, OpStore, true, 0x80, 1, 0, true)
-		m.emitCMDecision(0, htm.CMWait)
 		m.countFault(0, "spurious")
 	})
 	if allocs != 0 {
 		t.Fatalf("armed-watchdog emission allocates %.1f times per event batch, want 0", allocs)
 	}
 	if dump := m.diagnosticDump(); !strings.Contains(dump, "last 64 events:") ||
-		!strings.Contains(dump, "core0 cm-decision wait") {
+		!strings.Contains(dump, "core0 fault spurious") {
 		t.Fatalf("the event ring did not record the emitted events:\n%s", dump)
 	}
 }

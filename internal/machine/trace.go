@@ -100,13 +100,6 @@ type FaultTracer interface {
 	FaultInjected(cycle uint64, core int, kind string)
 }
 
-// CMTracer is an optional Tracer extension receiving every post-abort
-// contention-manager decision (wait, speculate, or fallback) — the
-// fixed manager reports waits only.
-type CMTracer interface {
-	CMDecision(cycle uint64, core int, act htm.CMAction)
-}
-
 // RunChecker is an optional Tracer extension hooked into the run
 // lifecycle: BeginRun fires after Workload.Setup (simulated memory laid
 // out, no thread started), EndRun after the caches are flushed back to
@@ -119,8 +112,8 @@ type RunChecker interface {
 
 // SetTracer attaches the given tracers in order, replacing any attached
 // before; nil entries are skipped and no argument detaches them all.
-// Call before Run. Each tracer's OpTracer, FaultTracer, CMTracer and
-// RunChecker extensions are detected here, once, so an event costs one
+// Call before Run. Each tracer's OpTracer, FaultTracer and RunChecker
+// extensions are detected here, once, so an event costs one
 // loop over the observers of its kind. When the watchdog is armed, its
 // event ring stays attached as the first observer.
 func (m *Machine) SetTracer(ts ...Tracer) {
@@ -138,9 +131,6 @@ func (m *Machine) SetTracer(ts ...Tracer) {
 		}
 		if f, ok := t.(FaultTracer); ok {
 			m.obs.fault = append(m.obs.fault, f)
-		}
-		if c, ok := t.(CMTracer); ok {
-			m.obs.cm = append(m.obs.cm, c)
 		}
 		if c, ok := t.(RunChecker); ok {
 			m.obs.run = append(m.obs.run, c)

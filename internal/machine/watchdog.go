@@ -28,7 +28,6 @@ const (
 	ringNack
 	ringFault
 	ringOp
-	ringCM
 )
 
 // ringEvent is one fixed-size slot; all fields are values so recording
@@ -67,14 +66,12 @@ func (e ringEvent) String() string {
 		return fmt.Sprintf("%d core%d fault %s", e.cycle, e.core, e.s)
 	case ringOp:
 		return fmt.Sprintf("%d core%d %s %v", e.cycle, e.core, e.s, e.line)
-	case ringCM:
-		return fmt.Sprintf("%d core%d cm-decision %s", e.cycle, e.core, e.s)
 	}
 	return fmt.Sprintf("%d ringEvent(%d)", e.cycle, e.kind)
 }
 
 // eventRing is a fixed-capacity overwrite-oldest buffer. It observes
-// the run like any tracer (Tracer, OpTracer, FaultTracer, CMTracer);
+// the run like any tracer (Tracer, OpTracer, FaultTracer);
 // VSB occupancy is the one event it does not keep.
 type eventRing struct {
 	NopTracer
@@ -142,10 +139,6 @@ func (r *eventRing) Op(cycle uint64, core int, op OpKind, inTx bool, addr mem.Ad
 
 func (r *eventRing) FaultInjected(cycle uint64, core int, kind string) {
 	r.add(ringEvent{cycle: cycle, kind: ringFault, core: core, s: kind})
-}
-
-func (r *eventRing) CMDecision(cycle uint64, core int, act htm.CMAction) {
-	r.add(ringEvent{cycle: cycle, kind: ringCM, core: core, s: act.String()})
 }
 
 // events returns the retained events, oldest first.

@@ -52,8 +52,6 @@ func FromStats(st machine.RunStats, system string, seed uint64, config, size str
 			"fallback_elide_exts":  st.FallbackElideExtends,
 			"fallback_body_cycles": st.FallbackBodyCycles,
 			"cm_waits":             st.CMWaits,
-			"cm_specs":             st.CMSpecs,
-			"cm_fallbacks":         st.CMFallbacks,
 			"cm_hot_nacks":         st.CMHotNacks,
 		},
 		ByCause: byCause(st),

@@ -29,9 +29,8 @@ type coreState struct {
 }
 
 // Collector consumes the machine's event stream (it implements
-// machine.Tracer, machine.CMTracer and machine.FaultTracer
-// structurally) and aggregates it
-// into metrics, a hot-line profile and chain topology, while retaining
+// machine.Tracer and machine.FaultTracer structurally) and aggregates
+// it into metrics, a hot-line profile and chain topology, while retaining
 // the raw events for the JSONL / Chrome exports.
 //
 // A Collector is per-run state and is NOT goroutine-safe: it mutates
@@ -225,16 +224,6 @@ func (c *Collector) NackRetry(cycle uint64, core int, line mem.Addr) {
 func (c *Collector) VSBOccupancy(cycle uint64, core, occ int) {
 	c.vsbOcc.Observe(uint64(occ))
 	c.record(Event{Cycle: cycle, Kind: KindVSB, Core: core, Peer: -1, Occ: occ})
-}
-
-// ---------- machine.CMTracer ----------
-
-// CMDecision counts one post-abort contention-manager verdict under
-// "cm/wait", "cm/spec" or "cm/fallback" — the per-path breakdown the
-// adaptive-manager drill-down reads. Counter-only: decisions are dense
-// and carry no line, so they stay out of the retained event buffer.
-func (c *Collector) CMDecision(cycle uint64, core int, act htm.CMAction) {
-	c.Reg.Counter("cm/" + act.String()).Inc()
 }
 
 // ---------- machine.FaultTracer ----------

@@ -19,7 +19,6 @@ import (
 // outside its tests, so these assertions are the only compile-time tie.
 var (
 	_ machine.Tracer      = (*Collector)(nil)
-	_ machine.CMTracer    = (*Collector)(nil)
 	_ machine.FaultTracer = (*Collector)(nil)
 )
 
