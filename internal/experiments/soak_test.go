@@ -45,6 +45,27 @@ func TestFaultSoakClean(t *testing.T) {
 	}
 }
 
+// A validation response that arrives after its attempt aborted must not
+// strand the next attempt's commit. These soak seeds each have a CHATS
+// core call Commit while the dead attempt's validation is in flight;
+// before the stale response re-issued validation, the core sat in
+// Committing forever and the run panicked at its end.
+func TestFaultSoakStaleValidationCommits(t *testing.T) {
+	plan := faults.SoakPlan()
+	for _, seed := range []uint64{2, 21, 24, 45} {
+		p := Params{Size: workloads.Small, Machine: machine.DefaultConfig(), Faults: &plan}
+		p.Machine.Seed = seed
+		st, err := NewSuite(p).Run(core.KindCHATS, nil, "cadd")
+		if err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+			continue
+		}
+		if st.FaultsInjected == 0 {
+			t.Errorf("seed %d: no faults injected", seed)
+		}
+	}
+}
+
 // A failing cell must carry its identity and the fault plan in the error
 // so the exact run can be reproduced from the message alone.
 func TestCellErrorCarriesIdentityAndPlan(t *testing.T) {
