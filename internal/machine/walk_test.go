@@ -3,6 +3,7 @@ package machine
 import (
 	"errors"
 	"fmt"
+	"regexp"
 	"runtime"
 	"strings"
 	"testing"
@@ -183,18 +184,19 @@ func (w *badWalkWL) Thread(ctx Ctx, tid int) {
 
 // TestWalkerFailureFailsRun: a walker whose Next panics, or calls back
 // into Tx, fails only its own run with a *ThreadPanic naming the
-// thread, and every thread coroutine is unwound. On the STM path Next
+// thread, and every thread coroutine is unwound. A call-back panic
+// names the cycle and core. On the STM path Next
 // runs on the thread, and the same contract holds.
 func TestWalkerFailureFailsRun(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
 		callback, stm bool
-		want          string
+		want          string // regexp the panic value must match
 	}{
-		{"panic", false, false, "walker bug"},
-		{"callback", true, false, "called back into Ctx or Tx"},
-		{"stm-panic", false, true, "walker bug"},
-		{"stm-callback", true, true, "called back into Ctx or Tx"},
+		{"panic", false, false, "^walker bug$"},
+		{"callback", true, false, `^machine: cycle [1-9]\d* core 3: a Walker's Next called back into Ctx or Tx$`},
+		{"stm-panic", false, true, "^walker bug$"},
+		{"stm-callback", true, true, `^machine: cycle [1-9]\d* core 3: a Walker's Next called back into Ctx or Tx$`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testCfg()
@@ -211,7 +213,7 @@ func TestWalkerFailureFailsRun(t *testing.T) {
 			if !errors.As(err, &tp) {
 				t.Fatalf("Run error = %v, want a *ThreadPanic", err)
 			}
-			if tp.Thread != 3 || !strings.Contains(fmt.Sprint(tp.Value), tc.want) || len(tp.Stack) == 0 {
+			if tp.Thread != 3 || !regexp.MustCompile(tc.want).MatchString(fmt.Sprint(tp.Value)) || len(tp.Stack) == 0 {
 				t.Errorf("ThreadPanic = {Thread: %d, Value: %v, %d stack bytes}, want thread 3, %q, a stack",
 					tp.Thread, tp.Value, len(tp.Stack), tc.want)
 			}

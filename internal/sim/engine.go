@@ -336,7 +336,7 @@ func (e *Engine) Step() bool {
 // step fires the earliest event, known to be at cycle c.
 func (e *Engine) step(c uint64) {
 	if c < e.now {
-		panic(fmt.Sprintf("sim: event scheduled in the past (%d < %d)", c, e.now))
+		panic(fmt.Sprintf("sim: cycle %d: event scheduled in the past (cycle %d)", e.now, c))
 	}
 	if c > e.now {
 		e.now = c

@@ -203,17 +203,23 @@ func TestStepEmpty(t *testing.T) {
 	}
 }
 
-// TestScheduleNilPanics: the panic names the cycle it happened at.
+// TestScheduleNilPanics: the engine's panics name the cycle they
+// happened at — a nil payload, and an event behind the clock.
 func TestScheduleNilPanics(t *testing.T) {
-	defer func() {
-		if msg, _ := recover().(string); msg != "sim: cycle 5: Schedule called with nil fn" {
-			t.Fatalf("panic = %q", msg)
-		}
-	}()
+	wantPanic := func(want string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); msg != want {
+				t.Errorf("panic = %q, want %q", msg, want)
+			}
+		}()
+		f()
+	}
 	var e Engine
 	e.Schedule(5, func() {})
 	e.Step()
-	e.Schedule(1, nil)
+	wantPanic("sim: cycle 5: Schedule called with nil fn", func() { e.Schedule(1, nil) })
+	wantPanic("sim: cycle 5: event scheduled in the past (cycle 3)", func() { e.step(3) })
 }
 
 // Property: events always fire in nondecreasing cycle order, and ties fire
