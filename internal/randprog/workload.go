@@ -22,7 +22,7 @@ import (
 // internal/difftest instead.
 type Workload struct {
 	name string
-	prog *Program               // fixed mode
+	prog *Program                   // fixed mode
 	gen  func(threads int) *Program // family mode
 
 	p        *Program // active program after Setup

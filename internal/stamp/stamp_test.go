@@ -89,6 +89,81 @@ func TestVacationConservation(t *testing.T) {
 	}
 }
 
+// Treap record word offsets, as structures.Treap documents them:
+// {key, val, prio, left, right}.
+const (
+	nodeKey = iota
+	nodeVal
+	nodePrio
+	nodeLeft
+	nodeRight
+)
+
+// setUpVacation lays out a vacation's tables in a fresh world without
+// running it.
+func setUpVacation(relations, threads int) (*Vacation, *machine.World) {
+	v := NewVacation(relations, 3)
+	world := &machine.World{Mem: mem.NewMemory(), Alloc: mem.NewAllocator(0)}
+	v.Setup(world, threads)
+	return v, world
+}
+
+// Check walks each table once, and that one walk must still catch every
+// kind of damage: a wrong value, broken key order, broken priority order
+// and lost rows.
+func TestVacationCheckDetectsCorruptTables(t *testing.T) {
+	word := func(m *mem.Memory, node mem.Addr, field int) uint64 { return m.ReadWord(node.Plus(field)) }
+	// childSlot is the word of node's left child, or of its right child
+	// when it has no left one.
+	childSlot := func(m *mem.Memory, node mem.Addr) mem.Addr {
+		if word(m, node, nodeLeft) != 0 {
+			return node.Plus(nodeLeft)
+		}
+		return node.Plus(nodeRight)
+	}
+	child := func(m *mem.Memory, node mem.Addr) mem.Addr { return mem.Addr(m.ReadWord(childSlot(m, node))) }
+	// Each corruption, and a word of the error Check must give for it.
+	corruptions := map[string]struct {
+		want    string
+		corrupt func(m *mem.Memory, root mem.Addr)
+	}{
+		"row value": {"remaining", func(m *mem.Memory, root mem.Addr) {
+			leaf := root
+			for c := child(m, leaf); c != 0; c = child(m, leaf) {
+				leaf = c
+			}
+			m.WriteWord(leaf.Plus(nodeVal), word(m, leaf, nodeVal)+1)
+		}},
+		"swapped keys": {"key", func(m *mem.Memory, root mem.Addr) {
+			c := child(m, root)
+			rk, ck := word(m, root, nodeKey), word(m, c, nodeKey)
+			m.WriteWord(root.Plus(nodeKey), ck)
+			m.WriteWord(c.Plus(nodeKey), rk)
+		}},
+		"child above parent": {"priority", func(m *mem.Memory, root mem.Addr) {
+			c := child(m, root)
+			g := child(m, c)
+			m.WriteWord(g.Plus(nodePrio), word(m, c, nodePrio)+1)
+		}},
+		"unlinked subtree": {"missing", func(m *mem.Memory, root mem.Addr) {
+			m.WriteWord(childSlot(m, root), 0)
+		}},
+	}
+	v, world := setUpVacation(128, 4)
+	if err := v.Check(world); err != nil {
+		t.Fatalf("untouched tables: %v", err)
+	}
+	for name, c := range corruptions {
+		for table := range v.tables {
+			v, world := setUpVacation(128, 4)
+			c.corrupt(world.Mem, mem.Addr(world.Mem.ReadWord(v.tables[table].Root)))
+			if err := v.Check(world); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s in table %d: Check = %v, want an error naming %q", name, table, err, c.want)
+			}
+		}
+	}
+}
+
 func TestLabyrinthPathsAreConnected(t *testing.T) {
 	w := NewLabyrinth(16, 2)
 	world, _ := run(t, w)
@@ -125,6 +200,31 @@ func TestKMeansCenterAddressing(t *testing.T) {
 		}
 		if c > 0 && a == w.center(c-1) {
 			t.Fatal("centers overlap")
+		}
+	}
+}
+
+// The medium vacation (8,192 rows per table, as the workload registry
+// sizes it) on the 16 threads of the Fig. 4 grid.
+const (
+	benchRelations = 8192
+	benchThreads   = 16
+)
+
+func BenchmarkVacationSetup(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		setUpVacation(benchRelations, benchThreads)
+	}
+}
+
+func BenchmarkVacationCheck(b *testing.B) {
+	v, world := setUpVacation(benchRelations, benchThreads)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := v.Check(world); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

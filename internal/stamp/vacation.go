@@ -37,14 +37,17 @@ func (v *Vacation) Name() string { return "vacation" }
 
 func (v *Vacation) Setup(w *machine.World, threads int) {
 	v.threads = threads
-	d := structures.Direct{M: w.Mem}
 	r := sim.NewRand(12345)
 	for t := range v.tables {
 		v.tables[t] = structures.NewTreap(w.Alloc)
-		pool := structures.NewPool(w.Alloc, v.Relations, structures.TreapNodeWords)
-		for k := 1; k <= v.Relations; k++ {
-			v.tables[t].Insert(d, pool.Get(), uint64(k), 100, r.Uint64())
-		}
+		// Rows k = 1..Relations, one line-aligned record each, allocated
+		// and drawn in key order.
+		v.tables[t].Build(w.Mem, v.Relations, func(i int) structures.TreapNode {
+			return structures.TreapNode{
+				Addr: w.Alloc.LineAligned(structures.TreapNodeWords),
+				Key:  uint64(i + 1), Val: 100, Prio: r.Uint64(),
+			}
+		})
 	}
 	v.initial = uint64(4 * v.Relations * 100)
 	v.reserved = w.Alloc.Lines(threads)
@@ -86,15 +89,26 @@ func (v *Vacation) Check(w *machine.World) error {
 	d := structures.Direct{M: w.Mem}
 	var remaining uint64
 	for t := range v.tables {
-		if !v.tables[t].CheckInvariants(d) {
-			return fmt.Errorf("vacation: table %d invariants violated", t)
-		}
-		for k := 1; k <= v.Relations; k++ {
-			val, ok := v.tables[t].Find(d, uint64(k))
-			if !ok {
-				return fmt.Errorf("vacation: table %d row %d missing", t, k)
+		// Scan yields keys in strictly ascending order, so row k is the
+		// k-th key exactly when rows 1..k are all present.
+		var rows, missing uint64
+		err := v.tables[t].Scan(d, func(key, val uint64) {
+			rows++
+			if key != rows && missing == 0 {
+				missing = rows
 			}
 			remaining += val
+		})
+		if missing == 0 && rows < uint64(v.Relations) {
+			missing = rows + 1 // the last rows are gone
+		}
+		switch {
+		case err != nil:
+			return fmt.Errorf("vacation: table %d: %w", t, err)
+		case missing != 0:
+			return fmt.Errorf("vacation: table %d row %d missing", t, missing)
+		case rows != uint64(v.Relations):
+			return fmt.Errorf("vacation: table %d holds %d rows, want %d", t, rows, v.Relations)
 		}
 	}
 	var booked uint64

@@ -10,7 +10,8 @@ import (
 // FuzzStructures: a random sequence of Insert/Find/Update/Remove runs on
 // a List, a HashSet and a Treap through Direct, and every result agrees
 // with a Go map; afterwards the sizes match the map, the list keys are
-// sorted and the treap keeps its invariants. Each op is two bytes: the
+// sorted and the treap's Scan yields exactly the map's keys and values
+// in key order, with BST and heap order intact. Each op is two bytes: the
 // op (mod 4) and the key (mod 64). The seed corpus in testdata/fuzz
 // replays under plain go test; extend it with
 //
@@ -72,15 +73,15 @@ func FuzzStructures(f *testing.F) {
 				delete(model, key)
 			}
 		}
-		if l.Len(m) != len(model) || h.Len(m) != len(model) || tr.Size(m) != len(model) {
-			t.Fatalf("sizes: list %d, hash %d, treap %d; want %d", l.Len(m), h.Len(m), tr.Size(m), len(model))
+		if l.Len(m) != len(model) || h.Len(m) != len(model) {
+			t.Fatalf("sizes: list %d, hash %d; want %d", l.Len(m), h.Len(m), len(model))
 		}
 		ks := l.Keys(m)
 		if !sort.SliceIsSorted(ks, func(i, j int) bool { return ks[i] < ks[j] }) {
 			t.Fatalf("list keys out of order: %v", ks)
 		}
-		if !tr.CheckInvariants(m) {
-			t.Fatal("treap invariants broken")
+		if err := scanMatches(m, tr, model); err != nil {
+			t.Fatalf("treap: %v", err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package structures
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -161,11 +162,8 @@ func TestTreapBasic(t *testing.T) {
 	if tr.Insert(m, pool.Get(), 5, 0, 1) {
 		t.Fatal("duplicate accepted")
 	}
-	if tr.Size(m) != 200 {
-		t.Fatalf("size = %d", tr.Size(m))
-	}
-	if !tr.CheckInvariants(m) {
-		t.Fatal("treap invariants broken after inserts")
+	if n := treapLen(t, m, tr); n != 200 {
+		t.Fatalf("size = %d", n)
 	}
 	for _, k := range keys {
 		if v, ok := tr.Find(m, uint64(k)+1); !ok || v != uint64(k*3) {
@@ -178,11 +176,8 @@ func TestTreapBasic(t *testing.T) {
 			t.Fatalf("remove %d = %d %v", k, v, ok)
 		}
 	}
-	if tr.Size(m) != 100 {
-		t.Fatalf("size after removes = %d", tr.Size(m))
-	}
-	if !tr.CheckInvariants(m) {
-		t.Fatal("treap invariants broken after removes")
+	if n := treapLen(t, m, tr); n != 100 {
+		t.Fatalf("size after removes = %d", n)
 	}
 	for _, k := range keys[:100] {
 		if _, ok := tr.Find(m, uint64(k)+1); ok {
@@ -194,6 +189,48 @@ func TestTreapBasic(t *testing.T) {
 			t.Fatalf("surviving key %d lost", k)
 		}
 	}
+}
+
+// treapLen counts the treap's nodes with Scan, failing the test if Scan
+// finds a broken invariant.
+func treapLen(t *testing.T, m Mem, tr *Treap) int {
+	t.Helper()
+	n := 0
+	if err := tr.Scan(m, func(_, _ uint64) { n++ }); err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// scanMatches reports whether Scan yields exactly model's keys and values
+// in ascending key order, with BST and heap order intact.
+func scanMatches(m Mem, tr *Treap, model map[uint64]uint64) error {
+	keys := make([]uint64, 0, len(model))
+	for k := range model {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	i := 0
+	var bad error
+	err := tr.Scan(m, func(k, v uint64) {
+		switch {
+		case bad != nil:
+		case i >= len(keys):
+			bad = fmt.Errorf("scan yields extra key %d", k)
+		case k != keys[i] || v != model[k]:
+			bad = fmt.Errorf("scan yields %d=%d at position %d; want %d=%d", k, v, i, keys[i], model[keys[i]])
+		}
+		i++
+	})
+	switch {
+	case err != nil:
+		return err
+	case bad != nil:
+		return bad
+	case i != len(keys):
+		return fmt.Errorf("scan yields %d keys; want %d", i, len(keys))
+	}
+	return nil
 }
 
 // Property: treap matches a map model and keeps its invariants.
@@ -231,7 +268,7 @@ func TestTreapModel(t *testing.T) {
 				delete(model, key)
 			}
 		}
-		return tr.Size(m) == len(model) && tr.CheckInvariants(m)
+		return scanMatches(m, tr, model) == nil
 	}
 	cfg := &quick.Config{MaxCount: 60}
 	if err := quick.Check(f, cfg); err != nil {
@@ -308,4 +345,95 @@ func TestPool(t *testing.T) {
 		}
 	}()
 	p.Get()
+}
+
+// lineImage is every written line of a memory, by address.
+func lineImage(m *mem.Memory) map[mem.Addr]mem.Line {
+	img := map[mem.Addr]mem.Line{}
+	m.ForEachLine(func(a mem.Addr, l mem.Line) { img[a] = l })
+	return img
+}
+
+// Build must leave the memory image of n Inserts in key order: the same
+// words on every line, the same written lines and the same Touched
+// count, also when priorities tie.
+func TestTreapBuildMatchesInserts(t *testing.T) {
+	streams := map[string]func(r *sim.Rand) uint64{
+		"random":      func(r *sim.Rand) uint64 { return r.Uint64() },
+		"all-equal":   func(*sim.Rand) uint64 { return 7 },
+		"small-range": func(r *sim.Rand) uint64 { return r.Uint64n(3) },
+	}
+	for name, prio := range streams {
+		for _, n := range []int{0, 1, 2, 3, 17, 8192} {
+			key := func(i int) uint64 { return uint64(2*i + 1) }
+			ins, insAl := testMem()
+			tr := NewTreap(insAl)
+			pool := NewPool(insAl, n, TreapNodeWords)
+			r := sim.NewRand(uint64(n))
+			for i := 0; i < n; i++ {
+				if !tr.Insert(ins, pool.Get(), key(i), key(i)*3, prio(r)) {
+					t.Fatalf("%s n=%d: insert %d refused", name, n, i)
+				}
+			}
+
+			built, builtAl := testMem()
+			bt := NewTreap(builtAl)
+			r = sim.NewRand(uint64(n))
+			bt.Build(built.M, n, func(i int) TreapNode {
+				return TreapNode{Addr: builtAl.LineAligned(TreapNodeWords), Key: key(i), Val: key(i) * 3, Prio: prio(r)}
+			})
+
+			if bt.Root != tr.Root {
+				t.Fatalf("%s n=%d: root header at %v, want %v", name, n, bt.Root, tr.Root)
+			}
+			if got, want := built.M.Touched(), ins.M.Touched(); got != want {
+				t.Fatalf("%s n=%d: Touched = %d, want %d", name, n, got, want)
+			}
+			got, want := lineImage(built.M), lineImage(ins.M)
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d: %d lines written, want %d", name, n, len(got), len(want))
+			}
+			for a, l := range want {
+				if g, ok := got[a]; !ok || g != l {
+					t.Fatalf("%s n=%d: line %v = %v (written %v), want %v", name, n, a, g, ok, l)
+				}
+			}
+		}
+	}
+}
+
+// Scan rejects a broken BST or heap order, and a cycle makes it return
+// an error instead of looping.
+func TestTreapScanRejectsBrokenOrder(t *testing.T) {
+	m, al := testMem()
+	tr := NewTreap(al)
+	// Equal priorities never lift a node, so keys 1, 2, 3 form a right
+	// chain and only key order can expose the corruptions below.
+	tr.Build(m.M, 3, func(i int) TreapNode {
+		return TreapNode{Addr: al.LineAligned(TreapNodeWords), Key: uint64(i + 1), Prio: 5}
+	})
+	root := mem.Addr(m.Load(tr.Root))
+	mid := mem.Addr(m.Load(root.Plus(tRight)))
+	leaf := mem.Addr(m.Load(mid.Plus(tRight)))
+	for _, c := range []struct {
+		name string
+		at   mem.Addr
+		val  uint64
+	}{
+		{"left cycle", root.Plus(tLeft), uint64(root)},
+		{"right cycle", leaf.Plus(tRight), uint64(root)},
+		{"right keys out of order", mid.Plus(tKey), 4},
+		{"node reached twice", leaf.Plus(tLeft), uint64(mid)},
+		{"child above parent", mid.Plus(tPrio), 6},
+	} {
+		old := m.Load(c.at)
+		m.Store(c.at, c.val)
+		if err := tr.Scan(m, func(_, _ uint64) {}); err == nil {
+			t.Errorf("%s: Scan passed", c.name)
+		}
+		m.Store(c.at, old)
+	}
+	if n := treapLen(t, m, tr); n != 3 {
+		t.Fatalf("size = %d, want 3", n)
+	}
 }

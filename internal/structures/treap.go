@@ -1,6 +1,10 @@
 package structures
 
-import "chats/internal/mem"
+import (
+	"fmt"
+
+	"chats/internal/mem"
+)
 
 // Treap is a randomized binary search tree in simulated memory. Its
 // rotations write along the access path the way red-black rebalancing
@@ -167,44 +171,116 @@ func removeRec(m Mem, cur mem.Addr, key uint64) (mem.Addr, uint64, bool) {
 	}
 }
 
-// Size counts nodes (setup/check use).
-func (t *Treap) Size(m Mem) int {
-	var count func(mem.Addr) int
-	count = func(a mem.Addr) int {
-		if a == 0 {
-			return 0
-		}
-		return 1 + count(mem.Addr(m.Load(a.Plus(tLeft)))) + count(mem.Addr(m.Load(a.Plus(tRight))))
-	}
-	return count(mem.Addr(m.Load(t.Root)))
+// TreapNode is one record of Build's input.
+type TreapNode struct {
+	Addr           mem.Addr // where the record goes; its words must not straddle a line
+	Key, Val, Prio uint64
 }
 
-// checkOrder verifies BST key order and heap priority order; used by
-// tests and workload Check functions.
-func (t *Treap) CheckInvariants(m Mem) bool {
-	var walk func(a mem.Addr, lo, hi uint64) bool
-	walk = func(a mem.Addr, lo, hi uint64) bool {
-		if a == 0 {
-			return true
+// buildFrame is a node on Build's right spine whose line is not yet
+// written: a later node may still become its right child.
+type buildFrame struct {
+	TreapNode
+	left, right mem.Addr
+}
+
+// Build fills the empty treap t with n records whose keys strictly
+// ascend. It calls node(i) once for each i in order and writes each
+// record's line once. A treap is unique for its keys and priorities, and
+// a new node rotates above only strictly lower priorities, so Build
+// leaves the same memory image, word for word, as n Inserts in key
+// order would. The root word is written only when n > 0.
+func (t *Treap) Build(m *mem.Memory, n int, node func(i int) TreapNode) {
+	if m.ReadWord(t.Root) != 0 {
+		panic("structures: Build on a non-empty treap")
+	}
+	// The right spine of random priorities is O(log n) deep; start it
+	// on the stack.
+	spine := make([]buildFrame, 0, 64)
+	for i := 0; i < n; i++ {
+		f := buildFrame{TreapNode: node(i)}
+		if top := len(spine) - 1; top >= 0 && f.Key <= spine[top].Key {
+			panic(fmt.Sprintf("structures: Build keys not ascending: %d after %d", f.Key, spine[top].Key))
 		}
-		k := m.Load(a.Plus(tKey))
-		if k < lo || k > hi {
-			return false
+		// Lift f above every spine node of strictly lower priority; the
+		// highest one lifted becomes its left child.
+		for top := len(spine) - 1; top >= 0 && spine[top].Prio < f.Prio; top-- {
+			writeTreapNode(m, &spine[top])
+			f.left = spine[top].Addr
+			spine = spine[:top]
 		}
-		p := m.Load(a.Plus(tPrio))
-		for _, c := range []mem.Addr{mem.Addr(m.Load(a.Plus(tLeft))), mem.Addr(m.Load(a.Plus(tRight)))} {
-			if c != 0 && m.Load(c.Plus(tPrio)) > p {
-				return false
+		if top := len(spine) - 1; top >= 0 {
+			spine[top].right = f.Addr
+		}
+		spine = append(spine, f)
+	}
+	for i := range spine {
+		writeTreapNode(m, &spine[i])
+	}
+	if n > 0 {
+		m.WriteWord(t.Root, uint64(spine[0].Addr))
+	}
+}
+
+// writeTreapNode stores a finished record with one line write, keeping
+// the line's other words.
+func writeTreapNode(m *mem.Memory, f *buildFrame) {
+	w := f.Addr.WordIndex()
+	if w+TreapNodeWords > mem.WordsPerLine {
+		panic(fmt.Sprintf("structures: treap record at %v straddles a line", f.Addr))
+	}
+	l := m.ReadLine(f.Addr)
+	l[w+tKey], l[w+tVal], l[w+tPrio] = f.Key, f.Val, f.Prio
+	l[w+tLeft], l[w+tRight] = uint64(f.left), uint64(f.right)
+	m.WriteLine(f.Addr, l)
+}
+
+// Scan calls fn with each node's key and value in ascending key order,
+// in one traversal. It returns an error, and stops, at the first node
+// that breaks BST key order or heap priority order, so a corrupt tree
+// (a cycle included) cannot make it loop. Workload checks and tests use
+// it.
+func (t *Treap) Scan(m Mem, fn func(key, val uint64)) error {
+	s := treapScan{m: m, fn: fn}
+	return s.walk(mem.Addr(m.Load(t.Root)), ^uint64(0), ^uint64(0))
+}
+
+// treapScan is the state of one Scan.
+type treapScan struct {
+	m       Mem
+	fn      func(key, val uint64)
+	visited bool   // some node was visited
+	last    uint64 // key of the last node visited
+}
+
+// walk visits the subtree at a in key order. Its keys must not exceed
+// hi and its priorities must not exceed prio. It recurses into left
+// children and loops down right ones; a left child's bound is its
+// parent's key less one, so every left chain strictly descends.
+func (s *treapScan) walk(a mem.Addr, hi, prio uint64) error {
+	for a != 0 {
+		k := s.m.Load(a.Plus(tKey))
+		p := s.m.Load(a.Plus(tPrio))
+		if k > hi {
+			return fmt.Errorf("treap: key %d at %v above its bound %d", k, a, hi)
+		}
+		if p > prio {
+			return fmt.Errorf("treap: priority %d at %v above its parent's %d", p, a, prio)
+		}
+		if l := mem.Addr(s.m.Load(a.Plus(tLeft))); l != 0 {
+			if k == 0 {
+				return fmt.Errorf("treap: key 0 at %v has a left child", a)
+			}
+			if err := s.walk(l, k-1, p); err != nil {
+				return err
 			}
 		}
-		var lok, rok bool
-		if k == 0 {
-			lok = mem.Addr(m.Load(a.Plus(tLeft))) == 0
-		} else {
-			lok = walk(mem.Addr(m.Load(a.Plus(tLeft))), lo, k-1)
+		if s.visited && k <= s.last {
+			return fmt.Errorf("treap: key %d at %v follows key %d", k, a, s.last)
 		}
-		rok = walk(mem.Addr(m.Load(a.Plus(tRight))), k+1, hi)
-		return lok && rok
+		s.visited, s.last = true, k
+		s.fn(k, s.m.Load(a.Plus(tVal)))
+		a, prio = mem.Addr(s.m.Load(a.Plus(tRight))), p
 	}
-	return walk(mem.Addr(m.Load(t.Root)), 0, ^uint64(0))
+	return nil
 }
