@@ -60,10 +60,12 @@ func TestWriteSetOverflowFallsBack(t *testing.T) {
 // evictedReadWL: thread 0's transaction reads more lines of one L1 set
 // than the set has ways, so its first read line is evicted, and then
 // lingers. Meanwhile thread 1 stores to that line non-transactionally.
-// Just before the store it records core 0's view of the line.
+// Just before the store it records core 0's view of the line. Work does
+// not suspend the thread, so a load of a private line first brings
+// thread 1's Go code to the simulated time of the store.
 type evictedReadWL struct {
 	m                   *Machine
-	base                mem.Addr
+	base, priv          mem.Addr
 	lines               int
 	inTx, cached, reads bool
 }
@@ -72,6 +74,7 @@ func (w *evictedReadWL) Name() string { return "evicted-read" }
 func (w *evictedReadWL) Setup(wd *World, threads int) {
 	w.base = wd.Alloc.Lines(1)
 	wd.Alloc.Lines(w.lines * 64)
+	w.priv = wd.Alloc.Lines(1)
 }
 func (w *evictedReadWL) Thread(ctx Ctx, tid int) {
 	switch tid {
@@ -84,6 +87,7 @@ func (w *evictedReadWL) Thread(ctx Ctx, tid int) {
 		})
 	case 1:
 		ctx.Work(10_000)
+		ctx.Load(w.priv)
 		n := w.m.nodes[0]
 		w.inTx, w.cached, w.reads = n.tx.InTx(), n.l1.Peek(w.base) != nil, n.l1.Reads(w.base)
 		ctx.Store(w.base, 1)

@@ -386,7 +386,7 @@ func (h stmHandle) Load(a mem.Addr) uint64 {
 	s.bump()
 	if v, ok := s.writeVals[a]; ok {
 		// Read-own-write: served from the buffer, one cycle.
-		h.t.do(opReq{kind: opWork, val: 1})
+		h.t.post(opReq{kind: opWork, val: 1})
 		return v
 	}
 	if _, ok := s.readIdx[a]; ok {
@@ -413,7 +413,7 @@ func (h stmHandle) Store(a mem.Addr, v uint64) {
 		s.writeAddrs = append(s.writeAddrs, a)
 	}
 	s.writeVals[a] = v
-	h.t.do(opReq{kind: opWork, val: 1}) // buffered: one cycle, no traffic
+	h.t.post(opReq{kind: opWork, val: 1}) // buffered: one cycle, no traffic
 }
 
 // Walk runs the chain as a plain Load loop: every load goes through
@@ -429,7 +429,7 @@ func (h stmHandle) Walk(first mem.Addr, w mem.Walker) {
 }
 
 func (h stmHandle) Work(n uint64) {
-	h.t.do(opReq{kind: opWork, val: n})
+	h.t.post(opReq{kind: opWork, val: n})
 }
 
 // fallbackSTM runs body on the software path: optimistic execution
@@ -443,7 +443,7 @@ func (t *tctx) fallbackSTM(body func(Tx)) {
 	// Start the fallback-occupancy clock: the engine measures from here
 	// to the final ExitFallback, so overlapping STM bodies show up as
 	// concurrency in FallbackBodyCycles.
-	t.do(opReq{kind: opFallbackBodyStart})
+	t.post(opReq{kind: opFallbackBodyStart})
 	for fails := 0; ; fails++ {
 		if fails >= stmMaxRetries {
 			// Too much churn to commit optimistically (e.g. a hardware
@@ -456,7 +456,7 @@ func (t *tctx) fallbackSTM(body func(Tx)) {
 			return
 		}
 		t.node.stats.FallbackSTMRetries++
-		t.do(opReq{kind: opWork, val: 16 + t.rng.Uint64n(16)})
+		t.post(opReq{kind: opWork, val: 16 + t.rng.Uint64n(16)})
 	}
 }
 
@@ -538,7 +538,7 @@ func (t *tctx) stmCommitUnderLock(s *stmTx) bool {
 	t.acquire(la, globalLockSpan)
 	for i, ra := range s.readAddrs {
 		if t.do(opReq{kind: opLoad, addr: ra}).val != s.readVals[i] {
-			t.do(opReq{kind: opStore, addr: la, val: 0})
+			t.post(opReq{kind: opStore, addr: la, val: 0})
 			t.stmReleaseLocks(false)
 			return false
 		}
@@ -546,13 +546,13 @@ func (t *tctx) stmCommitUnderLock(s *stmTx) bool {
 	// Serialization point: the Fallback event is where the difftest
 	// replay oracle orders this block (and where lockburst faults
 	// stall the holder).
-	t.do(opReq{kind: opEnterFallback})
+	t.post(opReq{kind: opEnterFallback})
 	for _, wa := range s.writeAddrs {
-		t.do(opReq{kind: opStore, addr: wa, val: s.writeVals[wa]})
+		t.post(opReq{kind: opStore, addr: wa, val: s.writeVals[wa]})
 	}
 	t.stmReleaseLocks(true)
-	t.do(opReq{kind: opExitFallback})
-	t.do(opReq{kind: opStore, addr: la, val: 0})
+	t.post(opReq{kind: opExitFallback})
+	t.post(opReq{kind: opStore, addr: la, val: 0})
 	t.node.stats.FallbackSTMCommits++
 	return true
 }
@@ -566,7 +566,7 @@ func (t *tctx) stmReleaseLocks(bump bool) {
 		if bump {
 			v += 2
 		}
-		t.do(opReq{kind: opStore, addr: la, val: v})
+		t.post(opReq{kind: opStore, addr: la, val: v})
 	}
 	s.lockAddrs = s.lockAddrs[:0]
 	s.lockOrig = s.lockOrig[:0]
