@@ -30,14 +30,16 @@ func (b *Baseline) DecideProbe(local *htm.TxState, pc htm.ProbeContext) (htm.Pro
 	return htm.DecideAbort, coherence.PiCNone
 }
 
-// AcceptSpec never runs: the baseline never forwards.
+// AcceptSpec never runs: the baseline never forwards. Its zero outcome
+// fails the run, naming the cycle, core and line.
 func (b *Baseline) AcceptSpec(local *htm.TxState, pic coherence.PiC) htm.SpecOutcome {
-	panic("core: baseline received a SpecResp")
+	return htm.SpecOutcome{}
 }
 
-// ValidationCheck never runs: the baseline has no VSB.
+// ValidationCheck never runs: the baseline has no VSB. Its causeless
+// abort fails the run, naming the cycle, core and line.
 func (b *Baseline) ValidationCheck(local *htm.TxState, isSpec bool, pic coherence.PiC, match bool) (htm.ValidationOutcome, htm.AbortCause) {
-	panic("core: baseline validated a line")
+	return htm.ValidationAbort, htm.CauseNone
 }
 
 // NaiveRS is the naive requester-speculates design of Fig. 1 and

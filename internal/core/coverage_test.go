@@ -7,31 +7,19 @@ import (
 	"chats/internal/htm"
 )
 
-// The no-forwarding systems must fail loudly if the machine ever routes
-// speculative data at them — that would be a protocol bug.
-func TestNonForwardingSystemsPanicOnSpecPaths(t *testing.T) {
-	cases := []struct {
-		name string
-		spec func()
-		val  func()
-	}{
-		{"baseline",
-			func() { NewBaseline().AcceptSpec(activeTx(t), 10) },
-			func() { NewBaseline().ValidationCheck(activeTx(t), true, 10, true) }},
-		{"power",
-			func() { NewPower().AcceptSpec(activeTx(t), 10) },
-			func() { NewPower().ValidationCheck(activeTx(t), true, 10, true) }},
-	}
-	for _, c := range cases {
-		for _, fn := range []func(){c.spec, c.val} {
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s: expected panic", c.name)
-					}
-				}()
-				fn()
-			}()
+// The no-forwarding systems answer speculative data with verdicts the
+// machine rejects, so a protocol bug that routes it at them fails the
+// run naming the cycle, core and line: the zero SpecOutcome, and an
+// abort without a cause.
+func TestNonForwardingSystemsRejectSpecPaths(t *testing.T) {
+	for _, p := range []htm.Policy{NewBaseline(), NewPower()} {
+		if out := p.AcceptSpec(activeTx(t), 10); out != (htm.SpecOutcome{}) {
+			t.Errorf("%s: AcceptSpec = %+v, want the zero outcome", p.Name(), out)
+		}
+		for _, isSpec := range []bool{false, true} {
+			if out, cause := p.ValidationCheck(activeTx(t), isSpec, 10, true); out != htm.ValidationAbort || cause != htm.CauseNone {
+				t.Errorf("%s: ValidationCheck(isSpec %v) = %v, %v, want an abort without a cause", p.Name(), isSpec, out, cause)
+			}
 		}
 	}
 }

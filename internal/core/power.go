@@ -48,14 +48,16 @@ func (p *Power) DecideProbe(local *htm.TxState, pc htm.ProbeContext) (htm.ProbeD
 	return htm.DecideAbort, coherence.PiCNone
 }
 
-// AcceptSpec never runs: PowerTM does not forward.
+// AcceptSpec never runs: PowerTM does not forward. Its zero outcome
+// fails the run, naming the cycle, core and line.
 func (p *Power) AcceptSpec(local *htm.TxState, pic coherence.PiC) htm.SpecOutcome {
-	panic("core: Power received a SpecResp")
+	return htm.SpecOutcome{}
 }
 
-// ValidationCheck never runs: PowerTM has no VSB.
+// ValidationCheck never runs: PowerTM has no VSB. Its causeless abort
+// fails the run, naming the cycle, core and line.
 func (p *Power) ValidationCheck(local *htm.TxState, isSpec bool, pic coherence.PiC, match bool) (htm.ValidationOutcome, htm.AbortCause) {
-	panic("core: Power validated a line")
+	return htm.ValidationAbort, htm.CauseNone
 }
 
 // PCHATS combines CHATS with PowerTM (Section VI-B): power transactions

@@ -209,3 +209,14 @@ func TestStrings(t *testing.T) {
 		t.Fatal("forward mode strings")
 	}
 }
+
+// TestVSBNextToValidateCorruptCount: a count that claims valid entries
+// the buffer does not hold yields no entry, with Len still nonzero, so
+// the caller can name the inconsistency with its cycle and core.
+func TestVSBNextToValidateCorruptCount(t *testing.T) {
+	v := NewVSB(2)
+	v.count = 1
+	if _, ok := v.NextToValidate(); ok || v.Len() != 1 {
+		t.Fatalf("corrupt VSB: ok %v, Len %d; want no entry, Len 1", ok, v.Len())
+	}
+}

@@ -142,12 +142,15 @@ type Policy interface {
 
 	// AcceptSpec runs at the consumer when a SpecResp arrives, applying
 	// the consumer-side PiC/Cons updates. The caller has already checked
-	// VSB capacity.
+	// VSB capacity. A policy that never forwards returns the zero
+	// SpecOutcome, which the caller treats as a protocol violation.
 	AcceptSpec(local *TxState, pic coherence.PiC) SpecOutcome
 
 	// ValidationCheck inspects a validation response for one VSB entry.
 	// isSpec says the response was another SpecResp; pic is the PiC it
 	// carried; match is the value comparison result. On ValidationAbort
-	// the cause is returned.
+	// the cause is returned. A policy without a VSB returns
+	// ValidationAbort with CauseNone, which the caller treats as a
+	// protocol violation.
 	ValidationCheck(local *TxState, isSpec bool, pic coherence.PiC, match bool) (ValidationOutcome, AbortCause)
 }

@@ -99,7 +99,8 @@ func (v *VSB) Remove(line mem.Addr) bool {
 
 // NextToValidate returns the entry the validation pointer designates and
 // advances the pointer (round robin over valid entries). ok is false when
-// the buffer is empty.
+// no entry is valid; if Len is nonzero then, the count is corrupt, which
+// the caller reports with its cycle and core.
 func (v *VSB) NextToValidate() (VSBEntry, bool) {
 	if v.count == 0 {
 		return VSBEntry{}, false
@@ -112,7 +113,7 @@ func (v *VSB) NextToValidate() (VSBEntry, bool) {
 			return v.entries[idx], true
 		}
 	}
-	panic("htm: VSB count/entries inconsistent")
+	return VSBEntry{}, false
 }
 
 // Clear discards everything (transaction abort or commit).

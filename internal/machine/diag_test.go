@@ -79,3 +79,38 @@ func TestFlushPanicNamesCoreAndLine(t *testing.T) {
 		})
 	}
 }
+
+// TestNonForwardingPolicyFailureNamesCycleCoreLine: speculative data
+// routed at a policy that never forwards fails with the cycle, core and
+// line, whether it arrives as a demand response or a validation.
+func TestNonForwardingPolicyFailureNamesCycleCoreLine(t *testing.T) {
+	for _, kind := range []core.Kind{core.KindBaseline, core.KindPower} {
+		policy, err := core.New(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			hit  func(n *Node)
+			want string
+		}{
+			{func(n *Node) { n.consumeSpec(0x80, coherence.Resp{Kind: coherence.RespSpec, PiC: 10}, 0) },
+				"received a SpecResp it cannot consume"},
+			{func(n *Node) { n.validationCheck(0x80, true, 10, true) },
+				"validated a line it cannot hold"},
+		} {
+			m, err := New(testCfg(), policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := fmt.Sprintf("machine: cycle 0 core 1 line 0x80: %s %s", policy.Name(), tc.want)
+			func() {
+				defer func() {
+					if got := fmt.Sprint(recover()); got != want {
+						t.Errorf("panic = %q, want %q", got, want)
+					}
+				}()
+				tc.hit(m.nodes[1])
+			}()
+		}
+	}
+}

@@ -504,7 +504,7 @@ func (n *Node) consumeSpec(line mem.Addr, resp coherence.Resp, vsbTries int) (*c
 		n.armValidationTimer()
 		return e, specOK
 	default:
-		n.fail("empty SpecOutcome", line)
+		n.fail(n.policy.Name()+" received a SpecResp it cannot consume", line)
 		return nil, specAborted
 	}
 }

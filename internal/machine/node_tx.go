@@ -373,7 +373,9 @@ func (n *Node) issueValidation() {
 	}
 	ent, ok := n.tx.VSB.NextToValidate()
 	if !ok {
-		return
+		// No line to name: the count says entries are valid, none is.
+		panic(fmt.Sprintf("machine: cycle %d core %d: VSB counts %d of %d entries valid but holds none",
+			n.eng.Now(), n.id, n.tx.VSB.Len(), n.tx.VSB.Size()))
 	}
 	n.val.ent = ent
 	n.val.epoch = n.tx.Epoch
@@ -381,6 +383,16 @@ func (n *Node) issueValidation() {
 	n.valInFlight = true
 	n.stats.Validations++
 	n.m.net.SendControlMsg(&n.val)
+}
+
+// validationCheck is the policy's ValidationCheck for line; an abort
+// without a cause, a policy without a VSB validating, fails the run.
+func (n *Node) validationCheck(line mem.Addr, isSpec bool, pic coherence.PiC, match bool) (htm.ValidationOutcome, htm.AbortCause) {
+	out, cause := n.policy.ValidationCheck(n.tx, isSpec, pic, match)
+	if out == htm.ValidationAbort && cause == htm.CauseNone {
+		n.fail(n.policy.Name()+" validated a line it cannot hold", line)
+	}
+	return out, cause
 }
 
 func (n *Node) onValidationResp(ent htm.VSBEntry, epoch uint64, resp coherence.Resp) {
@@ -400,7 +412,7 @@ func (n *Node) onValidationResp(ent htm.VSBEntry, epoch uint64, resp coherence.R
 			n.m.countFault(n.id, "valfail")
 			match = false
 		}
-		out, cause := n.policy.ValidationCheck(n.tx, false, resp.PiC, match)
+		out, cause := n.validationCheck(ent.Line, false, resp.PiC, match)
 		switch out {
 		case htm.ValidationDone:
 			n.tx.VSB.Remove(ent.Line)
@@ -431,7 +443,7 @@ func (n *Node) onValidationResp(ent htm.VSBEntry, epoch uint64, resp coherence.R
 			n.m.countFault(n.id, "valfail")
 			match = false
 		}
-		out, cause := n.policy.ValidationCheck(n.tx, true, resp.PiC, match)
+		out, cause := n.validationCheck(ent.Line, true, resp.PiC, match)
 		if out == htm.ValidationAbort {
 			n.abortTx(cause)
 			return
