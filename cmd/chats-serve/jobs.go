@@ -9,6 +9,7 @@ import (
 
 	"chats"
 	"chats/internal/experiments"
+	"chats/internal/machine"
 	"chats/internal/runstore"
 	"chats/internal/sweep"
 	"chats/internal/telemetry"
@@ -108,14 +109,12 @@ func (m *jobManager) Start(req sweepRequest) (job, error) {
 		req.Seed = 1
 	}
 
-	type cell struct {
-		kind  chats.SystemKind
-		bench string
-	}
-	var cells []cell
+	var cells []experiments.Cell
 	for _, k := range kinds {
 		for _, w := range req.Workloads {
-			cells = append(cells, cell{kind: k, bench: w})
+			c := experiments.Cell{System: k, Bench: w, Size: sz, Machine: machine.DefaultConfig()}
+			c.Machine.Seed = req.Seed
+			cells = append(cells, c)
 		}
 	}
 
@@ -142,29 +141,18 @@ func (m *jobManager) Start(req sweepRequest) (job, error) {
 	go func() {
 		defer m.wg.Done()
 		err := sweep.Map(m.workers, len(cells), m.progress(j), func(i int) error {
-			w, err := workloads.New(cells[i].bench, sz)
-			if err != nil {
-				return err
-			}
-			cfg := chats.DefaultConfig()
-			cfg.System = cells[i].kind
-			cfg.Machine.Seed = req.Seed
-
+			c := cells[i]
 			var col *telemetry.Collector
-			var tracer chats.Tracer
 			if req.Telemetry {
 				// Cap the raw event buffer: the drill-downs only need the
 				// aggregates, which keep counting past the cap.
-				col = telemetry.New(cfg.Machine.Cores, telemetry.Options{MaxEvents: 1})
-				tracer = col
+				col = telemetry.New(c.Machine.Cores, telemetry.Options{MaxEvents: 1})
+				c.Tracers = []machine.Tracer{col}
 			}
-			start := time.Now()
-			st, err := chats.RunWithTracer(cfg, w, tracer)
+			_, rec, err := experiments.RunCell(c)
 			if err != nil {
-				return fmt.Errorf("%s on %s: %w", cells[i].kind, cells[i].bench, err)
+				return err
 			}
-			rec := runstore.FromStats(st, string(cells[i].kind), req.Seed,
-				experiments.TraitsKey(nil), req.Size, time.Since(start).Nanoseconds(), 0)
 			if col != nil {
 				runstore.AttachTelemetry(&rec, col, 16)
 			}

@@ -11,6 +11,7 @@ import (
 	"chats"
 	"chats/internal/difftest"
 	"chats/internal/htm"
+	"chats/internal/machine"
 	"chats/internal/randprog"
 	"chats/internal/runstore"
 	"chats/internal/workloads"
@@ -47,7 +48,7 @@ func fuzzSystems(systems string) ([]chats.SystemKind, error) {
 // non-zero if any program fails its oracles. With -fuzz-break the CHATS
 // validation is deliberately broken and the exit sense inverts: the
 // campaign must CATCH the bug, proving the oracle has teeth.
-func runFuzz(cfg chats.Config, n int, start uint64, size, systems string, jobs int,
+func runFuzz(cfg machine.Config, n int, start uint64, size, systems string, jobs int,
 	budget time.Duration, minimize bool, reproOut string, selfTest, jsonOut bool,
 	record func(runstore.Record)) error {
 	sz, err := workloads.ParseSize(size)
@@ -59,10 +60,10 @@ func runFuzz(cfg chats.Config, n int, start uint64, size, systems string, jobs i
 		return err
 	}
 	opts := difftest.Options{
-		Machine: &cfg.Machine,
+		Machine: &cfg,
 		Systems: kinds,
-		Seed:    cfg.Machine.Seed,
-		Faults:  cfg.Machine.Faults,
+		Seed:    cfg.Seed,
+		Faults:  cfg.Faults,
 	}
 	if selfTest {
 		// Break value-based validation on CHATS only and turn the
@@ -120,7 +121,7 @@ func runFuzz(cfg chats.Config, n int, start uint64, size, systems string, jobs i
 
 // runRepro replays one rp1 spec (or @file containing one, '#' comments
 // allowed) through the full differential oracle.
-func runRepro(cfg chats.Config, arg, systems string) error {
+func runRepro(cfg machine.Config, arg, systems string) error {
 	spec := arg
 	if strings.HasPrefix(arg, "@") {
 		data, err := os.ReadFile(arg[1:])
@@ -149,10 +150,10 @@ func runRepro(cfg chats.Config, arg, systems string) error {
 		return err
 	}
 	opts := difftest.Options{
-		Machine: &cfg.Machine,
+		Machine: &cfg,
 		Systems: kinds,
-		Seed:    cfg.Machine.Seed,
-		Faults:  cfg.Machine.Faults,
+		Seed:    cfg.Seed,
+		Faults:  cfg.Faults,
 	}
 	if err := difftest.Check(p, opts); err != nil {
 		return err

@@ -20,9 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"chats"
 	"chats/internal/experiments"
@@ -89,11 +87,11 @@ func main() {
 	}
 	defer stopProf()
 
-	cfg := chats.DefaultConfig()
-	cfg.Machine.Seed = *seed
-	cfg.Machine.Cores = *cores
-	cfg.Machine.WatchdogCycles = *wdCycles
-	cfg.Machine.MaxAttempts = *maxAttempts
+	cfg := machine.DefaultConfig()
+	cfg.Seed = *seed
+	cfg.Cores = *cores
+	cfg.WatchdogCycles = *wdCycles
+	cfg.MaxAttempts = *maxAttempts
 	if *faultSpec != "" {
 		spec := *faultSpec
 		if spec == "soak" {
@@ -103,26 +101,27 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Machine.Faults = &plan
+		cfg.Faults = &plan
 	}
 	if *fallbackFB != "" {
 		fb, err := machine.ParseFallback(*fallbackFB)
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Machine.Fallback = fb
+		cfg.Fallback = fb
 	}
-	cfg.Machine.HotLine = *hotLine
+	cfg.HotLine = *hotLine
 	if *backoffSpec != "" {
 		bo, err := machine.ParseBackoff(*backoffSpec)
 		if err != nil {
 			fatal(err)
 		}
-		cfg.Machine.Backoff = bo
+		cfg.Backoff = bo
 	}
+	ov := overrides{retries: *retries, vsb: *vsb, valInterval: *valInterval}
 
 	if *dumpConfig {
-		experiments.PrintTableI(os.Stdout, cfg.Machine)
+		experiments.PrintTableI(os.Stdout, cfg)
 		return
 	}
 	if *dumpSystems {
@@ -166,7 +165,7 @@ func main() {
 	}
 
 	if *doSweep {
-		if err := runSweep(cfg, *sweepSys, *sweepBench, *size, *jobs, *retries, *vsb, *valInterval, *jsonOut, *invariants, store, *progress); err != nil {
+		if err := runSweep(cfg, *sweepSys, *sweepBench, *size, *jobs, ov, *jsonOut, *invariants, store, *progress); err != nil {
 			fatal(err)
 		}
 		return
@@ -176,73 +175,46 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg.System = k
-	if *retries >= 0 || *vsb >= 0 || *valInterval >= 0 {
-		t, err := chats.SystemTraits(k)
-		if err != nil {
-			fatal(err)
-		}
-		if *retries >= 0 {
-			t.Retries = *retries
-		}
-		if *vsb >= 0 {
-			t.VSBSize = *vsb
-		}
-		if *valInterval >= 0 {
-			t.ValidationInterval = uint64(*valInterval)
-		}
-		cfg.Traits = &t
+	traits, err := ov.traits(k)
+	if err != nil {
+		fatal(err)
 	}
-
 	sz, err := workloads.ParseSize(*size)
 	if err != nil {
 		fatal(err)
 	}
-	w, err := workloads.New(*bench, sz)
-	if err != nil {
-		fatal(err)
-	}
+	c := experiments.Cell{System: k, Traits: traits, Bench: *bench, Size: sz, Machine: cfg}
 
 	// Assemble the tracers: the line tracer, the telemetry collector and
 	// the invariant checker observe the same run together.
 	var col *telemetry.Collector
 	if *traceJSON != "" || *traceChrome != "" || *hotLines > 0 || *chainRep || *metrics {
-		col = telemetry.New(cfg.Machine.Cores, telemetry.Options{Window: *window})
+		col = telemetry.New(cfg.Cores, telemetry.Options{Window: *window})
 	}
-	var tracers []chats.Tracer
 	if *trace {
-		tracers = append(tracers, chats.WriterTracer(os.Stderr))
+		c.Tracers = append(c.Tracers, machine.WriterTracer{W: os.Stderr})
 	}
 	if col != nil {
-		tracers = append(tracers, col)
+		c.Tracers = append(c.Tracers, col)
 	}
-	var chk *invariant.Checker
 	if *invariants {
-		chk = invariant.New()
-		tracers = append(tracers, chk)
+		c.Checker = invariant.New()
 	}
 
-	var st chats.Stats
-	cost := beginCost()
-	st, err = chats.RunWithTracer(cfg, w, tracers...)
-	wallNS, allocs := cost.finish()
+	st, rec, err := experiments.RunCell(c)
 	if err != nil {
 		fatal(err)
 	}
 	if store != nil {
-		rec := runstore.FromStats(st, string(cfg.System), cfg.Machine.Seed, experiments.TraitsKey(cfg.Traits), *size, wallNS, allocs)
 		if col != nil {
 			runstore.AttachTelemetry(&rec, col, 16)
 		}
 		store.Recorder(runstore.NowMeta(), "chatsim")(rec)
 	}
-	if chk != nil {
-		if verr := chk.Err(); verr != nil {
-			fatal(verr)
-		}
-		c := chk.Counts()
+	if c.Checker != nil {
+		n := c.Checker.Counts()
 		fmt.Printf("invariants  ok (%d tx replayed, %d ops, %d edges, %d lines diffed)\n",
-			c.TxReplays, c.TxOps, c.Edges, c.LinesDiffed)
+			n.TxReplays, n.TxOps, n.Edges, n.LinesDiffed)
 	}
 
 	if col != nil {
@@ -273,33 +245,38 @@ func main() {
 	printStats(st)
 }
 
-// runCost measures host wall clock and heap allocations around one
-// simulation, mirroring experiments.cellBenchRec. Mallocs is
-// process-wide, so at -j > 1 the per-cell delta includes allocations of
-// concurrently running cells; at -j 1 it is exact.
-type runCost struct {
-	start   time.Time
-	mallocs uint64
-}
+// overrides are the -retries/-vsb/-validation flags (-1 = Table II
+// default).
+type overrides struct{ retries, vsb, valInterval int }
 
-func beginCost() runCost {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return runCost{start: time.Now(), mallocs: ms.Mallocs}
-}
-
-func (c runCost) finish() (wallNS int64, allocs uint64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return time.Since(c.start).Nanoseconds(), ms.Mallocs - c.mallocs
+// traits returns k's Table II traits with the overrides applied, or nil
+// when none is set.
+func (o overrides) traits(k chats.SystemKind) (*htm.Traits, error) {
+	if o.retries < 0 && o.vsb < 0 && o.valInterval < 0 {
+		return nil, nil
+	}
+	t, err := chats.SystemTraits(k)
+	if err != nil {
+		return nil, err
+	}
+	if o.retries >= 0 {
+		t.Retries = o.retries
+	}
+	if o.vsb >= 0 {
+		t.VSBSize = o.vsb
+	}
+	if o.valInterval >= 0 {
+		t.ValidationInterval = uint64(o.valInterval)
+	}
+	return &t, nil
 }
 
 // runSweep fans a (systems × benches) grid out over -j goroutines. Each
-// cell builds its own config and workload, so the printed statistics are
-// bit-identical at any -j; only wall clock changes. Results print in
+// cell builds its own machine and workload, so the printed statistics
+// are bit-identical at any -j; only wall clock changes. Results print in
 // grid order (system-major) regardless of completion order. With a
 // store attached, every cell is persisted as one record.
-func runSweep(base chats.Config, systems, benches, size string, jobs, retries, vsb, valInterval int, jsonOut, invariants bool, store *runstore.Store, progress bool) error {
+func runSweep(base machine.Config, systems, benches, size string, jobs int, ov overrides, jsonOut, invariants bool, store *runstore.Store, progress bool) error {
 	var kinds []chats.SystemKind
 	if systems == "" {
 		kinds = chats.Systems()
@@ -331,33 +308,14 @@ func runSweep(base chats.Config, systems, benches, size string, jobs, retries, v
 		return err
 	}
 
-	type cell struct {
-		cfg   chats.Config
-		bench string
-	}
-	var cells []cell
+	var cells []experiments.Cell
 	for _, k := range kinds {
-		cfg := base
-		cfg.System = k
-		cfg.Traits = nil
-		if retries >= 0 || vsb >= 0 || valInterval >= 0 {
-			t, err := chats.SystemTraits(k)
-			if err != nil {
-				return err
-			}
-			if retries >= 0 {
-				t.Retries = retries
-			}
-			if vsb >= 0 {
-				t.VSBSize = vsb
-			}
-			if valInterval >= 0 {
-				t.ValidationInterval = uint64(valInterval)
-			}
-			cfg.Traits = &t
+		traits, err := ov.traits(k)
+		if err != nil {
+			return err
 		}
 		for _, b := range names {
-			cells = append(cells, cell{cfg: cfg, bench: b})
+			cells = append(cells, experiments.Cell{System: k, Traits: traits, Bench: b, Size: sz, Machine: base})
 		}
 	}
 
@@ -376,29 +334,16 @@ func runSweep(base chats.Config, systems, benches, size string, jobs, retries, v
 	}
 	results := make([]chats.Stats, len(cells))
 	err = sweep.Map(jobs, len(cells), prog, func(i int) error {
-		w, err := workloads.New(cells[i].bench, sz)
+		c := cells[i]
+		if invariants {
+			// One fresh checker per cell: a Checker is per-run state.
+			c.Checker = invariant.New()
+		}
+		st, rec, err := experiments.RunCell(c)
 		if err != nil {
 			return err
 		}
-		var st chats.Stats
-		cost := beginCost()
-		if invariants {
-			// One fresh checker per cell: a Checker is per-run state.
-			chk := invariant.New()
-			st, err = chats.RunWithTracer(cells[i].cfg, w, chk)
-			if err == nil {
-				err = chk.Err()
-			}
-		} else {
-			st, err = chats.Run(cells[i].cfg, w)
-		}
-		wallNS, allocs := cost.finish()
-		if err != nil {
-			return fmt.Errorf("%s on %s: %w", cells[i].cfg.System, cells[i].bench, err)
-		}
 		if record != nil {
-			rec := runstore.FromStats(st, string(cells[i].cfg.System), cells[i].cfg.Machine.Seed,
-				experiments.TraitsKey(cells[i].cfg.Traits), size, wallNS, allocs)
 			record(rec)
 		}
 		results[i] = st

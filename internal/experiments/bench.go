@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"time"
 
@@ -50,35 +49,6 @@ type BenchReport struct {
 // commit/timestamp_utc/go_version header; readers (benchdiff, runstore
 // import) keep accepting v1.
 const BenchSchema = "chats-bench/v2"
-
-// cellBenchRec is an in-flight measurement for one simulation.
-type cellBenchRec struct {
-	bench   CellBench
-	start   time.Time
-	mallocs uint64
-}
-
-// beginCellBench snapshots the clocks before a simulation starts.
-func beginCellBench(name string) cellBenchRec {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return cellBenchRec{
-		bench:   CellBench{Cell: name},
-		start:   time.Now(),
-		mallocs: ms.Mallocs,
-	}
-}
-
-// finish closes the measurement. Mallocs is process-wide, so under a
-// parallel sweep the per-cell delta is approximate (it includes
-// allocations of cells running concurrently); at -j 1 it is exact.
-func (r *cellBenchRec) finish(simCycles uint64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	r.bench.SimCycles = simCycles
-	r.bench.WallclockNS = time.Since(r.start).Nanoseconds()
-	r.bench.Allocs = ms.Mallocs - r.mallocs
-}
 
 // cellName builds the stable identifier a CellBench is reported under.
 func cellName(kind core.Kind, traits *htm.Traits, bench string, seed uint64, labelSeed bool) string {

@@ -10,7 +10,6 @@ import (
 	"sync"
 
 	"chats/internal/core"
-	"chats/internal/faults"
 	"chats/internal/htm"
 	"chats/internal/invariant"
 	"chats/internal/machine"
@@ -43,18 +42,9 @@ type Params struct {
 	// telemetry.Collector is per-run state and must NOT be shared across
 	// parallel cells; this factory makes one collector per cell instead.
 	Tracer func() machine.Tracer
-	// Faults, when non-nil, injects the plan into every cell (each cell
-	// derives its injector stream from its own seed, so -j keeps runs
-	// bit-identical).
-	Faults *faults.Plan
 	// Invariants attaches a fresh invariant.Checker to every cell; a
 	// violation fails that cell with the checker's diagnostic.
 	Invariants bool
-	// WatchdogCycles arms the per-cell livelock watchdog (0 = off).
-	WatchdogCycles uint64
-	// CellCycleBudget, when non-zero, overrides Machine.CycleLimit per
-	// cell so soak runs bound their worst case.
-	CellCycleBudget uint64
 	// Progress, when non-nil, receives live done/total updates while a
 	// figure grid primes (the CLIs wire -progress here). Each grid
 	// restarts the count; calls are serialized by the sweep pool.
@@ -155,36 +145,6 @@ func (s *Suite) prime(cells []cell) error {
 	})
 }
 
-func traitsKey(t *htm.Traits) string {
-	if t == nil {
-		return ""
-	}
-	return fmt.Sprintf("r%d-v%d-i%d-f%d-n%d-p%v",
-		t.Retries, t.VSBSize, t.ValidationInterval, t.ForwardMode, t.NaiveBudget, t.UsesPower)
-}
-
-// TraitsKey is the canonical fingerprint of trait overrides ("" for the
-// Table II defaults) — the Config component of a run-store key, shared
-// by every entry point so records from chatsim and the figure suite
-// land under the same identity.
-func TraitsKey(t *htm.Traits) string { return traitsKey(t) }
-
-// ConfigKey combines the trait fingerprint with the machine's
-// fallback/hot-line/backoff knob spec — the Config component of a run-store
-// key for entry points that may override either. Defaults collapse to
-// "" so records from knobless runs keep their historical identity.
-func ConfigKey(t *htm.Traits, cfg machine.Config) string {
-	tk := traitsKey(t)
-	kk := cfg.KnobsKey()
-	switch {
-	case tk == "":
-		return kk
-	case kk == "":
-		return tk
-	}
-	return tk + " " + kk
-}
-
 // Run simulates one (system, traits, bench) cell, memoized, averaging
 // over Params.Seeds seeds. Safe for concurrent use; callers that need a
 // whole grid should go through the figure functions (which prime the
@@ -221,68 +181,25 @@ func (s *Suite) Run(kind core.Kind, traits *htm.Traits, bench string) (machine.R
 }
 
 func (s *Suite) runOnce(kind core.Kind, traits *htm.Traits, bench string, seed uint64, labelSeed bool) (machine.RunStats, error) {
-	w, err := workloads.New(bench, s.p.Size)
-	if err != nil {
-		return machine.RunStats{}, err
-	}
-	var policy htm.Policy
-	if traits != nil {
-		policy, err = core.NewWith(kind, *traits)
-	} else {
-		policy, err = core.New(kind)
-	}
-	if err != nil {
-		return machine.RunStats{}, err
-	}
-	cfg := s.p.Machine
-	cfg.Seed = seed
-	cfg.Faults = s.p.Faults
-	if s.p.WatchdogCycles > 0 {
-		cfg.WatchdogCycles = s.p.WatchdogCycles
-	}
-	if s.p.CellCycleBudget > 0 {
-		cfg.CycleLimit = s.p.CellCycleBudget
-	}
-	m, err := machine.New(cfg, policy)
-	if err != nil {
-		return machine.RunStats{}, err
-	}
-	var tracers []machine.Tracer
+	c := Cell{System: kind, Traits: traits, Bench: bench, Size: s.p.Size, Machine: s.p.Machine}
+	c.Machine.Seed = seed
 	if s.p.Tracer != nil {
-		if t := s.p.Tracer(); t != nil {
-			tracers = append(tracers, t)
-		}
+		c.Tracers = []machine.Tracer{s.p.Tracer()}
 	}
-	var chk *invariant.Checker
 	if s.p.Invariants {
-		chk = invariant.New()
-		tracers = append(tracers, chk)
+		c.Checker = invariant.New()
 	}
-	m.SetTracer(tracers...)
-	rec := beginCellBench(cellName(kind, traits, bench, seed, labelSeed))
-	st, err := m.Run(w)
-	if err == nil && chk != nil {
-		err = chk.Err()
-	}
+	st, rec, err := RunCell(c)
 	if err != nil {
-		// Cell identity plus fault plan: a soak failure must be
-		// reproducible from the message alone.
-		name := cellName(kind, traits, bench, seed, labelSeed)
-		if s.p.Faults != nil {
-			return machine.RunStats{}, fmt.Errorf("cell %s (seed %d, faults %q): %w",
-				name, seed, s.p.Faults.String(), err)
-		}
-		return machine.RunStats{}, fmt.Errorf("cell %s (seed %d): %w", name, seed, err)
+		return machine.RunStats{}, err
 	}
-	rec.finish(st.Cycles)
 	if s.p.Recorder != nil {
-		r := runstore.FromStats(st, string(kind), seed, ConfigKey(traits, cfg),
-			s.p.Size.String(), rec.bench.WallclockNS, rec.bench.Allocs)
-		s.p.Recorder(r)
+		s.p.Recorder(rec)
 	}
 	s.mu.Lock()
 	s.Runs++
-	s.bench = append(s.bench, rec.bench)
+	s.bench = append(s.bench, CellBench{Cell: cellName(kind, traits, bench, seed, labelSeed),
+		SimCycles: st.Cycles, WallclockNS: rec.WallclockNS, Allocs: rec.Allocs})
 	s.mu.Unlock()
 	return st, nil
 }

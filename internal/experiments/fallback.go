@@ -7,7 +7,6 @@ import (
 	"chats/internal/core"
 	"chats/internal/faults"
 	"chats/internal/machine"
-	"chats/internal/runstore"
 	"chats/internal/sweep"
 	"chats/internal/workloads"
 )
@@ -110,17 +109,17 @@ func (r *FallbackReport) Write(w io.Writer) {
 
 // FallbackMatrix sweeps (fallback path × system × bench) under a
 // lockburst fault plan with the retry budget forced down, so nearly
-// every contended block exercises its fallback path. p.Faults overrides
-// the plan; benches defaults to the microbenchmarks; p.Size, p.Workers,
-// p.Machine, p.CellCycleBudget and p.Recorder are honored. Like
-// FaultSoak, every cell runs and the report keeps all outcomes.
+// every contended block exercises its fallback path. p.Machine.Faults
+// overrides the plan; benches defaults to the microbenchmarks; p.Size,
+// p.Workers, p.Machine and p.Recorder are honored. Like FaultSoak, every
+// cell runs and the report keeps all outcomes.
 func FallbackMatrix(p Params, benches []string) *FallbackReport {
 	plan, err := faults.Parse(FallbackBurstSpec)
 	if err != nil {
 		panic("experiments: FallbackBurstSpec does not parse: " + err.Error())
 	}
-	if p.Faults != nil {
-		plan = *p.Faults
+	if p.Machine.Faults != nil {
+		plan = *p.Machine.Faults
 	}
 	if len(benches) == 0 {
 		benches = workloads.MicroNames()
@@ -141,47 +140,24 @@ func FallbackMatrix(p Params, benches []string) *FallbackReport {
 	}
 	errs := sweep.MapAll(p.Workers, len(cells), progress, func(i int) error {
 		c := &cells[i]
-		w, err := workloads.New(c.Bench, p.Size)
-		if err != nil {
-			return err
-		}
 		base, err := core.New(c.System)
 		if err != nil {
 			return err
 		}
 		traits := base.Traits()
 		traits.Retries = fallbackRetries
-		policy, err := core.NewWith(c.System, traits)
-		if err != nil {
-			return err
-		}
 		cfg := p.Machine
 		cfg.Faults = &plan
 		cfg.Fallback, err = machine.ParseFallback(c.Fallback)
 		if err != nil {
 			return err
 		}
-		if p.WatchdogCycles > 0 {
-			cfg.WatchdogCycles = p.WatchdogCycles
-		}
-		if p.CellCycleBudget > 0 {
-			cfg.CycleLimit = p.CellCycleBudget
-		}
-		m, err := machine.New(cfg, policy)
+		st, rec, err := RunCell(Cell{System: c.System, Traits: &traits, Bench: c.Bench, Size: p.Size, Machine: cfg})
 		if err != nil {
 			return err
 		}
-		rec := beginCellBench(fmt.Sprintf("%s/%s/%s", c.Fallback, c.System, c.Bench))
-		st, err := m.Run(w)
-		if err != nil {
-			return fmt.Errorf("cell %s/%s/%s (seed %d, faults %q): %w",
-				c.Fallback, c.System, c.Bench, cfg.Seed, plan.String(), err)
-		}
-		rec.finish(st.Cycles)
 		if p.Recorder != nil {
-			r := runstore.FromStats(st, string(c.System), cfg.Seed, ConfigKey(&traits, cfg),
-				p.Size.String(), rec.bench.WallclockNS, rec.bench.Allocs)
-			p.Recorder(r)
+			p.Recorder(rec)
 		}
 		c.Stats = st
 		return nil

@@ -17,12 +17,8 @@ import (
 // concurrently while the global lock admits at most one — graceful
 // degradation instead of full serialization.
 func TestFallbackMatrixGracefulDegradation(t *testing.T) {
-	p := Params{
-		Size:            workloads.Tiny,
-		Machine:         machine.DefaultConfig(),
-		Workers:         4,
-		CellCycleBudget: 200_000_000,
-	}
+	p := Params{Size: workloads.Tiny, Machine: machine.DefaultConfig(), Workers: 4}
+	p.Machine.CycleLimit = 200_000_000
 	rep := FallbackMatrix(p, []string{"cadd"})
 	for _, c := range rep.Failures() {
 		t.Fatalf("cell %s/%s/%s failed: %v", c.Fallback, c.System, c.Bench, c.Err)
@@ -60,11 +56,8 @@ func TestFallbackMatrixDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the matrix twice")
 	}
-	base := Params{
-		Size:            workloads.Tiny,
-		Machine:         machine.DefaultConfig(),
-		CellCycleBudget: 200_000_000,
-	}
+	base := Params{Size: workloads.Tiny, Machine: machine.DefaultConfig()}
+	base.Machine.CycleLimit = 200_000_000
 	p1, pn := base, base
 	p1.Workers = 1
 	pn.Workers = 4
@@ -92,15 +85,15 @@ func TestSoakAndMatrixRecord(t *testing.T) {
 	var mu sync.Mutex
 	var recs []runstore.Record
 	p := Params{
-		Size:            workloads.Tiny,
-		Machine:         machine.DefaultConfig(),
-		CellCycleBudget: 200_000_000,
+		Size:    workloads.Tiny,
+		Machine: machine.DefaultConfig(),
 		Recorder: func(r runstore.Record) {
 			mu.Lock()
 			recs = append(recs, r)
 			mu.Unlock()
 		},
 	}
+	p.Machine.CycleLimit = 200_000_000
 	rep := FallbackMatrix(p, []string{"cadd"})
 	if n := len(rep.Cells) - len(rep.Failures()); len(recs) != n {
 		t.Fatalf("matrix recorded %d cells, %d ran clean", len(recs), n)

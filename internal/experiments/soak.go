@@ -8,7 +8,6 @@ import (
 	"chats/internal/faults"
 	"chats/internal/invariant"
 	"chats/internal/machine"
-	"chats/internal/runstore"
 	"chats/internal/sweep"
 	"chats/internal/workloads"
 )
@@ -59,14 +58,15 @@ func (r *SoakReport) Write(w io.Writer) {
 }
 
 // FaultSoak runs every system × bench cell under the fault plan with the
-// invariant checker and the livelock watchdog armed, and reports every
-// cell's outcome. p.Faults defaults to faults.SoakPlan(); p.Size,
-// p.Workers and p.Machine are honored; benches defaults to the
-// microbenchmarks (the forwarding-heavy subset).
+// invariant checker armed, and reports every cell's outcome.
+// p.Machine.Faults defaults to faults.SoakPlan(); p.Machine's watchdog
+// and cycle limit bound each cell; p.Size, p.Workers and p.Recorder are
+// honored; benches defaults to the microbenchmarks (the forwarding-heavy
+// subset).
 func FaultSoak(p Params, benches []string) *SoakReport {
 	plan := faults.SoakPlan()
-	if p.Faults != nil {
-		plan = *p.Faults
+	if p.Machine.Faults != nil {
+		plan = *p.Machine.Faults
 	}
 	if len(benches) == 0 {
 		benches = workloads.MicroNames()
@@ -86,42 +86,15 @@ func FaultSoak(p Params, benches []string) *SoakReport {
 	}
 	errs := sweep.MapAll(p.Workers, len(cells), progress, func(i int) error {
 		c := &cells[i]
-		w, err := workloads.New(c.Bench, p.Size)
-		if err != nil {
-			return err
-		}
-		policy, err := core.New(c.System)
-		if err != nil {
-			return err
-		}
 		cfg := p.Machine
 		cfg.Faults = &plan
-		if p.WatchdogCycles > 0 {
-			cfg.WatchdogCycles = p.WatchdogCycles
-		}
-		if p.CellCycleBudget > 0 {
-			cfg.CycleLimit = p.CellCycleBudget
-		}
-		m, err := machine.New(cfg, policy)
+		st, rec, err := RunCell(Cell{System: c.System, Bench: c.Bench, Size: p.Size, Machine: cfg,
+			Checker: invariant.New()})
 		if err != nil {
 			return err
 		}
-		chk := invariant.New()
-		m.SetTracer(chk)
-		rec := beginCellBench(fmt.Sprintf("%s/%s", c.System, c.Bench))
-		st, err := m.Run(w)
-		if err == nil {
-			err = chk.Err()
-		}
-		if err != nil {
-			return fmt.Errorf("cell %s/%s (seed %d, faults %q): %w",
-				c.System, c.Bench, cfg.Seed, plan.String(), err)
-		}
-		rec.finish(st.Cycles)
 		if p.Recorder != nil {
-			r := runstore.FromStats(st, string(c.System), cfg.Seed, ConfigKey(nil, cfg),
-				p.Size.String(), rec.bench.WallclockNS, rec.bench.Allocs)
-			p.Recorder(r)
+			p.Recorder(rec)
 		}
 		c.Stats = st
 		return nil

@@ -17,13 +17,9 @@ func TestFaultSoakClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault soak is the long path; covered by the full run")
 	}
-	p := Params{
-		Size:            workloads.Tiny,
-		Machine:         machine.DefaultConfig(),
-		Workers:         4,
-		WatchdogCycles:  5_000_000,
-		CellCycleBudget: 200_000_000,
-	}
+	p := Params{Size: workloads.Tiny, Machine: machine.DefaultConfig(), Workers: 4}
+	p.Machine.WatchdogCycles = 5_000_000
+	p.Machine.CycleLimit = 200_000_000
 	rep := FaultSoak(p, nil)
 	if want := len(mainSystems()) * len(workloads.MicroNames()); len(rep.Cells) != want {
 		t.Fatalf("cells = %d, want %d", len(rep.Cells), want)
@@ -53,8 +49,9 @@ func TestFaultSoakClean(t *testing.T) {
 func TestFaultSoakStaleValidationCommits(t *testing.T) {
 	plan := faults.SoakPlan()
 	for _, seed := range []uint64{2, 21, 24, 45} {
-		p := Params{Size: workloads.Small, Machine: machine.DefaultConfig(), Faults: &plan}
+		p := Params{Size: workloads.Small, Machine: machine.DefaultConfig()}
 		p.Machine.Seed = seed
+		p.Machine.Faults = &plan
 		st, err := NewSuite(p).Run(core.KindCHATS, nil, "cadd")
 		if err != nil {
 			t.Errorf("seed %d: %v", seed, err)
@@ -67,26 +64,51 @@ func TestFaultSoakStaleValidationCommits(t *testing.T) {
 }
 
 // A failing cell must carry its identity and the fault plan in the error
-// so the exact run can be reproduced from the message alone.
+// so the exact run can be reproduced from the message alone, whichever
+// grid ran it.
 func TestCellErrorCarriesIdentityAndPlan(t *testing.T) {
-	plan := faults.SoakPlan()
-	cfg := machine.DefaultConfig()
-	p := Params{
-		Size:            workloads.Tiny,
-		Machine:         cfg,
-		Faults:          &plan,
-		CellCycleBudget: 1_000, // far too small: the cell must die on the cycle limit
-	}
-	s := NewSuite(p)
-	_, err := s.Run(core.KindCHATS, nil, "cadd")
-	if err == nil {
-		t.Fatal("expected a cycle-budget failure")
-	}
-	msg := err.Error()
-	for _, want := range []string{"chats", "cadd", "seed", "spurious"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("error lacks %q: %s", want, msg)
-		}
+	soak := faults.SoakPlan()
+	for _, tc := range []struct {
+		name, kind string
+		plan       *faults.Plan
+		run        func(Params) error
+	}{
+		{"suite", "spurious", &soak, func(p Params) error {
+			_, err := NewSuite(p).Run(core.KindCHATS, nil, "cadd")
+			return err
+		}},
+		{"soak", "spurious", nil, func(p Params) error {
+			for _, c := range FaultSoak(p, []string{"cadd"}).Cells {
+				if c.System == core.KindCHATS {
+					return c.Err
+				}
+			}
+			return nil
+		}},
+		{"matrix", "lockburst", nil, func(p Params) error {
+			for _, c := range FallbackMatrix(p, []string{"cadd"}).Cells {
+				if c.System == core.KindCHATS {
+					return c.Err
+				}
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := Params{Size: workloads.Tiny, Machine: machine.DefaultConfig()}
+			p.Machine.Faults = tc.plan
+			p.Machine.CycleLimit = 1_000 // far too small: every cell dies on the cycle limit
+			err := tc.run(p)
+			if err == nil {
+				t.Fatal("expected a cycle-limit failure")
+			}
+			msg := err.Error()
+			for _, want := range []string{"chats/cadd", "seed 1", tc.kind} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("error lacks %q: %s", want, msg)
+				}
+			}
+		})
 	}
 }
 
@@ -97,11 +119,8 @@ func TestSoakDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the soak column twice")
 	}
-	base := Params{
-		Size:           workloads.Tiny,
-		Machine:        machine.DefaultConfig(),
-		WatchdogCycles: 10_000_000,
-	}
+	base := Params{Size: workloads.Tiny, Machine: machine.DefaultConfig()}
+	base.Machine.WatchdogCycles = 10_000_000
 	p1 := base
 	p1.Workers = 1
 	pn := base
@@ -123,17 +142,13 @@ func TestSoakDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Params.Faults must change the cells' execution (and the stat must fold
-// through averaging) while Params.Invariants rides along cleanly.
+// Params.Machine.Faults must change the cells' execution (and the stat
+// must fold through averaging) while Params.Invariants rides along
+// cleanly.
 func TestParamsFaultsAndInvariants(t *testing.T) {
 	plan := faults.SoakPlan()
-	p := Params{
-		Size:       workloads.Tiny,
-		Machine:    machine.DefaultConfig(),
-		Seeds:      2,
-		Faults:     &plan,
-		Invariants: true,
-	}
+	p := Params{Size: workloads.Tiny, Machine: machine.DefaultConfig(), Seeds: 2, Invariants: true}
+	p.Machine.Faults = &plan
 	s := NewSuite(p)
 	st, err := s.Run(core.KindCHATS, nil, "cadd")
 	if err != nil {
