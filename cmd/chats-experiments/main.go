@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		progress  = fs.Bool("progress", false, "print a live done/total cell count to stderr while each grid runs")
 		benchScl  = fs.Bool("bench-scale", false, "instead of figures, run the scale grid (CHATS on kmeans/cadd at 64 and 256 cores) serially and write it with -bench-json — diff it against BENCH_scale.json with benchdiff")
 		soak      = fs.Bool("faults-soak", false, "instead of figures, run every system × micro bench under the fault plan with invariants and the watchdog on")
-		faultSpec = fs.String("faults", "", "fault spec for -faults-soak (default: the canonical all-kinds soak plan)")
+		faultSpec = fs.String("faults", "", "fault spec for every simulation ('soak' = the canonical all-kinds plan, which -faults-soak defaults to)")
 		fbMatrix  = fs.Bool("fallback-matrix", false, "instead of figures, sweep fallback path × system × micro bench under a lockburst plan (graceful-degradation check)")
 		fallback  = fs.String("fallback", "", "fallback path for every simulation: lock (default), stm[:locks=N], elide[:budget=N,refill=N]")
 		hotLine   = fs.Int("hotline", 0, "NACK transactional probes for a line once its recent conflict aborts reach N (0 = off)")
@@ -86,9 +86,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// The -fallback/-hotline/-backoff knobs apply to every simulation of
-	// the figures and the soak. The fallback matrix sweeps its own path
-	// axis, so it only honors -hotline and -backoff.
+	// The -fallback/-hotline/-backoff/-faults knobs apply to every
+	// simulation of the figures, the soak and the scale grid. The
+	// fallback matrix sweeps its own path axis, so it honors all but
+	// -fallback.
 	mcfg := machine.DefaultConfig()
 	mcfg.Seed = *seed
 	if *fallback != "" {
@@ -101,6 +102,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if mcfg.Backoff, err = machine.ParseBackoff(*backoff); err != nil {
 			return err
 		}
+	}
+	if *faultSpec != "" {
+		plan, err := faults.ParseFlag(*faultSpec)
+		if err != nil {
+			return err
+		}
+		mcfg.Faults = &plan
 	}
 
 	// Open the run database before mode dispatch: the figures, soak and
@@ -128,7 +136,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *benchJSON == "" {
 			return fmt.Errorf("-bench-scale needs -bench-json FILE")
 		}
-		return runScaleBench(sz, *seed, *benchJSON, stderr)
+		return runScaleBench(sz, mcfg, *benchJSON, stderr)
 	}
 	p := experiments.Params{Size: sz, Machine: mcfg, Workers: cellJobs, Recorder: recorder}
 	if *verbose {
@@ -137,15 +145,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *soak || *fbMatrix {
 		if *soak {
 			p.Machine.WatchdogCycles = 10_000_000
-		}
-		if *faultSpec != "" {
-			plan, err := faults.Parse(*faultSpec)
-			if err != nil {
-				return err
-			}
-			p.Machine.Faults = &plan
-		}
-		if *soak {
 			return runSoak(p, stdout)
 		}
 		return runFallbackMatrix(p, stdout)
@@ -255,9 +254,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 // runScaleBench runs the scale grid one cell at a time (the wall-clock
 // and alloc numbers are the point, so nothing else may run
 // concurrently) and writes the trajectory for benchdiff.
-func runScaleBench(sz workloads.Size, seed uint64, out string, stderr io.Writer) error {
-	p := experiments.Params{Size: sz, Machine: machine.DefaultConfig(), Workers: 1}
-	p.Machine.Seed = seed
+func runScaleBench(sz workloads.Size, mcfg machine.Config, out string, stderr io.Writer) error {
+	p := experiments.Params{Size: sz, Machine: mcfg, Workers: 1}
 	start := time.Now()
 	cells, runs, err := experiments.RunScaleBench(p)
 	if err != nil {

@@ -93,11 +93,7 @@ func main() {
 	cfg.WatchdogCycles = *wdCycles
 	cfg.MaxAttempts = *maxAttempts
 	if *faultSpec != "" {
-		spec := *faultSpec
-		if spec == "soak" {
-			spec = faults.SoakSpec
-		}
-		plan, err := faults.Parse(spec)
+		plan, err := faults.ParseFlag(*faultSpec)
 		if err != nil {
 			fatal(err)
 		}

@@ -61,6 +61,15 @@ func SoakPlan() Plan {
 	return p
 }
 
+// ParseFlag is Parse for a command line's -faults value, where "soak"
+// names SoakSpec.
+func ParseFlag(spec string) (Plan, error) {
+	if spec == "soak" {
+		spec = SoakSpec
+	}
+	return Parse(spec)
+}
+
 const (
 	defaultJitterMax       = 8
 	defaultLockBurstCycles = 500

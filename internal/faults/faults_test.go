@@ -48,6 +48,20 @@ func TestParseEmptyAndDefaults(t *testing.T) {
 	}
 }
 
+// ParseFlag reads "soak" as SoakSpec and anything else as Parse does.
+func TestParseFlagSoakAlias(t *testing.T) {
+	p, err := ParseFlag("soak")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p != SoakPlan() {
+		t.Fatalf("ParseFlag(soak) = %+v, want the soak plan", p)
+	}
+	if _, err := ParseFlag("soak:p=1"); err == nil {
+		t.Fatal("ParseFlag accepted soak as a fault kind")
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		spec, want string

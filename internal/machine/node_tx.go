@@ -195,7 +195,7 @@ const (
 // fallback lock.
 func (b *beginOp) Run() { b.n.begin1(b) }
 
-func (b *beginOp) onLoadDone(v uint64, aborted bool) {
+func (b *beginOp) onAccessDone(v uint64, aborted bool) {
 	n := b.n
 	switch b.phase {
 	case bpLockFree:

@@ -248,18 +248,17 @@ func (t *tctx) finish(rep opReply) {
 // Completion handlers for the node's asynchronous operations; they
 // mirror the per-op closures dispatch used to allocate.
 
-func (t *tctx) onLoadDone(v uint64, aborted bool) {
+// onAccessDone completes a Load or Store op: v is the value the load
+// read or the store wrote.
+func (t *tctx) onAccessDone(v uint64, aborted bool) {
 	if !aborted {
-		t.r.m.emitOp(t.node.id, OpLoad, t.req.inTx, t.req.addr, v, 0, true)
+		op := OpLoad
+		if t.req.kind == opStore {
+			op = OpStore
+		}
+		t.r.m.emitOp(t.node.id, op, t.req.inTx, t.req.addr, v, 0, true)
 	}
 	t.finish(opReply{val: v, aborted: aborted})
-}
-
-func (t *tctx) onStoreDone(aborted bool) {
-	if !aborted {
-		t.r.m.emitOp(t.node.id, OpStore, t.req.inTx, t.req.addr, t.req.val, 0, true)
-	}
-	t.finish(opReply{aborted: aborted})
 }
 
 func (t *tctx) onBeginDone(ok bool) { t.finish(opReply{ok: ok}) }
@@ -285,31 +284,37 @@ type spinAcquire struct {
 	addr mem.Addr
 	span uint64
 	want uint64 // the even value the pending CAS expects
+	cas  bool   // the access in flight is the CAS, not the load
 }
 
-// Run reloads the lock word after a wait.
-func (s *spinAcquire) Run() { s.t.node.Load(s.addr, false, s) }
+// Run tests the lock word: first at dispatch, then after each wait.
+func (s *spinAcquire) Run() {
+	s.cas = false
+	s.t.node.Load(s.addr, false, s)
+}
 
-// onLoadDone: a plain load never aborts.
-func (s *spinAcquire) onLoadDone(v uint64, _ bool) {
+// onAccessDone takes the lock word's value from the load or the CAS;
+// plain accesses never abort.
+func (s *spinAcquire) onAccessDone(v uint64, _ bool) {
 	t := s.t
+	if s.cas {
+		swapped := v == s.want
+		t.r.m.emitOp(t.node.id, OpCAS, false, s.addr, v, s.want+1, swapped)
+		if !swapped {
+			s.wait()
+			return
+		}
+		t.finish(opReply{val: v})
+		return
+	}
 	t.r.m.emitOp(t.node.id, OpLoad, false, s.addr, v, 0, true)
 	if v&1 != 0 {
 		s.wait()
 		return
 	}
 	s.want = v
+	s.cas = true
 	t.node.CAS(s.addr, v, v+1, s)
-}
-
-func (s *spinAcquire) onCASDone(prev uint64, swapped bool) {
-	t := s.t
-	t.r.m.emitOp(t.node.id, OpCAS, false, s.addr, prev, s.want+1, swapped)
-	if !swapped {
-		s.wait()
-		return
-	}
-	t.finish(opReply{val: prev})
 }
 
 func (s *spinAcquire) wait() {
@@ -329,7 +334,7 @@ type chainWalk struct {
 	addr mem.Addr
 }
 
-func (c *chainWalk) onLoadDone(v uint64, aborted bool) {
+func (c *chainWalk) onAccessDone(v uint64, aborted bool) {
 	t := c.t
 	if aborted {
 		c.w = nil
@@ -523,7 +528,7 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 	case opAcquire:
 		t.acq.addr = req.addr
 		t.acq.span = req.val
-		n.Load(req.addr, false, &t.acq)
+		t.acq.Run()
 	case opWalk:
 		t.walk.addr = req.addr
 		n.Load(req.addr, req.inTx, &t.walk)

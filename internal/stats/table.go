@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -106,7 +107,8 @@ func (t *Table) colIdx(c string) int {
 
 // AddMeanRows appends arithmetic-mean and geometric-mean rows computed
 // over the named subset of rows (the paper excludes the microbenchmarks
-// from its means).
+// from its means). A column holding a value <= 0 (an abort ratio of a
+// run without aborts) has no geometric mean; its gmean cell is NaN.
 func (t *Table) AddMeanRows(over []string) {
 	am := make([]float64, len(t.Cols))
 	gm := make([]float64, len(t.Cols))
@@ -116,7 +118,11 @@ func (t *Table) AddMeanRows(over []string) {
 			xs = append(xs, t.Cells[t.rowIdx(r)][c])
 		}
 		am[c] = Mean(xs)
-		gm[c] = GeoMean(xs)
+		if slices.ContainsFunc(xs, func(x float64) bool { return x <= 0 }) {
+			gm[c] = math.NaN()
+		} else {
+			gm[c] = GeoMean(xs)
+		}
 	}
 	t.Rows = append(t.Rows, "amean", "gmean")
 	t.Cells = append(t.Cells, am, gm)

@@ -84,6 +84,31 @@ func TestTable(t *testing.T) {
 	}
 }
 
+// A column with a zero (a run without aborts) gets a NaN gmean, not a
+// GeoMean panic; the other columns keep theirs.
+func TestMeanRowsNaNGeoMeanOnNonPositive(t *testing.T) {
+	tb := NewTable("demo", []string{"a", "b"}, []string{"x", "y"})
+	tb.Set("a", "x", 0)
+	tb.Set("b", "x", 2)
+	tb.Set("a", "y", 1)
+	tb.Set("b", "y", 4)
+	tb.AddMeanRows([]string{"a", "b"})
+	if got := tb.Get("gmean", "x"); !math.IsNaN(got) {
+		t.Fatalf("gmean x = %g, want NaN", got)
+	}
+	if got := tb.Get("amean", "x"); got != 1 {
+		t.Fatalf("amean x = %g, want 1", got)
+	}
+	if got := tb.Get("gmean", "y"); got != 2 {
+		t.Fatalf("gmean y = %g, want 2", got)
+	}
+	var buf bytes.Buffer
+	tb.Fprint(&buf)
+	if !strings.Contains(buf.String(), "NaN") {
+		t.Fatalf("output lacks the NaN gmean:\n%s", buf.String())
+	}
+}
+
 func TestTableUnknownLabelPanics(t *testing.T) {
 	tb := NewTable("demo", []string{"a"}, []string{"x"})
 	defer func() {
