@@ -179,14 +179,7 @@ func TestAccessBranchPins(t *testing.T) {
 	threeCores := testCfg()
 	threeCores.Cores = 3
 	fewRetries := core.NewCHATSWith(htm.Traits{Retries: 2, VSBSize: 4, ValidationInterval: 50, ForwardMode: htm.ForwardRrestrictW})
-	cases := []struct {
-		name   string
-		policy htm.Policy
-		cfg    Config
-		w      Workload
-		stats  string
-		stream string // fnv-64a of the stream
-	}{
+	runPins(t, []pinCase{
 		{"wb-reinstall", core.NewCHATS(), oneLineL1(1), &wbReinstallWL{},
 			"{System:CHATS Workload:wb-reinstall Cycles:530 Commits:1 Aborts:0 ByCause:[0 0 0 0 0 0 0 0] Fallbacks:0 PowerAcqs:0 ConflictedCommitted:0 ConflictedAborted:0 ForwarderCommitted:0 ForwarderAborted:0 ConsumerCommitted:0 ConsumerAborted:0 SpecRespsSent:0 SpecRespsConsumed:0 Validations:0 ValidationsOK:0 Flits:49 Messages:17 L1Hits:2 L1Misses:7 DirFwds:0 DirInvs:0 ProbeConflicts:0 DecAbort:0 DecSpec:0 DecNack:0 SpecDropStale:0 SpecDropVSB:0 SpecDropReject:0 NackRetries:0 FallbackSTMCommits:0 FallbackSTMRetries:0 FallbackElideExtends:0 FallbackBodyCycles:0 CMWaits:0 CMHotNacks:0 FaultsInjected:0}",
 			"b2a2c917fe9f0c57"},
@@ -199,7 +192,25 @@ func TestAccessBranchPins(t *testing.T) {
 		{"power-retry", powerForwardPolicy{core.NewPCHATS()}, oneLineL1(3), &powerRetryWL{},
 			"{System:PCHATS Workload:power-retry Cycles:6701 Commits:2 Aborts:2 ByCause:[0 1 0 0 0 1 0 0] Fallbacks:0 PowerAcqs:1 ConflictedCommitted:1 ConflictedAborted:1 ForwarderCommitted:1 ForwarderAborted:0 ConsumerCommitted:0 ConsumerAborted:0 SpecRespsSent:16 SpecRespsConsumed:0 Validations:0 ValidationsOK:0 Flits:229 Messages:109 L1Hits:4 L1Misses:27 DirFwds:21 DirInvs:1 ProbeConflicts:17 DecAbort:1 DecSpec:16 DecNack:0 SpecDropStale:0 SpecDropVSB:0 SpecDropReject:0 NackRetries:0 FallbackSTMCommits:0 FallbackSTMRetries:0 FallbackElideExtends:0 FallbackBodyCycles:0 CMWaits:2 CMHotNacks:0 FaultsInjected:0}",
 			"3891b21f4acdcadd"},
-	}
+	})
+}
+
+// pinCase is one pinned run: the workload on the given machine and
+// system, with its exact RunStats (%+v) and the FNV-64a digest of its
+// cycle-stamped WriterTracer and op stream.
+type pinCase struct {
+	name   string
+	policy htm.Policy
+	cfg    Config
+	w      Workload
+	stats  string
+	stream string
+}
+
+// runPins runs each case and compares its statistics and stream digest
+// with the pinned ones.
+func runPins(t *testing.T, cases []pinCase) {
+	t.Helper()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m, err := New(tc.cfg, tc.policy)
