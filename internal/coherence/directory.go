@@ -257,19 +257,11 @@ func (m *dirMsg) Run() {
 	case mStart:
 		isX, line, req, h := m.isX, m.line, m.req, m.h
 		d.freeMsg(m)
-		if isX {
-			d.GetX(line, req, h)
-		} else {
-			d.GetS(line, req, h)
-		}
+		d.request(isX, line, req, h)
 	case mGrantExcl:
 		line, l, req, h := m.line, m.l, m.req, m.h
 		d.freeMsg(m)
-		data := d.memory.ReadLine(line)
-		l.state = dirE
-		l.owner = req.ID
-		l.sharers = sharerSet{}
-		d.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: true})
+		d.grantExcl(line, l, req.ID, h)
 	case mGrantShared:
 		line, l, req, h := m.line, m.l, m.req, m.h
 		d.freeMsg(m)
@@ -397,29 +389,22 @@ func (f *fwdFlow) Run() {
 		f.l.sharers = sharerSet{}
 		d.freeFwd(f)
 	case fwdNoData:
-		data := d.memory.ReadLine(f.line)
-		f.l.state = dirE
-		f.l.owner = f.req.ID
-		f.l.sharers = sharerSet{}
-		h := f.h
+		line, l, id, h := f.line, f.l, f.req.ID, f.h
 		d.freeFwd(f)
-		d.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: true})
+		d.grantExcl(line, l, id, h)
 	case fwdDeliver:
 		kind := FwdGetS
 		if f.isX {
 			kind = FwdGetX
 		}
 		d.cores[f.owner].HandleProbe(Probe{Line: f.line, Kind: kind, Req: f.req, Reply: f})
-	case fwdCancelSpec:
-		d.stats.SpecCancels++
-		l := f.l
-		line := f.line
-		d.freeFwd(f)
-		d.unblock(line, l)
-	case fwdCancelNack:
-		d.stats.Nacks++
-		l := f.l
-		line := f.line
+	case fwdCancelSpec, fwdCancelNack:
+		if f.phase == fwdCancelSpec {
+			d.stats.SpecCancels++
+		} else {
+			d.stats.Nacks++
+		}
+		line, l := f.line, f.l
 		d.freeFwd(f)
 		d.unblock(line, l)
 	default:
@@ -474,12 +459,7 @@ func (c *invCollect) done() {
 		d.sendResp(true, c.h, Resp{Kind: RespSpec, Data: data, PiC: c.minPiC})
 		d.unblock(c.line, c.l)
 	default:
-		data := d.memory.ReadLine(c.line)
-		c.l.state = dirE
-		c.l.owner = c.req.ID
-		c.l.sharers = sharerSet{}
-		d.sendResp(true, c.h, Resp{Kind: RespData, Data: data, Excl: true})
-		// requester's Unblock releases the line
+		d.grantExcl(c.line, c.l, c.req.ID, c.h)
 	}
 	d.freeInvCollect(c)
 }
@@ -622,49 +602,23 @@ func (d *Directory) shouldForceNack(req ReqInfo) bool {
 // must send Unblock after installing the line; RespSpec and RespNack need
 // no unblock.
 func (d *Directory) GetS(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
-	lineAddr = lineAddr.Line()
-	l := d.line(lineAddr)
-	if l.busy {
-		l.queue.push(queuedReq{isX: false, line: lineAddr, req: req, resp: resp})
-		return
-	}
-	if d.shouldForceNack(req) {
-		d.stats.Nacks++
-		d.sendResp(false, resp, Resp{Kind: RespNack})
-		d.startNext(l)
-		return
-	}
-	d.stats.GetS++
-	l.busy = true
-	lat := d.accessLatency(l)
-
-	m := d.newMsg()
-	m.line = lineAddr
-	m.l = l
-	m.req = req
-	m.h = resp
-	switch {
-	case l.state == dirI, l.state == dirE && l.owner == req.ID:
-		// Cold line, or the owner silently dropped its copy and is
-		// re-requesting: serve memory, grant exclusive.
-		m.op = mGrantExcl
-	case l.state == dirS:
-		m.op = mGrantShared
-	case l.state == dirE:
-		d.stats.Forwards++
-		m.op = mFwd
-		m.isX = false
-		m.core = l.owner
-	}
-	d.eng.ScheduleRunner(lat, m)
+	d.request(false, lineAddr, req, resp)
 }
 
 // GetX handles a write (or upgrade) request from core req.ID.
 func (d *Directory) GetX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
+	d.request(true, lineAddr, req, resp)
+}
+
+// request admits a GetS or (isX) GetX: it queues the request behind a
+// busy line, bounces it when the fault seam force-NACKs it, and
+// otherwise takes the line and, after the access latency, starts the
+// flow the line's state calls for.
+func (d *Directory) request(isX bool, lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	lineAddr = lineAddr.Line()
 	l := d.line(lineAddr)
 	if l.busy {
-		l.queue.push(queuedReq{isX: true, line: lineAddr, req: req, resp: resp})
+		l.queue.push(queuedReq{isX: isX, line: lineAddr, req: req, resp: resp})
 		return
 	}
 	if d.shouldForceNack(req) {
@@ -673,7 +627,11 @@ func (d *Directory) GetX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 		d.startNext(l)
 		return
 	}
-	d.stats.GetX++
+	if isX {
+		d.stats.GetX++
+	} else {
+		d.stats.GetS++
+	}
 	l.busy = true
 	lat := d.accessLatency(l)
 
@@ -682,21 +640,34 @@ func (d *Directory) GetX(lineAddr mem.Addr, req ReqInfo, resp RespHandler) {
 	m.l = l
 	m.req = req
 	m.h = resp
+	m.isX = isX
 	switch {
 	case l.state == dirI, l.state == dirE && l.owner == req.ID,
-		l.state == dirS && l.sharers.onlyMember(req.ID):
-		// Free line, silent-drop re-request, or upgrade with no other
-		// sharer: grant from memory.
+		isX && l.state == dirS && l.sharers.onlyMember(req.ID):
+		// Cold line, the owner re-requesting a copy it silently
+		// dropped, or an upgrade with no other sharer: serve memory,
+		// grant exclusive.
 		m.op = mGrantExcl
 	case l.state == dirE:
 		d.stats.Forwards++
 		m.op = mFwd
-		m.isX = true
 		m.core = l.owner
-	case l.state == dirS:
+	case isX:
 		m.op = mCollect
+	default:
+		m.op = mGrantShared
 	}
 	d.eng.ScheduleRunner(lat, m)
+}
+
+// grantExcl serves line from memory and makes core id its exclusive
+// owner; the requester's Unblock releases the line.
+func (d *Directory) grantExcl(line mem.Addr, l *dirLine, id int, h RespHandler) {
+	data := d.memory.ReadLine(line)
+	l.state = dirE
+	l.owner = id
+	l.sharers = sharerSet{}
+	d.sendResp(true, h, Resp{Kind: RespData, Data: data, Excl: true})
 }
 
 // collectInvs sends invalidation probes to every sharer except the

@@ -10,20 +10,13 @@ import (
 	"chats/internal/sim"
 )
 
-// Completion interfaces for the node's asynchronous operations. The
-// runner's thread contexts and the begin state machine implement them;
-// using interfaces instead of func values keeps the request path free of
-// per-operation closure allocations (interface values over pooled
-// structs don't allocate).
-type (
-	// accessDone receives a demand access's outcome: v is the value a
-	// load read, a store wrote or a CAS found (it swapped iff v is the
-	// value it expected), and aborted means the surrounding transaction
-	// died first.
-	accessDone interface{ onAccessDone(v uint64, aborted bool) }
-	beginDone  interface{ onBeginDone(ok bool) }
-	commitDone interface{ onCommitDone(committed bool) }
-)
+// accessDone receives a demand access's outcome: v is the value a load
+// read, a store wrote or a CAS found (it swapped iff v is the value it
+// expected), and aborted means the surrounding transaction died first.
+// The thread, its engine-side loops and the begin state machine
+// implement it; an interface over pooled structs, unlike a func value,
+// keeps the request path free of per-operation allocations.
+type accessDone interface{ onAccessDone(v uint64, aborted bool) }
 
 // pendingWB is a writeback in flight; a probe served from it cancels the
 // in-flight message. It is its own delivery event payload.
@@ -70,14 +63,16 @@ type Node struct {
 	// workloads that the per-eviction allocation showed up in profiles.
 	wbFree []*pendingWB
 
+	// thread is the core's thread; BeginTx and Commit reply to it.
+	thread *tctx
+
 	// Reusable event payloads. A thread stays suspended until its op
-	// completes, so at most one demand access, one begin and one commit
-	// reply is in flight per core, and valInFlight/valTimer guard the
-	// validation pair, so a single embedded instance of each replaces the
-	// per-stage closures the hot path used to allocate.
+	// completes, so at most one demand access and one begin is in flight
+	// per core, and valInFlight/valTimer guard the validation pair, so a
+	// single embedded instance of each replaces the per-stage closures
+	// the hot path used to allocate.
 	acc     access
 	beg     beginOp
-	crep    commitReply
 	val     valOp
 	valTick valTimerOp
 
@@ -89,15 +84,14 @@ type Node struct {
 
 	valTimer    *sim.Event
 	valInFlight bool
-	commitDone  commitDone
 
 	// validatedThisTx counts VSB entries validated by the current
 	// transaction (reported through the tracer at commit).
 	validatedThisTx int
 
 	// Fallback-occupancy clock: fbStart is when this core's current
-	// fallback section opened (the STM body start, or the lock-path
-	// EnterFallback); the close at ExitFallback adds the interval to
+	// fallback section opened (openFallbackClock, at the STM body start
+	// or the lock-path EnterFallback); ExitFallback adds the interval to
 	// the FallbackBodyCycles shard. Engine-side only.
 	fbStart  uint64
 	fbTiming bool
@@ -469,21 +463,24 @@ func (c *access) HandleResp(resp coherence.Resp) {
 			}
 		}
 	case coherence.RespNack:
+		if !c.inTx {
+			// Only a transactional request is NACKed: a plain requester
+			// wins every probe, and the directory force-NACKs only
+			// transactional requests.
+			n.fail("NACK delivered to a non-transactional access", line)
+		}
 		if stale {
 			c.done.onAccessDone(0, true)
 			return
 		}
-		if c.inTx && c.nackTries+1 >= n.m.cfg.NackRetryLimit {
+		if c.nackTries+1 >= n.m.cfg.NackRetryLimit {
 			n.abortTx(htm.CauseStall)
 			c.done.onAccessDone(0, true)
 			return
 		}
-		if c.kind != accCAS {
-			// A lock CAS's retries are not counted as demand retries.
-			n.stats.NackRetries++
-			n.m.emitNackRetry(n.id, line)
-			c.nackTries++
-		}
+		n.stats.NackRetries++
+		n.m.emitNackRetry(n.id, line)
+		c.nackTries++
 		c.stage = stNackRetry
 		n.eng.ScheduleRunner(n.m.cfg.NackRetryDelay, c)
 	}

@@ -123,28 +123,6 @@ func (n *Node) replyNormal(p coherence.Probe, e *cache.Entry) {
 	}
 }
 
-// commitReply delivers a Commit/abort outcome to the waiting thread
-// after the commit/abort latency.
-type commitReply struct {
-	done      commitDone
-	committed bool
-}
-
-// Run wakes the thread.
-func (c *commitReply) Run() {
-	d := c.done
-	c.done = nil
-	d.onCommitDone(c.committed)
-}
-
-// scheduleCommitReply arms the node's reply event, which wakes the
-// waiting thread.
-func (n *Node) scheduleCommitReply(delay uint64, done commitDone, committed bool) {
-	n.crep.done = done
-	n.crep.committed = committed
-	n.eng.ScheduleRunner(delay, &n.crep)
-}
-
 // abortTx kills the running transaction: stats, gang invalidation of the
 // write set, and — if the thread was blocked in commit — its wakeup. The
 // thread otherwise discovers the abort at its next operation.
@@ -168,10 +146,8 @@ func (n *Node) abortTx(cause htm.AbortCause) {
 	n.l1.GangInvalidateSM()
 	n.stopValidationTimer()
 	n.m.emitAbort(n.id, cause)
-	if wasCommitting && n.commitDone != nil {
-		done := n.commitDone
-		n.commitDone = nil
-		n.scheduleCommitReply(n.m.cfg.AbortLatency, done, false)
+	if wasCommitting {
+		n.thread.reply(n.m.cfg.AbortLatency, opReply{aborted: true})
 	}
 }
 
@@ -183,7 +159,6 @@ type beginOp struct {
 	attempt int
 	power   bool
 	phase   uint8
-	done    beginDone
 }
 
 const (
@@ -193,7 +168,10 @@ const (
 
 // Run fires after the begin latency or a backoff wait: (re-)read the
 // fallback lock.
-func (b *beginOp) Run() { b.n.begin1(b) }
+func (b *beginOp) Run() {
+	b.phase = bpLockFree
+	b.n.Load(b.n.m.lockAddr, false, b)
+}
 
 func (b *beginOp) onAccessDone(v uint64, aborted bool) {
 	n := b.n
@@ -210,18 +188,18 @@ func (b *beginOp) onAccessDone(v uint64, aborted bool) {
 		n.Load(n.m.lockAddr, true, b)
 	case bpSubscribe:
 		if aborted {
-			b.done.onBeginDone(false)
+			n.thread.finish(opReply{})
 			return
 		}
 		if v != 0 {
 			n.abortTx(htm.CauseLock)
 			n.tx.Finish()
-			b.done.onBeginDone(false)
+			n.thread.finish(opReply{})
 			return
 		}
 		n.validatedThisTx = 0
 		n.m.emitBegin(n.id, b.attempt, b.power)
-		b.done.onBeginDone(true)
+		n.thread.finish(opReply{ok: true})
 	default:
 		n.fail(fmt.Sprintf("bad beginOp phase %d", b.phase), n.m.lockLine)
 	}
@@ -229,39 +207,34 @@ func (b *beginOp) onAccessDone(v uint64, aborted bool) {
 
 // BeginTx starts a speculative attempt: it waits for the fallback lock
 // to be free, begins, and eagerly subscribes to the lock (reads it into
-// the read signature). done(false) means the begin raced with a lock
-// acquisition and should simply be retried.
-func (n *Node) BeginTx(attempt int, power bool, done beginDone) {
+// the read signature). A reply without ok means the begin raced with a
+// lock acquisition and should simply be retried.
+func (n *Node) BeginTx(attempt int, power bool) {
 	b := &n.beg
 	b.attempt = attempt
 	b.power = power
-	b.done = done
 	n.eng.ScheduleRunner(n.m.cfg.BeginLatency, b)
-}
-
-func (n *Node) begin1(b *beginOp) {
-	b.phase = bpLockFree
-	n.Load(n.m.lockAddr, false, b)
 }
 
 // Commit attempts to commit: the VSB must drain first (validation of all
 // speculatively received lines), then the write set atomically becomes
-// architectural.
-func (n *Node) Commit(done commitDone) {
+// architectural. A transaction that dies while Committing gets its
+// thread's aborted reply from abortTx. The thread issues Commit in the
+// event that completed its last op, so the transaction is alive.
+func (n *Node) Commit() {
 	if !n.tx.InTx() {
-		n.scheduleCommitReply(n.m.cfg.AbortLatency, done, false)
-		return
+		panic(fmt.Sprintf("machine: cycle %d core %d: commit of a dead transaction (status %v)",
+			n.eng.Now(), n.id, n.tx.Status))
 	}
 	if !n.tx.VSB.Empty() {
 		n.tx.Status = htm.Committing
-		n.commitDone = done
 		n.kickValidation()
 		return
 	}
-	n.finalizeCommit(done)
+	n.finalizeCommit()
 }
 
-func (n *Node) finalizeCommit(done commitDone) {
+func (n *Node) finalizeCommit() {
 	n.m.emitCommit(n.id, n.validatedThisTx)
 	n.l1.CommitSM(nil)
 	n.stats.Commits++
@@ -279,7 +252,7 @@ func (n *Node) finalizeCommit(done commitDone) {
 	}
 	n.tx.Finish()
 	n.stopValidationTimer()
-	n.scheduleCommitReply(n.m.cfg.CommitLatency, done, true)
+	n.thread.reply(n.m.cfg.CommitLatency, opReply{ok: true})
 }
 
 // FinishAbort acknowledges a delivered abort: the thread has unwound and
@@ -292,20 +265,36 @@ func (n *Node) FinishAbort() htm.AbortCause {
 	return cause
 }
 
-// EnterFallback marks the core as executing the software fallback path.
+// EnterFallback marks the core as executing the software fallback path
+// and opens its fallback-occupancy clock.
 func (n *Node) EnterFallback() {
 	n.tx.Status = htm.Fallback
 	n.stats.Fallbacks++
 	n.m.emitFallback(n.id)
+	n.openFallbackClock()
 }
 
-// ExitFallback returns the core to Idle.
+// ExitFallback returns the core to Idle and closes its
+// fallback-occupancy clock.
 func (n *Node) ExitFallback() {
 	if n.tx.Status != htm.Fallback {
 		panic(fmt.Sprintf("machine: cycle %d core %d: ExitFallback outside fallback (status %v)",
 			n.eng.Now(), n.id, n.tx.Status))
 	}
 	n.tx.Status = htm.Idle
+	if n.fbTiming {
+		n.stats.FallbackBodyCycles += n.eng.Now() - n.fbStart
+		n.fbTiming = false
+	}
+}
+
+// openFallbackClock starts the fallback-occupancy clock unless this
+// core's fallback section already started it.
+func (n *Node) openFallbackClock() {
+	if !n.fbTiming {
+		n.fbTiming = true
+		n.fbStart = n.eng.Now()
+	}
 }
 
 // ---------- VSB validation controller (Section IV-B) ----------
@@ -395,6 +384,19 @@ func (n *Node) validationCheck(line mem.Addr, isSpec bool, pic coherence.PiC, ma
 	return out, cause
 }
 
+// validationMatch reports whether the response carries the value the
+// transaction consumed. A valfail fault turns a match into a mismatch:
+// the consumed line is treated as stale, driving the policy's mismatch
+// path (an abort, never an unsound commit).
+func (n *Node) validationMatch(ent htm.VSBEntry, resp coherence.Resp) bool {
+	match := resp.Data == ent.Data
+	if match && n.m.inj != nil && n.m.inj.ValFail() {
+		n.m.countFault(n.id, "valfail")
+		match = false
+	}
+	return match
+}
+
 func (n *Node) onValidationResp(ent htm.VSBEntry, epoch uint64, resp coherence.Resp) {
 	n.valInFlight = false
 	if n.tx.Epoch != epoch {
@@ -404,15 +406,7 @@ func (n *Node) onValidationResp(ent htm.VSBEntry, epoch uint64, resp coherence.R
 	switch resp.Kind {
 	case coherence.RespData:
 		n.m.dir.SendUnblock(ent.Line)
-		match := resp.Data == ent.Data
-		if match && n.m.inj != nil && n.m.inj.ValFail() {
-			// Forced validation failure: the consumed line is treated as
-			// stale, driving the policy's mismatch path (an abort — never
-			// an unsound commit).
-			n.m.countFault(n.id, "valfail")
-			match = false
-		}
-		out, cause := n.validationCheck(ent.Line, false, resp.PiC, match)
+		out, cause := n.validationCheck(ent.Line, false, resp.PiC, n.validationMatch(ent, resp))
 		switch out {
 		case htm.ValidationDone:
 			n.tx.VSB.Remove(ent.Line)
@@ -424,10 +418,8 @@ func (n *Node) onValidationResp(ent htm.VSBEntry, epoch uint64, resp coherence.R
 			}
 			if n.tx.VSB.Empty() {
 				n.tx.Cons = false
-				if n.tx.Status == htm.Committing && n.commitDone != nil {
-					done := n.commitDone
-					n.commitDone = nil
-					n.finalizeCommit(done)
+				if n.tx.Status == htm.Committing {
+					n.finalizeCommit()
 					return
 				}
 			}
@@ -438,12 +430,7 @@ func (n *Node) onValidationResp(ent htm.VSBEntry, epoch uint64, resp coherence.R
 			n.armValidationTimer()
 		}
 	case coherence.RespSpec:
-		match := resp.Data == ent.Data
-		if match && n.m.inj != nil && n.m.inj.ValFail() {
-			n.m.countFault(n.id, "valfail")
-			match = false
-		}
-		out, cause := n.validationCheck(ent.Line, true, resp.PiC, match)
+		out, cause := n.validationCheck(ent.Line, true, resp.PiC, n.validationMatch(ent, resp))
 		if out == htm.ValidationAbort {
 			n.abortTx(cause)
 			return

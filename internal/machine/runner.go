@@ -138,29 +138,33 @@ type opReply struct {
 	cause   htm.AbortCause
 }
 
-// tctxTimer is the payload for the thread ops that are pure delays
-// (work, abort ack, fallback transitions, power handoff). One per
-// thread: a thread has at most one op in flight.
+// tctxTimer is the payload of every delayed reply to the thread: the
+// ops that are pure delays (work, abort ack, fallback transitions,
+// power handoff) and the node's commit outcome. One per thread: a
+// thread has at most one op in flight.
 type tctxTimer struct {
-	t     *tctx
-	op    opKind
-	ok    bool
-	cause htm.AbortCause
+	t   *tctx
+	rep opReply
 }
 
-// Run completes the delayed op and wakes the thread.
+// Run delivers the reply. Only a failed commit's reply is aborted when
+// scheduled; it acknowledges the abort now, so the core stays Aborted
+// for the abort latency. Work inside a transaction that died while it
+// ran reports the abort at completion.
 func (tt *tctxTimer) Run() {
-	t := tt.t
-	switch tt.op {
-	case opWork:
-		// A transaction may have died while the work was in progress;
-		// report it at completion, like the original deferred check.
-		t.finish(opReply{aborted: t.req.inTx && !t.node.tx.InTx()})
-	case opAbortAck:
-		t.finish(opReply{cause: tt.cause})
-	default:
-		t.finish(opReply{ok: tt.ok})
+	t, rep := tt.t, tt.rep
+	if rep.aborted {
+		rep.cause = t.node.FinishAbort()
+	} else if t.req.inTx && !t.node.tx.InTx() {
+		rep.aborted = true
 	}
+	t.finish(rep)
+}
+
+// reply delivers rep to the thread delay cycles from now.
+func (t *tctx) reply(delay uint64, rep opReply) {
+	t.timer.rep = rep
+	t.node.eng.ScheduleRunner(delay, &t.timer)
 }
 
 // postCap bounds the ops a thread posts between two yields. Longer runs
@@ -245,9 +249,6 @@ func (t *tctx) finish(rep opReply) {
 	t.r.pump(t)
 }
 
-// Completion handlers for the node's asynchronous operations; they
-// mirror the per-op closures dispatch used to allocate.
-
 // onAccessDone completes a Load or Store op: v is the value the load
 // read or the store wrote.
 func (t *tctx) onAccessDone(v uint64, aborted bool) {
@@ -259,16 +260,6 @@ func (t *tctx) onAccessDone(v uint64, aborted bool) {
 		t.r.m.emitOp(t.node.id, op, t.req.inTx, t.req.addr, v, 0, true)
 	}
 	t.finish(opReply{val: v, aborted: aborted})
-}
-
-func (t *tctx) onBeginDone(ok bool) { t.finish(opReply{ok: ok}) }
-
-func (t *tctx) onCommitDone(committed bool) {
-	if committed {
-		t.finish(opReply{ok: true})
-	} else {
-		t.finish(opReply{aborted: true, cause: t.node.FinishAbort()})
-	}
 }
 
 // spinAcquire is the opAcquire payload: the test-and-test-and-set loop
@@ -428,6 +419,7 @@ func (r *runner) run(w Workload) error {
 			rng:  sim.NewRand(r.m.cfg.Seed*7919 + uint64(i) + 101),
 		}
 		t.timer.t = t
+		t.node.thread = t
 		t.acq.t = t
 		t.walk.t = t
 		if r.m.cfg.Fallback.Kind == FallbackElide {
@@ -533,12 +525,7 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 		t.walk.addr = req.addr
 		n.Load(req.addr, req.inTx, &t.walk)
 	case opWork:
-		cycles := req.val
-		if cycles == 0 {
-			cycles = 1
-		}
-		t.timer.op = opWork
-		n.eng.ScheduleRunner(cycles, &t.timer)
+		t.reply(max(req.val, 1), opReply{})
 	case opBegin:
 		if m.cfg.MaxAttempts > 0 && req.attempt > m.cfg.MaxAttempts {
 			// Starvation budget exceeded: halt the engine with the dump.
@@ -547,19 +534,13 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 			m.eng.Halt(m.starvationError(n.id, req.attempt))
 			return
 		}
-		n.BeginTx(req.attempt, req.power, t)
+		n.BeginTx(req.attempt, req.power)
 	case opCommit:
-		n.Commit(t)
+		n.Commit()
 	case opAbortAck:
-		t.timer.op = opAbortAck
-		t.timer.cause = n.FinishAbort()
-		n.eng.ScheduleRunner(m.cfg.AbortLatency, &t.timer)
+		t.reply(m.cfg.AbortLatency, opReply{cause: n.FinishAbort()})
 	case opEnterFallback:
 		n.EnterFallback()
-		if !n.fbTiming {
-			n.fbTiming = true
-			n.fbStart = m.eng.Now()
-		}
 		delay := uint64(1)
 		if m.inj != nil {
 			if d := m.inj.LockBurstDelay(); d > 0 {
@@ -569,38 +550,21 @@ func (r *runner) dispatch(t *tctx, req opReq) {
 				delay += d
 			}
 		}
-		t.timer.op = opEnterFallback
-		t.timer.ok = true
-		n.eng.ScheduleRunner(delay, &t.timer)
+		t.reply(delay, opReply{})
 	case opExitFallback:
 		n.ExitFallback()
-		if n.fbTiming {
-			n.stats.FallbackBodyCycles += m.eng.Now() - n.fbStart
-			n.fbTiming = false
-		}
-		t.timer.op = opExitFallback
-		t.timer.ok = true
-		n.eng.ScheduleRunner(1, &t.timer)
+		t.reply(1, opReply{})
 	case opFallbackBodyStart:
 		// The STM path opens its occupancy window at body start, so
 		// overlapping software fallbacks measure as concurrency; the
-		// lock path opens it at opEnterFallback instead.
-		if !n.fbTiming {
-			n.fbTiming = true
-			n.fbStart = m.eng.Now()
-		}
-		t.timer.op = opFallbackBodyStart
-		t.timer.ok = true
-		n.eng.ScheduleRunner(1, &t.timer)
+		// lock path opens it at EnterFallback instead.
+		n.openFallbackClock()
+		t.reply(1, opReply{})
 	case opAcquirePower:
-		t.timer.op = opAcquirePower
-		t.timer.ok = m.tryAcquirePower(n.id)
-		n.eng.ScheduleRunner(1, &t.timer)
+		t.reply(1, opReply{ok: m.tryAcquirePower(n.id)})
 	case opReleasePower:
 		m.releasePower(n.id)
-		t.timer.op = opReleasePower
-		t.timer.ok = true
-		n.eng.ScheduleRunner(1, &t.timer)
+		t.reply(1, opReply{})
 	case opFlush:
 		t.finish(opReply{})
 	default:
