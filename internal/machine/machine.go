@@ -62,6 +62,10 @@ type Machine struct {
 	stmLock []mem.Addr
 
 	stats RunStats
+
+	// resumes counts thread resumes (runner.pump), a host-cost figure
+	// kept out of RunStats so statistics digests do not depend on it.
+	resumes uint64
 }
 
 // observers holds the attached tracers, sorted by SetTracer into one
