@@ -421,9 +421,7 @@ type invCollect struct {
 	req     ReqInfo
 	h       RespHandler
 	pending int
-	refused bool
 	nacked  bool
-	minPiC  PiC
 }
 
 func (d *Directory) newInvC() *invCollect {
@@ -448,17 +446,11 @@ func (c *invCollect) done() {
 		return
 	}
 	d := c.d
-	switch {
-	case c.nacked:
+	if c.nacked {
 		d.stats.Nacks++
 		d.sendResp(false, c.h, Resp{Kind: RespNack})
 		d.unblock(c.line, c.l)
-	case c.refused:
-		d.stats.SpecCancels++
-		data := d.memory.ReadLine(c.line)
-		d.sendResp(true, c.h, Resp{Kind: RespSpec, Data: data, PiC: c.minPiC})
-		d.unblock(c.line, c.l)
-	default:
+	} else {
 		d.grantExcl(c.line, c.l, c.req.ID, c.h)
 	}
 	d.freeInvCollect(c)
@@ -473,19 +465,12 @@ type invTarget struct {
 	c      *invCollect
 	target int
 	phase  uint8 // invDeliver | invAck
-	act    uint8
-	pic    PiC
+	nack   bool  // the sharer refused to invalidate for now
 }
 
 const (
 	invDeliver uint8 = iota // deliver the invalidation probe at the sharer
 	invAck                  // ack arrived back at the directory
-)
-
-const (
-	ackInv uint8 = iota // invalidated (or already silently dropped)
-	ackSpec
-	ackNack
 )
 
 func (d *Directory) newInvT(c *invCollect, target int) *invTarget {
@@ -508,21 +493,21 @@ func (t *invTarget) ack() {
 }
 
 func (t *invTarget) ReplyData(mem.Line) { // invalidated (clean sharer)
-	t.act = ackInv
+	t.nack = false
 	t.ack()
 }
 
 // already silently dropped
 func (t *invTarget) ReplyNoData() { t.ReplyData(mem.Line{}) }
 
-func (t *invTarget) ReplySpec(_ mem.Line, pic PiC) {
-	t.act = ackSpec
-	t.pic = pic
-	t.ack()
+// ReplySpec fails the run: a sharer always honors an invalidation, since
+// the protocol forwards speculative data only to a forwarded request.
+func (t *invTarget) ReplySpec(mem.Line, PiC) {
+	t.c.d.fail("a sharer answered an invalidation with speculative data", t.c.line)
 }
 
 func (t *invTarget) ReplyNack() {
-	t.act = ackNack
+	t.nack = true
 	t.ack()
 }
 
@@ -532,19 +517,13 @@ func (t *invTarget) Run() {
 		c.d.cores[t.target].HandleProbe(Probe{Line: c.line, Kind: InvProbe, Req: c.req, Reply: t})
 		return
 	}
-	c, target, act, pic := t.c, t.target, t.act, t.pic
+	c, target, nack := t.c, t.target, t.nack
 	t.c = nil
 	c.d.freeInvT = append(c.d.freeInvT, t)
-	switch act {
-	case ackInv:
-		c.l.sharers.clear(target)
-	case ackSpec:
-		c.refused = true
-		if pic < c.minPiC {
-			c.minPiC = pic
-		}
-	case ackNack:
+	if nack {
 		c.nacked = true
+	} else {
+		c.l.sharers.clear(target)
 	}
 	c.done()
 }
@@ -672,9 +651,8 @@ func (d *Directory) grantExcl(line mem.Addr, l *dirLine, id int, h RespHandler) 
 
 // collectInvs sends invalidation probes to every sharer except the
 // requester and aggregates the outcome: all invalidated → exclusive
-// grant; any refusal (speculative forwarding by a reader) → SpecResp with
-// the committed data and the minimum producer PiC; any nack → RespNack.
-// Targets get their probes in ascending core order.
+// grant; any nack → RespNack. Targets get their probes in ascending core
+// order.
 func (d *Directory) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp RespHandler) {
 	targets := l.sharers
 	targets.clear(req.ID)
@@ -691,9 +669,7 @@ func (d *Directory) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp
 	c.req = req
 	c.h = resp
 	c.pending = count
-	c.refused = false
 	c.nacked = false
-	c.minPiC = PiC(127)
 	for wi, w := range targets {
 		for ; w != 0; w &= w - 1 {
 			d.stats.Invs++

@@ -1,6 +1,8 @@
 package coherence
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"chats/internal/mem"
@@ -245,27 +247,28 @@ func TestUpgradeSkipsRequester(t *testing.T) {
 	}
 }
 
-func TestSharerRefusalYieldsSpecResp(t *testing.T) {
+// TestSharerSpecReplyToInvFails: a sharer answering an invalidation
+// with speculative data breaks the protocol (sharers always honor
+// invalidations), so the directory fails the run, naming cycle and line.
+func TestSharerSpecReplyToInvFails(t *testing.T) {
 	r := newRig(3)
-	r.memry.WriteWord(0x200, 77)
 	r.request(t, false, 0x200, 0)
 	r.cores[0].onProbe = func(p Probe) {
 		if p.Kind == FwdGetS {
 			p.ReplyData(mem.Line{77})
 		} else {
-			p.ReplySpec(mem.Line{77}, 20) // reader refuses to invalidate
+			p.ReplySpec(mem.Line{77}, 20)
 		}
 	}
 	r.request(t, false, 0x200, 1)
-	r.cores[1].onProbe = func(p Probe) { p.ReplyData(mem.Line{}) } // acks inv
-	resp := r.request(t, true, 0x200, 2)
-	if resp.Kind != RespSpec || resp.Data[0] != 77 || resp.PiC != 20 {
-		t.Fatalf("resp = %+v", resp)
-	}
-	st, _, sharers := r.dir.StateOf(0x200)
-	if st != "S" || sharers != 0b01 {
-		t.Fatalf("dir %s sharers %b: refuser must stay, acker must go", st, sharers)
-	}
+	r.cores[1].onProbe = func(p Probe) { p.ReplyData(mem.Line{}) }
+	defer func() {
+		want := "a sharer answered an invalidation with speculative data"
+		if got := fmt.Sprint(recover()); !strings.Contains(got, want) || !strings.Contains(got, "line 0x200") {
+			t.Fatalf("panic = %q, want one naming line 0x200 and %q", got, want)
+		}
+	}()
+	r.request(t, true, 0x200, 2)
 }
 
 func TestSharerNackWins(t *testing.T) {
@@ -279,7 +282,7 @@ func TestSharerNackWins(t *testing.T) {
 		}
 	}
 	r.request(t, false, 0x240, 1)
-	r.cores[1].onProbe = func(p Probe) { p.ReplySpec(mem.Line{1}, 10) }
+	r.cores[1].onProbe = func(p Probe) { p.ReplyData(mem.Line{}) }
 	resp := r.request(t, true, 0x240, 2)
 	if resp.Kind != RespNack {
 		t.Fatalf("resp = %+v, want nack to dominate", resp)

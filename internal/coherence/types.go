@@ -2,9 +2,10 @@
 // protocol over the simulated interconnect, extended with the two
 // mechanisms CHATS needs (Section IV-A / V-A):
 //
-//   - an owner or sharer that receives a conflicting probe may answer
+//   - an owner that receives a conflicting forwarded probe may answer
 //     with a speculative data response (SpecResp) and cancel the request
-//     at the directory, which then leaves coherence state untouched; and
+//     at the directory, which then leaves coherence state untouched (a
+//     sharer always honors an invalidation); and
 //   - negative acknowledgements (nacks) that make the requester retry,
 //     as used by requester-stalls policies such as PowerTM.
 //
@@ -86,7 +87,9 @@ type ProbeReplier interface {
 	// ReplySpec answers the requester with speculative data while
 	// retaining ownership; the request is cancelled at the directory and
 	// coherence state is left unchanged. pic is the producer's PiC after
-	// any update mandated by the CHATS rules.
+	// any update mandated by the CHATS rules. Only a forwarded probe
+	// (FwdGetS, FwdGetX) may be answered so; an InvProbe answered with
+	// ReplySpec fails the run.
 	ReplySpec(data mem.Line, pic PiC)
 	// ReplyNack refuses the request without data; the requester will
 	// retry. Coherence state is unchanged.

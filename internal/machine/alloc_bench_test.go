@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"chats/internal/core"
+	"chats/internal/mem"
 )
 
 // Whole-machine allocation benchmarks: the event path from thread op
@@ -60,18 +61,28 @@ func BenchmarkWholeMachineCHATS(b *testing.B) { benchMachine(b, core.KindCHATS) 
 // requester-wins system.
 func BenchmarkWholeMachineBaseline(b *testing.B) { benchMachine(b, core.KindBaseline) }
 
-// workLoopWL is one thread issuing n Work(1) ops, the cheapest op there
-// is, so a run costs little beyond the engine/thread switch per op.
-type workLoopWL struct{ n int }
+// opLoopWL is one thread calling op n times on one word.
+type opLoopWL struct {
+	n  int
+	op func(ctx Ctx, a mem.Addr)
+	a  mem.Addr
+}
 
-func (w *workLoopWL) Name() string      { return "work-loop" }
-func (w *workLoopWL) Setup(*World, int) {}
-func (w *workLoopWL) Thread(ctx Ctx, tid int) {
+func (w *opLoopWL) Name() string                 { return "op-loop" }
+func (w *opLoopWL) Setup(wd *World, threads int) { w.a = wd.Alloc.LineAligned(1) }
+func (w *opLoopWL) Thread(ctx Ctx, tid int) {
 	for i := 0; i < w.n; i++ {
-		ctx.Work(1)
+		w.op(ctx, w.a)
 	}
 }
-func (w *workLoopWL) Check(*World) error { return nil }
+func (w *opLoopWL) Check(*World) error { return nil }
+
+// The ops the handoff measurements loop over: Work(1), the cheapest
+// posted op there is; a Load, which suspends the thread until its
+// reply; and an Add, a Load and a Store posted as one op.
+func workOp(ctx Ctx, _ mem.Addr) { ctx.Work(1) }
+func loadOp(ctx Ctx, a mem.Addr) { ctx.Load(a) }
+func addOp(ctx Ctx, a mem.Addr)  { ctx.Add(a, 1) }
 
 // newHandoffMachine builds the one-core machine the handoff measurements
 // run on.
@@ -86,16 +97,30 @@ func newHandoffMachine(tb testing.TB) *Machine {
 	return m
 }
 
-// BenchmarkThreadHandoff times one simulated op end to end: the thread
-// issuing Work(1), the engine scheduling and firing its completion, and
-// the switch back to the thread. Run as:
+// BenchmarkThreadHandoff times one posted op end to end: the thread
+// queuing Work(1) and the engine scheduling and firing its completion.
+// The thread resumes only once per full queue (postCap ops), so this
+// prices a posted op, not a switch between engine and thread;
+// BenchmarkYieldedLoad prices that. Run as:
 //
-//	go test -run '^$' -bench ThreadHandoff ./internal/machine
-func BenchmarkThreadHandoff(b *testing.B) {
+//	go test -run '^$' -bench 'ThreadHandoff|YieldedLoad|PostedAdd' ./internal/machine
+func BenchmarkThreadHandoff(b *testing.B) { benchOpLoop(b, workOp) }
+
+// BenchmarkYieldedLoad times a Load that hits in L1: the thread
+// suspends, the engine runs the access, and the thread resumes with
+// the value, once per op.
+func BenchmarkYieldedLoad(b *testing.B) { benchOpLoop(b, loadOp) }
+
+// BenchmarkPostedAdd times an Add that hits in L1: the engine runs its
+// load and then its store, and the thread resumes once per full queue.
+func BenchmarkPostedAdd(b *testing.B) { benchOpLoop(b, addOp) }
+
+// benchOpLoop runs b.N calls of op on the one-core handoff machine.
+func benchOpLoop(b *testing.B, op func(Ctx, mem.Addr)) {
 	m := newHandoffMachine(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := m.Run(&workLoopWL{n: b.N}); err != nil {
+	if _, err := m.Run(&opLoopWL{n: b.N, op: op}); err != nil {
 		b.Fatal(err)
 	}
 }
@@ -118,7 +143,7 @@ func TestThreadHandoffZeroAllocs(t *testing.T) {
 			var ms0, ms1 runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&ms0)
-			if _, err := m.Run(&workLoopWL{n: ops}); err != nil {
+			if _, err := m.Run(&opLoopWL{n: ops, op: workOp}); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&ms1)
@@ -135,11 +160,13 @@ func TestThreadHandoffZeroAllocs(t *testing.T) {
 
 // runLockHold runs the two-core lock-hold workload: one thread holds the
 // global fallback lock for hold cycles while the other spins for it.
-// Building the machine is left out of a benchmark's timer.
+// The run lasts a little longer than hold, so the cycle limit grows with
+// it. Building the machine is left out of a benchmark's timer.
 func runLockHold(tb testing.TB, hold uint64) RunStats {
 	tb.Helper()
 	cfg := DefaultConfig()
 	cfg.Cores = 2
+	cfg.CycleLimit = max(cfg.CycleLimit, 2*hold)
 	m, err := New(cfg, core.NewBaseline())
 	if err != nil {
 		tb.Fatal(err)

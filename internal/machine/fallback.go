@@ -406,6 +406,8 @@ func (h stmHandle) Load(a mem.Addr) uint64 {
 	return v
 }
 
+func (h stmHandle) Add(a mem.Addr, d uint64) { h.Store(a, h.Load(a)+d) }
+
 func (h stmHandle) Store(a mem.Addr, v uint64) {
 	s := h.s
 	s.bump()

@@ -188,18 +188,18 @@ func (b *beginOp) onAccessDone(v uint64, aborted bool) {
 		n.Load(n.m.lockAddr, true, b)
 	case bpSubscribe:
 		if aborted {
-			n.thread.finish(opReply{})
+			n.thread.finish(opReply{aborted: true})
 			return
 		}
 		if v != 0 {
 			n.abortTx(htm.CauseLock)
 			n.tx.Finish()
-			n.thread.finish(opReply{})
+			n.thread.finish(opReply{aborted: true})
 			return
 		}
 		n.validatedThisTx = 0
 		n.m.emitBegin(n.id, b.attempt, b.power)
-		n.thread.finish(opReply{ok: true})
+		n.thread.finish(opReply{})
 	default:
 		n.fail(fmt.Sprintf("bad beginOp phase %d", b.phase), n.m.lockLine)
 	}
@@ -207,7 +207,7 @@ func (b *beginOp) onAccessDone(v uint64, aborted bool) {
 
 // BeginTx starts a speculative attempt: it waits for the fallback lock
 // to be free, begins, and eagerly subscribes to the lock (reads it into
-// the read signature). A reply without ok means the begin raced with a
+// the read signature). An aborted reply means the begin raced with a
 // lock acquisition and should simply be retried.
 func (n *Node) BeginTx(attempt int, power bool) {
 	b := &n.beg
@@ -256,13 +256,11 @@ func (n *Node) finalizeCommit() {
 }
 
 // FinishAbort acknowledges a delivered abort: the thread has unwound and
-// the state returns to Idle. Returns the recorded cause.
-func (n *Node) FinishAbort() htm.AbortCause {
-	cause := n.tx.Cause
+// the state returns to Idle.
+func (n *Node) FinishAbort() {
 	if n.tx.Status == htm.Aborted {
 		n.tx.Finish()
 	}
-	return cause
 }
 
 // EnterFallback marks the core as executing the software fallback path

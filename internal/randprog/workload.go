@@ -106,8 +106,7 @@ func (w *Workload) Thread(ctx machine.Ctx, tid int) {
 					case OpStore:
 						tx.Store(w.SlotAddr(op.Slot), acc+op.Arg)
 					case OpAdd:
-						addr := w.SlotAddr(op.Slot)
-						tx.Store(addr, tx.Load(addr)+op.Arg)
+						tx.Add(w.SlotAddr(op.Slot), op.Arg)
 					case OpWork:
 						tx.Work(op.Arg)
 					}

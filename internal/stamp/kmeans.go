@@ -78,22 +78,19 @@ func (k *KMeans) Thread(ctx machine.Ctx, tid int) {
 		ctx.Work(k.ComputeCycles) // nearest-center search (private data)
 		ctx.Atomic(func(tx machine.Tx) {
 			base := k.center(c)
-			cnt := tx.Load(base)
-			tx.Store(base, cnt+1)
+			tx.Add(base, 1)
 			for d := 0; d < k.Dims; d++ {
-				a := base.Plus(1 + d)
-				tx.Store(a, tx.Load(a)+deltas[d%len(deltas)])
+				tx.Add(base.Plus(1+d), deltas[d%len(deltas)])
 				tx.Work(3) // the floating-point accumulate
 			}
 		})
 		// The two small global-variable transactions of the STAMP kernel.
 		if i%8 == 7 {
 			ctx.Atomic(func(tx machine.Tx) {
-				tx.Store(k.globals, tx.Load(k.globals)+8)
+				tx.Add(k.globals, 8)
 			})
 			ctx.Atomic(func(tx machine.Tx) {
-				a := k.globals.Plus(1)
-				tx.Store(a, tx.Load(a)+1)
+				tx.Add(k.globals.Plus(1), 1)
 			})
 		}
 	}

@@ -43,9 +43,8 @@ func (s *SSCA2) Thread(ctx machine.Ctx, tid int) {
 		v := r.Intn(s.Nodes)
 		ctx.Work(30) // pick the edge from the generator (private)
 		ctx.Atomic(func(tx machine.Tx) {
-			au, av := s.node(u), s.node(v)
-			tx.Store(au, tx.Load(au)+1)
-			tx.Store(av, tx.Load(av)+1)
+			tx.Add(s.node(u), 1)
+			tx.Add(s.node(v), 1)
 		})
 	}
 }

@@ -63,7 +63,7 @@ func (y *Yada) Thread(ctx machine.Ctx, tid int) {
 			for u := 0; u < y.Updates; u++ {
 				a := y.tri(cav[u])
 				tx.Store(a.Plus(1), acc+uint64(u)) // new geometry
-				tx.Store(a, tx.Load(a)+1)          // refinement counter
+				tx.Add(a, 1)                       // refinement counter
 			}
 		})
 		ctx.Work(100) // enqueue new bad triangles (private)
