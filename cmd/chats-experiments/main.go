@@ -5,7 +5,7 @@
 //	chats-experiments                 # everything at medium size
 //	chats-experiments -fig 4 -size small
 //	chats-experiments -fig 1,4,7 -v
-//	chats-experiments -fig 4 -j 4 -bench-json bench.json
+//	chats-experiments -fig 4 -j 4
 //	chats-experiments -faults-soak -size tiny -j 4   # fault soak + invariants
 package main
 
@@ -18,7 +18,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"time"
 
 	"chats/internal/experiments"
 	"chats/internal/faults"
@@ -53,10 +52,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		verbose   = fs.Bool("v", false, "print a line per simulation")
 		csvDir    = fs.String("csv", "", "also write each table as CSV into this directory")
 		jobs      = fs.Int("j", 0, "simulation cells to run in parallel (0 = GOMAXPROCS; results are identical at any -j)")
-		benchJSON = fs.String("bench-json", "", "write a machine-readable bench trajectory {cell, simcycles, wallclock_ns, allocs} to this file")
 		storeDir  = fs.String("store", "", "record every simulation into the run database at this directory")
 		progress  = fs.Bool("progress", false, "print a live done/total cell count to stderr while each grid runs")
-		benchScl  = fs.Bool("bench-scale", false, "instead of figures, run the scale grid (CHATS on kmeans/cadd at 64 and 256 cores) serially and write it with -bench-json — diff it against BENCH_scale.json with benchdiff")
 		soak      = fs.Bool("faults-soak", false, "instead of figures, run every system × micro bench under the fault plan with invariants and the watchdog on")
 		faultSpec = fs.String("faults", "", "fault spec for every simulation ('soak' = the canonical all-kinds plan, which -faults-soak defaults to)")
 		fbMatrix  = fs.Bool("fallback-matrix", false, "instead of figures, sweep fallback path × system × micro bench under a lockburst plan (graceful-degradation check)")
@@ -87,9 +84,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	// The -fallback/-hotline/-backoff/-faults knobs apply to every
-	// simulation of the figures, the soak and the scale grid. The
-	// fallback matrix sweeps its own path axis, so it honors all but
-	// -fallback.
+	// simulation of the figures and the soak. The fallback matrix
+	// sweeps its own path axis, so it honors all but -fallback.
 	mcfg := machine.DefaultConfig()
 	mcfg.Seed = *seed
 	if *fallback != "" {
@@ -114,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// Open the run database before mode dispatch: the figures, soak and
 	// fallback-matrix modes all record through the same seam, tagged
 	// with the mode as the record source.
-	meta := runstore.NowMeta()
 	var recorder func(runstore.Record)
 	if *storeDir != "" {
 		store, err := runstore.Open(*storeDir, runstore.Options{})
@@ -129,15 +124,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		case *fbMatrix:
 			source = "fallback-matrix"
 		}
-		recorder = store.Recorder(meta, source)
+		recorder = store.Recorder(runstore.NowMeta(), source)
 	}
 
-	if *benchScl {
-		if *benchJSON == "" {
-			return fmt.Errorf("-bench-scale needs -bench-json FILE")
-		}
-		return runScaleBench(sz, mcfg, *benchJSON, stderr)
-	}
 	p := experiments.Params{Size: sz, Machine: mcfg, Workers: cellJobs, Recorder: recorder}
 	if *verbose {
 		p.Verbose = stderr
@@ -159,7 +148,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	suite := experiments.NewSuite(p)
-	start := time.Now()
 
 	validFigs := []string{"1", "4", "5", "6", "7", "8", "9", "10", "11"}
 	want := map[string]bool{}
@@ -234,43 +222,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	if *benchJSON != "" {
-		f, err := os.Create(*benchJSON)
-		if err != nil {
-			return err
-		}
-		if err := suite.WriteBenchJSON(f, cellJobs, time.Since(start), meta); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
 	fmt.Fprintf(stderr, "total simulations: %d\n", suite.Runs)
 	return nil
-}
-
-// runScaleBench runs the scale grid one cell at a time (the wall-clock
-// and alloc numbers are the point, so nothing else may run
-// concurrently) and writes the trajectory for benchdiff.
-func runScaleBench(sz workloads.Size, mcfg machine.Config, out string, stderr io.Writer) error {
-	p := experiments.Params{Size: sz, Machine: mcfg, Workers: 1}
-	start := time.Now()
-	cells, runs, err := experiments.RunScaleBench(p)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	if err := experiments.WriteBenchCells(f, cells, 1, sz.String(), runs, time.Since(start), runstore.NowMeta()); err != nil {
-		f.Close()
-		return err
-	}
-	fmt.Fprintf(stderr, "scale bench: %d cells -> %s\n", runs, out)
-	return f.Close()
 }
 
 // runSoak runs the fault soak: every system × micro bench under the

@@ -2,11 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"io"
-	"os"
-	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -21,7 +17,6 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		"-backoff bogus",
 		"-faults-soak -faults bogus:p=1",
 		"-fig 4 -size tiny -faults bogus",
-		"-bench-scale",
 	} {
 		t.Run(args, func(t *testing.T) {
 			if err := run(strings.Fields(args), io.Discard, io.Discard); err == nil {
@@ -49,44 +44,26 @@ func TestRunFigureIdenticalAcrossJobs(t *testing.T) {
 	}
 }
 
-// -faults applies to the figures and the scale grid too: a faulted
-// Fig. 4 table and faulted scale-grid cycles differ from the clean ones.
+// -faults applies to the figures and the fallback matrix too: a faulted
+// Fig. 4 table and faulted matrix rows differ from the clean ones.
 func TestRunFaultsApplyInEveryMode(t *testing.T) {
 	out := func(args ...string) string {
 		var stdout bytes.Buffer
-		if err := run(append([]string{"-fig", "4", "-size", "tiny"}, args...), &stdout, io.Discard); err != nil {
+		if err := run(append(args, "-size", "tiny"), &stdout, io.Discard); err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
 		return stdout.String()
 	}
-	if clean, faulted := out(), out("-faults", "spurious:p=0.3"); clean == faulted {
+	if clean, faulted := out("-fig", "4"), out("-fig", "4", "-faults", "spurious:p=0.3"); clean == faulted {
 		t.Fatalf("-faults spurious:p=0.3 printed the clean table:\n%s", clean)
 	}
 
-	cycles := func(args ...string) []uint64 {
-		path := filepath.Join(t.TempDir(), "scale.json")
-		if err := run(append([]string{"-bench-scale", "-size", "tiny", "-bench-json", path}, args...), io.Discard, io.Discard); err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var doc struct {
-			Cells []struct {
-				SimCycles uint64 `json:"simcycles"`
-			} `json:"cells"`
-		}
-		if err := json.Unmarshal(data, &doc); err != nil {
-			t.Fatal(err)
-		}
-		var cs []uint64
-		for _, c := range doc.Cells {
-			cs = append(cs, c.SimCycles)
-		}
-		return cs
+	// The matrix's first line names its plan; the rows follow it.
+	rows := func(args ...string) string {
+		_, rest, _ := strings.Cut(out(append([]string{"-fallback-matrix"}, args...)...), "\n")
+		return rest
 	}
-	if clean, faulted := cycles(), cycles("-faults", "spurious:p=0.3"); len(clean) == 0 || slices.Equal(clean, faulted) {
-		t.Fatalf("-bench-scale simcycles %v with -faults spurious:p=0.3, %v without", faulted, clean)
+	if clean, faulted := rows(), rows("-faults", "spurious:p=0.3"); clean == faulted {
+		t.Fatalf("-fallback-matrix rows with -faults spurious:p=0.3 are the lockburst rows:\n%s", clean)
 	}
 }

@@ -8,7 +8,6 @@
 //
 //	chats-serve -store runs.db
 //	chats-serve -store runs.db -addr :9090 -j 4
-//	chats-serve -store runs.db -import BENCH_j1.json,BENCH_j4.json
 //
 // Endpoints: / (dashboard), /api/runs, /api/run?id=N, /api/trends,
 // /api/commits, /api/meta, /api/jobs, POST /api/sweep, /api/events (SSE).
@@ -25,7 +24,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
@@ -36,7 +34,6 @@ func main() {
 	var (
 		addr     = flag.String("addr", "localhost:8343", "HTTP listen address")
 		storeDir = flag.String("store", "", "run database directory (required; created if missing)")
-		imports  = flag.String("import", "", "comma-separated chats-bench JSON files to import on startup")
 		jobs     = flag.Int("j", runtime.NumCPU(), "sweep cells to run in parallel per job")
 	)
 	flag.Parse()
@@ -47,13 +44,6 @@ func main() {
 	store, err := runstore.Open(*storeDir, runstore.Options{})
 	if err != nil {
 		fatal(err)
-	}
-	for _, path := range splitList(*imports) {
-		n, err := store.ImportBench(path)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "chats-serve: imported %d cells from %s\n", n, path)
 	}
 
 	s := newServer(store, *jobs)
@@ -90,17 +80,6 @@ func main() {
 	if err := store.Close(); err != nil {
 		fatal(err)
 	}
-}
-
-// splitList splits a comma-separated flag, dropping empty entries.
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 func fatal(err error) {

@@ -157,21 +157,24 @@ done:
 	}
 }
 
-// TestServeTrendsFromImports exercises the cross-commit trend view over
-// imported chats-bench history: the two committed baselines land under
-// distinct commit labels, so every shared cell becomes a 2-point series.
-func TestServeTrendsFromImports(t *testing.T) {
+// TestServeTrendsAcrossCommits exercises the cross-commit trend view:
+// cells recorded under two commit labels make every shared cell a
+// 2-point series.
+func TestServeTrendsAcrossCommits(t *testing.T) {
 	s, ts := newTestServer(t)
-	for _, f := range []string{"../../BENCH_j1.json", "../../BENCH_j4.json"} {
-		if _, err := s.store.ImportBench(f); err != nil {
-			t.Fatal(err)
+	for i, commit := range []string{"c1", "c2"} {
+		record := s.store.Recorder(runstore.Meta{Commit: commit}, "sweep")
+		for _, system := range []string{"baseline", "chats"} {
+			for _, workload := range []string{"cadd", "llb-h"} {
+				record(runstore.Record{System: system, Workload: workload, Size: "tiny", SimCycles: uint64(1000 + i)})
+			}
 		}
 	}
 
 	var commits []string
 	get(t, ts.URL+"/api/commits", &commits)
 	if len(commits) != 2 {
-		t.Fatalf("commits = %v, want the two imported baselines", commits)
+		t.Fatalf("commits = %v, want the two recorded labels", commits)
 	}
 
 	var trends []runstore.Trend
@@ -186,7 +189,7 @@ func TestServeTrendsFromImports(t *testing.T) {
 		}
 	}
 	if twoPoint == 0 {
-		t.Fatalf("no trend series spans both imported commits: %+v", trends)
+		t.Fatalf("no trend series spans both commits: %+v", trends)
 	}
 
 	// Workload filter narrows the series set.

@@ -12,8 +12,8 @@
 //     the serial interpreter must reproduce the machine's final shared
 //     memory exactly, and per-core private slots must equal program
 //     order. For commutative programs any order gives the serial
-//     result, so all five systems are additionally forced to agree
-//     with each other and with the reference executor.
+//     result, so the workload's own Check, which Machine.Run calls,
+//     also holds every system to the reference executor's result.
 //
 //  2. Structural serializability: the existing internal/invariant
 //     checker replays committed transactions in commit order during
@@ -224,21 +224,6 @@ func CheckSystem(p *randprog.Program, kind core.Kind, opts Options) error {
 			if got := mem.ReadWord(w.PrivAddr(c, k)); got != want.Priv[c][k] {
 				return fmt.Errorf("%s: core %d private slot %d = %d, want %d",
 					kind, c, k, got, want.Priv[c][k])
-			}
-		}
-	}
-
-	// Commutative programs must match the serial reference executor
-	// exactly — the direct cross-system agreement oracle.
-	if p.Commutative() {
-		serial, err := p.Replay(p.SerialOrder())
-		if err != nil {
-			return fmt.Errorf("%s: %w", kind, err)
-		}
-		for i := 0; i < p.Pool; i++ {
-			if got := mem.ReadWord(w.SlotAddr(i)); got != serial.Shared[i] {
-				return fmt.Errorf("%s: shared slot %d = %d, serial reference gives %d (commutative program)",
-					kind, i, got, serial.Shared[i])
 			}
 		}
 	}

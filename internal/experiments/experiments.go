@@ -72,16 +72,15 @@ type runKey struct {
 // Suite runs (and memoizes) simulations; the main-matrix runs are shared
 // by Figs. 1, 4, 5, 6 and 7, like the artifact's config.chats.main.py.
 // The figure functions fan their cells out over Params.Workers
-// goroutines; the Suite's shared state (cache, Runs, bench log, Verbose
-// writer) is mutex-guarded, while each simulation itself is confined to
-// one goroutine.
+// goroutines; the Suite's shared state (cache, Runs, Verbose writer)
+// is mutex-guarded, while each simulation itself is confined to one
+// goroutine.
 type Suite struct {
 	p     Params
-	mu    sync.Mutex // guards cache, Runs, bench, Verbose output
+	mu    sync.Mutex // guards cache, Runs, Verbose output
 	cache map[runKey]machine.RunStats
 	// Runs counts distinct simulations executed.
-	Runs  int
-	bench []CellBench
+	Runs int
 }
 
 // NewSuite builds an empty suite.
@@ -163,7 +162,7 @@ func (s *Suite) Run(kind core.Kind, traits *htm.Traits, bench string) (machine.R
 	}
 	var runs []machine.RunStats
 	for i := 0; i < seeds; i++ {
-		st, err := s.runOnce(kind, traits, bench, s.p.Machine.Seed+uint64(i), seeds > 1)
+		st, err := s.runOnce(kind, traits, bench, s.p.Machine.Seed+uint64(i))
 		if err != nil {
 			return machine.RunStats{}, err
 		}
@@ -180,7 +179,7 @@ func (s *Suite) Run(kind core.Kind, traits *htm.Traits, bench string) (machine.R
 	return st, nil
 }
 
-func (s *Suite) runOnce(kind core.Kind, traits *htm.Traits, bench string, seed uint64, labelSeed bool) (machine.RunStats, error) {
+func (s *Suite) runOnce(kind core.Kind, traits *htm.Traits, bench string, seed uint64) (machine.RunStats, error) {
 	c := Cell{System: kind, Traits: traits, Bench: bench, Size: s.p.Size, Machine: s.p.Machine}
 	c.Machine.Seed = seed
 	if s.p.Tracer != nil {
@@ -198,8 +197,6 @@ func (s *Suite) runOnce(kind core.Kind, traits *htm.Traits, bench string, seed u
 	}
 	s.mu.Lock()
 	s.Runs++
-	s.bench = append(s.bench, CellBench{Cell: cellName(kind, traits, bench, seed, labelSeed),
-		SimCycles: st.Cycles, WallclockNS: rec.WallclockNS, Allocs: rec.Allocs})
 	s.mu.Unlock()
 	return st, nil
 }

@@ -5,93 +5,95 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
+	"chats/internal/core"
+	"chats/internal/machine"
 	"chats/internal/workloads"
 )
 
 // Regenerate with: go test ./internal/experiments -run TestGoldenStats -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_stats.json from the current simulator")
 
-// goldenCell pins one (system, bench) cell of the Tiny-size main
-// matrix. Commits and fallbacks are exact (they count retired atomic
-// blocks, which no timing change may alter); cycles and aborts carry
-// tolerance bands so deliberate performance work can move them without
-// churning the file, while a real regression still trips the gate.
+const goldenPath = "testdata/golden_stats.json"
+
+// goldenCell pins one simulation: every RunStats field, and the heap
+// allocations its Run made, which set the cell's allocation budget.
 type goldenCell struct {
-	Commits   uint64 `json:"commits"`
-	Fallbacks uint64 `json:"fallbacks"`
-	Cycles    uint64 `json:"cycles"`
-	Aborts    uint64 `json:"aborts"`
+	Stats  machine.RunStats `json:"stats"`
+	Allocs uint64           `json:"allocs"`
 }
 
-const (
-	goldenPath     = "testdata/golden_stats.json"
-	cycleTolerance = 0.10 // ±10%
-	abortTolerance = 0.25 // ±25%
-	abortSlack     = 5    // absolute slack for near-zero abort counts
-)
-
-func goldenKey(system, bench string) string { return system + "/" + bench }
-
-func runGoldenMatrix(t *testing.T) map[string]goldenCell {
-	t.Helper()
-	s := tinySuite()
-	got := make(map[string]goldenCell)
-	for _, kind := range mainSystems() {
-		for _, bench := range workloads.AllNames() {
-			st, err := s.Run(kind, nil, bench)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", kind, bench, err)
-			}
-			got[goldenKey(string(kind), bench)] = goldenCell{
-				Commits:   st.Commits,
-				Fallbacks: st.Fallbacks,
-				Cycles:    st.Cycles,
-				Aborts:    st.Aborts,
+// goldenCells lists the pinned simulations by key: the main matrix
+// (5 systems × 11 benchmarks) at tiny and at small size, which is the
+// paper's Fig. 4 grid, and CHATS on the chaining-heavy benchmarks at 64
+// and 256 cores, where the directory's sharer sets are widest.
+func goldenCells() map[string]Cell {
+	cells := make(map[string]Cell)
+	for _, sz := range []workloads.Size{workloads.Tiny, workloads.Small} {
+		for _, kind := range mainSystems() {
+			for _, bench := range workloads.AllNames() {
+				cells[fmt.Sprintf("%s/%s/%s", sz, kind, bench)] = Cell{
+					System: kind, Bench: bench, Size: sz, Machine: machine.DefaultConfig(),
+				}
 			}
 		}
 	}
-	return got
-}
-
-func withinBand(got, want uint64, frac float64, slack uint64) bool {
-	lo := uint64(float64(want) * (1 - frac))
-	hi := uint64(float64(want)*(1+frac)) + slack
-	if want > slack && lo > slack {
-		lo -= slack
-	} else {
-		lo = 0
+	for _, cores := range []int{64, 256} {
+		for _, bench := range []string{"kmeans-l", "kmeans-h", "cadd"} {
+			c := Cell{System: core.KindCHATS, Bench: bench, Size: workloads.Small, Machine: machine.DefaultConfig()}
+			c.Machine.Cores = cores
+			cells[fmt.Sprintf("%s/%s/%s/c%d", c.Size, c.System, bench, cores)] = c
+		}
 	}
-	return got >= lo && got <= hi
+	return cells
 }
 
-// TestGoldenStats is the statistics regression gate: the Tiny-size
-// main matrix (5 systems × 11 benchmarks) must reproduce the pinned
-// per-cell commits/fallbacks exactly and land cycles/aborts inside the
-// tolerance bands. The simulator is bit-deterministic, so a mismatch
-// means the simulated machine's behavior changed — either regenerate
-// the golden file deliberately (-update-golden) or explain the drift.
+// allocBudget is the most allocations a cell's Run may make: its
+// golden count plus 10%, plus absolute slack for runtime noise, which
+// grows with the core count.
+func allocBudget(golden uint64, cores int) uint64 {
+	slack := uint64(5_000)
+	if cores > machine.DefaultConfig().Cores {
+		slack = 20_000
+	}
+	return golden + golden/10 + slack
+}
+
+// TestGoldenStats is the exact pin of simulated results. The simulator
+// is bit-deterministic, so every cell must reproduce every RunStats
+// field of the golden file; a mismatch means the simulated machine
+// changed, and either the change is a bug or the file is regenerated
+// deliberately (-update-golden) with the reason stated.
+//
+// It also keeps each cell's heap allocations within allocBudget. The
+// cells run one at a time, because the count is process-wide; under
+// the race detector the counts mean nothing and only the statistics are
+// compared.
 func TestGoldenStats(t *testing.T) {
-	got := runGoldenMatrix(t)
-
-	if *updateGolden {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		ordered := make(map[string]goldenCell, len(got))
-		for _, k := range keys {
-			ordered[k] = got[k]
-		}
-		data, err := json.MarshalIndent(ordered, "", "  ")
+	cells := goldenCells()
+	keys := make([]string, 0, len(cells))
+	for k := range cells {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	got := make(map[string]goldenCell, len(cells))
+	for _, k := range keys {
+		st, rec, err := RunCell(cells[k])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		got[k] = goldenCell{Stats: st, Allocs: rec.Allocs}
+	}
+
+	if *updateGolden {
+		if raceEnabled {
+			t.Fatal("-update-golden records allocation counts; run it without -race")
+		}
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
@@ -110,33 +112,32 @@ func TestGoldenStats(t *testing.T) {
 		t.Fatalf("parse %s: %v", goldenPath, err)
 	}
 	if len(want) != len(got) {
-		t.Errorf("golden file has %d cells, matrix has %d (stale file? -update-golden)", len(want), len(got))
+		t.Errorf("golden file has %d cells, the test runs %d (stale file? -update-golden)", len(want), len(got))
 	}
-
-	var failures []string
-	for key, w := range want {
-		g, ok := got[key]
+	for _, k := range keys {
+		w, ok := want[k]
 		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: cell missing from matrix", key))
+			t.Errorf("%s: cell missing from the golden file", k)
 			continue
 		}
-		if g.Commits != w.Commits {
-			failures = append(failures, fmt.Sprintf("%s: commits %d, golden %d", key, g.Commits, w.Commits))
+		g := got[k]
+		for _, d := range statsDiff(g.Stats, w.Stats) {
+			t.Errorf("%s: %s", k, d)
 		}
-		if g.Fallbacks != w.Fallbacks {
-			failures = append(failures, fmt.Sprintf("%s: fallbacks %d, golden %d", key, g.Fallbacks, w.Fallbacks))
-		}
-		if !withinBand(g.Cycles, w.Cycles, cycleTolerance, 0) {
-			failures = append(failures, fmt.Sprintf("%s: cycles %d outside ±%.0f%% of golden %d",
-				key, g.Cycles, cycleTolerance*100, w.Cycles))
-		}
-		if !withinBand(g.Aborts, w.Aborts, abortTolerance, abortSlack) {
-			failures = append(failures, fmt.Sprintf("%s: aborts %d outside ±%.0f%%+%d of golden %d",
-				key, g.Aborts, abortTolerance*100, abortSlack, w.Aborts))
+		if budget := allocBudget(w.Allocs, cells[k].Machine.Cores); !raceEnabled && g.Allocs > budget {
+			t.Errorf("%s: %d allocations, budget %d (golden %d)", k, g.Allocs, budget, w.Allocs)
 		}
 	}
-	sort.Strings(failures)
-	for _, f := range failures {
-		t.Error(f)
+}
+
+// statsDiff names every RunStats field in which got differs from want.
+func statsDiff(got, want machine.RunStats) []string {
+	var diffs []string
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		if gf, wf := g.Field(i).Interface(), w.Field(i).Interface(); gf != wf {
+			diffs = append(diffs, fmt.Sprintf("%s %v, golden %v", g.Type().Field(i).Name, gf, wf))
+		}
 	}
+	return diffs
 }

@@ -86,6 +86,41 @@ type loadStoreTx struct{ machine.Tx }
 
 func (tx loadStoreTx) Add(a mem.Addr, d uint64) { tx.Store(a, tx.Load(a)+d) }
 
+// plainAddWL adds outside Atomic, which no benchmark does: each thread
+// adds to its own word and to a word every thread shares, between
+// transactions that add to the shared word too.
+type plainAddWL struct {
+	shared, priv mem.Addr
+	threads      int
+}
+
+func (w *plainAddWL) Name() string { return "plain-add" }
+func (w *plainAddWL) Setup(wd *machine.World, threads int) {
+	w.shared = wd.Alloc.Lines(1)
+	w.priv = wd.Alloc.Lines(threads)
+	w.threads = threads
+}
+func (w *plainAddWL) Thread(ctx machine.Ctx, tid int) {
+	own := w.priv + mem.Addr(tid*mem.LineSize)
+	for i := 0; i < 20; i++ {
+		ctx.Add(own, uint64(i))
+		ctx.Add(w.shared, 1)
+		ctx.Work(ctx.Rand().Uint64n(40))
+		ctx.Atomic(func(tx machine.Tx) { tx.Add(w.shared, 2) })
+	}
+}
+
+// Check pins the private words only: plain adds to the shared word are
+// not atomic, so concurrent ones may overwrite each other.
+func (w *plainAddWL) Check(wd *machine.World) error {
+	for tid := 0; tid < w.threads; tid++ {
+		if got := wd.Mem.ReadWord(w.priv + mem.Addr(tid*mem.LineSize)); got != 190 {
+			return fmt.Errorf("thread %d private word = %d, want 190", tid, got)
+		}
+	}
+	return nil
+}
+
 // TestPostedAddMatchesLoadStore: a posted Add is the load and the store
 // of Store(a, Load(a)+d), with the same events at the same cycles. Every
 // benchmark that adds runs both ways, on the lock and the STM fallback,
@@ -104,11 +139,14 @@ func TestPostedAddMatchesLoadStore(t *testing.T) {
 		}
 		return fmt.Sprintf("%+v\n%s", st, b.String()), m.Resumes()
 	}
-	for _, bench := range []string{"kmeans-h", "kmeans-l", "ssca2", "yada", "randprog"} {
+	for _, bench := range []string{"kmeans-h", "kmeans-l", "ssca2", "yada", "randprog", "plain-add"} {
 		for _, kind := range []core.Kind{core.KindBaseline, core.KindCHATS} {
 			for _, fb := range []machine.FallbackKind{machine.FallbackLock, machine.FallbackSTM} {
 				name := fmt.Sprintf("%s/%s/%s", kind, bench, fb)
 				newWL := func() machine.Workload {
+					if bench == "plain-add" {
+						return &plainAddWL{}
+					}
 					w, err := workloads.New(bench, workloads.Tiny)
 					if err != nil {
 						t.Fatal(err)

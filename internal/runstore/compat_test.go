@@ -49,26 +49,3 @@ func TestOpenSegmentWithEngineFields(t *testing.T) {
 		t.Errorf("appended ID %d, want above the replayed %d", id, r.ID)
 	}
 }
-
-// TestImportCommittedBenchWithWaveFields imports the committed
-// BENCH_scale.json, whose cells carry wave counters.
-func TestImportCommittedBenchWithWaveFields(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	n, err := s.ImportBench(filepath.Join("..", "..", "BENCH_scale.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 || s.Len() != n {
-		t.Fatalf("imported %d records, store holds %d", n, s.Len())
-	}
-	for _, r := range s.Runs(Query{}) {
-		if r.SimCycles == 0 || r.WaveEvents == 0 {
-			t.Errorf("imported %s/%s: simcycles %d, wave_events %d, want both nonzero",
-				r.System, r.Workload, r.SimCycles, r.WaveEvents)
-		}
-	}
-}

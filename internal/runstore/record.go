@@ -90,7 +90,7 @@ type Record struct {
 	Config string `json:"config,omitempty"`
 	Size   string `json:"size,omitempty"`
 	// Source names the producing entry point: "chatsim", "sweep",
-	// "experiments", "serve", or "import:<file>" for bench history.
+	// "experiments", "soak", "fallback-matrix", "fuzz" or "serve".
 	Source string `json:"source,omitempty"`
 
 	// WaveEvents/Waves/SerialEvents are the engine counters of
@@ -142,7 +142,7 @@ func (r Record) counter(name string) uint64 {
 }
 
 // AbortRate returns aborts per executed transaction attempt (0 when the
-// record carries no transaction counters, e.g. imported bench cells).
+// record carries no transaction counters).
 func (r Record) AbortRate() float64 {
 	commits, aborts := r.counter("commits"), r.counter("aborts")
 	if commits+aborts == 0 {

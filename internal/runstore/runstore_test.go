@@ -207,70 +207,6 @@ func TestQueryAndTrends(t *testing.T) {
 	}
 }
 
-// TestImportBench loads a chats-bench/v1 document and checks cells
-// become queryable records with the file name as the commit fallback.
-func TestImportBench(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	doc := `{
-  "schema": "chats-bench/v1",
-  "workers": 1, "size": "small", "runs": 2, "total_wallclock_ns": 5,
-  "cells": [
-    {"cell": "baseline/cadd", "simcycles": 100, "wallclock_ns": 10, "allocs": 3},
-    {"cell": "chats/llb-h/r8-v8", "simcycles": 200, "wallclock_ns": 20, "allocs": 4}
-  ]
-}`
-	path := filepath.Join(t.TempDir(), "BENCH_test.json")
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n, err := s.ImportBench(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 2 || s.Len() != 2 {
-		t.Fatalf("imported %d records, store has %d, want 2", n, s.Len())
-	}
-	recs := s.Runs(Query{System: "chats"})
-	if len(recs) != 1 {
-		t.Fatalf("chats records = %+v, want 1", recs)
-	}
-	r := recs[0]
-	if r.Workload != "llb-h" || r.Config != "r8-v8" || r.SimCycles != 200 {
-		t.Errorf("imported cell parsed as %+v", r)
-	}
-	if r.Commit != "BENCH_test" || r.Source != "import:BENCH_test.json" {
-		t.Errorf("import meta = commit %q source %q", r.Commit, r.Source)
-	}
-
-	// A v2 document's own header beats the filename fallback.
-	doc2 := `{
-  "schema": "chats-bench/v2",
-  "commit": "deadbeef", "timestamp_utc": "2026-08-07T00:00:00Z", "go_version": "go1.24.0",
-  "workers": 4, "size": "small", "runs": 1, "total_wallclock_ns": 5,
-  "cells": [{"cell": "power/cadd", "simcycles": 1, "wallclock_ns": 1, "allocs": 1}]
-}`
-	path2 := filepath.Join(t.TempDir(), "BENCH_v2.json")
-	if err := os.WriteFile(path2, []byte(doc2), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ImportBench(path2); err != nil {
-		t.Fatal(err)
-	}
-	recs = s.Runs(Query{System: "power"})
-	if len(recs) != 1 || recs[0].Commit != "deadbeef" || recs[0].GoVersion != "go1.24.0" {
-		t.Errorf("v2 import meta = %+v", recs)
-	}
-
-	if got := s.Commits(); !reflect.DeepEqual(got, []string{"BENCH_test", "deadbeef"}) {
-		t.Errorf("commits = %v, want [BENCH_test deadbeef]", got)
-	}
-}
-
 // TestGetByID covers the drill-down lookup.
 func TestGetByID(t *testing.T) {
 	s, err := Open(t.TempDir(), Options{})
