@@ -41,6 +41,25 @@ func TestFuzzDeterminismAcrossJobs(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("fuzz diverged across -j:\n-j1: %+v\n-j4: %+v", a, b)
 	}
+	if a.Digest == "" {
+		t.Fatal("the report has no digest")
+	}
+}
+
+// The digest covers simulated results, not just the pass count: a
+// campaign on another machine seed passes the same programs with other
+// cycles and counters, and must hash differently.
+func TestFuzzDigestCoversSimulatedResults(t *testing.T) {
+	opts := difftest.FuzzOptions{Start: 3, N: 4, Gen: smokeGen(), Jobs: 2}
+	a := difftest.Fuzz(opts)
+	opts.Check.Seed = 99
+	b := difftest.Fuzz(opts)
+	if !a.Ok() || !b.Ok() || a.Ran != b.Ran {
+		t.Fatalf("campaigns: %s; %s", a.Summary(), b.Summary())
+	}
+	if a.Digest == b.Digest {
+		t.Fatalf("machine seeds 0 and 99 share the digest %s", a.Digest)
+	}
 }
 
 // Fault injection must not break the oracle: faulted runs abort and

@@ -1,7 +1,11 @@
 package difftest
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash"
+	"hash/fnv"
+	"sort"
 	"time"
 
 	"chats/internal/randprog"
@@ -55,6 +59,11 @@ type Report struct {
 	Ran      int       `json:"ran"`
 	Skipped  int       `json:"skipped"` // cut by Budget
 	Failures []Failure `json:"failures,omitempty"`
+	// Digest hashes the system, simulated cycles, counters and abort
+	// causes of every system run that completed, in (seed, system)
+	// order, so it is the same at any Jobs and changes with any
+	// simulated result.
+	Digest string `json:"digest"`
 }
 
 // Ok reports a fully green campaign.
@@ -85,6 +94,7 @@ func Fuzz(o FuzzOptions) *Report {
 	type result struct {
 		ran  bool
 		fail *Failure
+		runs []runSum
 	}
 	results := make([]result, o.N)
 	sweep.MapAll(o.Jobs, o.N, nil, func(i int) error {
@@ -94,11 +104,18 @@ func Fuzz(o FuzzOptions) *Report {
 		seed := o.Start + uint64(i)
 		p := randprog.Generate(seed, o.Gen)
 		results[i].ran = true
-		check := o.Check
+		forward := o.Check.Record
 		if o.Record != nil {
-			check.Record = func(r runstore.Record) {
+			forward = func(r runstore.Record) {
 				r.Seed = seed
 				o.Record(r)
+			}
+		}
+		check := o.Check
+		check.Record = func(r runstore.Record) {
+			results[i].runs = append(results[i].runs, runSum{r.System, recordSum(r)})
+			if forward != nil {
+				forward(r)
 			}
 		}
 		err := Check(p, check)
@@ -119,7 +136,14 @@ func Fuzz(o FuzzOptions) *Report {
 		results[i].fail = f
 		return nil
 	})
-	for _, r := range results {
+	d := fnv.New64a()
+	for i, r := range results {
+		sort.Slice(r.runs, func(a, b int) bool { return r.runs[a].system < r.runs[b].system })
+		for _, run := range r.runs {
+			putUint(d, o.Start+uint64(i))
+			putString(d, run.system)
+			putUint(d, run.sum)
+		}
 		if r.ran {
 			rep.Ran++
 		} else {
@@ -129,5 +153,43 @@ func Fuzz(o FuzzOptions) *Report {
 			rep.Failures = append(rep.Failures, *r.fail)
 		}
 	}
+	rep.Digest = fmt.Sprintf("%016x", d.Sum64())
 	return rep
+}
+
+// runSum is one system run of a campaign's program, as Digest hashes it.
+type runSum struct {
+	system string
+	sum    uint64
+}
+
+// recordSum hashes a run record's simulated cycles, counters and abort
+// causes, the maps in key order.
+func recordSum(r runstore.Record) uint64 {
+	h := fnv.New64a()
+	putUint(h, r.SimCycles)
+	for _, m := range []map[string]uint64{r.Counters, r.ByCause} {
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		putUint(h, uint64(len(keys)))
+		for _, k := range keys {
+			putString(h, k)
+			putUint(h, m[k])
+		}
+	}
+	return h.Sum64()
+}
+
+func putUint(h hash.Hash64, v uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	h.Write(b[:])
+}
+
+func putString(h hash.Hash64, s string) {
+	putUint(h, uint64(len(s)))
+	h.Write([]byte(s))
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"chats/internal/core"
@@ -69,17 +70,22 @@ func allocBudget(golden uint64, cores int) uint64 {
 // deliberately (-update-golden) with the reason stated.
 //
 // It also keeps each cell's heap allocations within allocBudget. The
-// cells run one at a time, because the count is process-wide; under
-// the race detector the counts mean nothing and only the statistics are
-// compared.
+// cells run one at a time, because the count is process-wide. Under
+// the race detector the counts mean nothing, and the test only smokes
+// the Tiny CHATS cells for data races: the plain run compares every
+// cell.
 func TestGoldenStats(t *testing.T) {
 	cells := goldenCells()
+	smoke := fmt.Sprintf("%s/%s/", workloads.Tiny, core.KindCHATS)
 	keys := make([]string, 0, len(cells))
 	for k := range cells {
+		if raceEnabled && !strings.HasPrefix(k, smoke) {
+			continue
+		}
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	got := make(map[string]goldenCell, len(cells))
+	got := make(map[string]goldenCell, len(keys))
 	for _, k := range keys {
 		st, rec, err := RunCell(cells[k])
 		if err != nil {
@@ -111,7 +117,7 @@ func TestGoldenStats(t *testing.T) {
 	if err := json.Unmarshal(data, &want); err != nil {
 		t.Fatalf("parse %s: %v", goldenPath, err)
 	}
-	if len(want) != len(got) {
+	if !raceEnabled && len(want) != len(got) {
 		t.Errorf("golden file has %d cells, the test runs %d (stale file? -update-golden)", len(want), len(got))
 	}
 	for _, k := range keys {

@@ -14,11 +14,13 @@ import (
 
 // TestPostedResumeCounts pins how many times a run resumes its thread
 // coroutines, per cell, for the benchmarks whose atomic blocks are
-// read-modify-writes (kmeans, ssca2, yada) and for cadd, whose block
-// uses its load's value. A resume is the host cost the simulator pays
-// for every op whose reply the thread reads; posting an op removes its
-// resume and leaves every event, so the pins may only fall while the
-// statistics stay the same; the cycles are pinned beside them.
+// read-modify-writes (kmeans, ssca2, yada), for cadd, whose block uses
+// its load's value, and for intruder, whose queue ops and treap inserts
+// run their load chains as walks. A resume is the host cost the
+// simulator pays for every op whose reply the thread reads; posting an
+// op or walking a load chain removes resumes and leaves every event,
+// so the pins may only fall while the statistics stay the same; the
+// cycles are pinned beside them.
 func TestPostedResumeCounts(t *testing.T) {
 	type pin struct{ cycles, resumes uint64 }
 	want := map[string]pin{
@@ -32,6 +34,8 @@ func TestPostedResumeCounts(t *testing.T) {
 		"chats/ssca2/c16":       {3301, 147},
 		"chats/yada/c16":        {20408, 2428},
 		"chats/cadd/c16":        {23337, 797},
+		"baseline/intruder/c16": {49499, 1717},
+		"chats/intruder/c16":    {14890, 908},
 		"baseline/kmeans-h/c64": {160327, 5881},
 		"baseline/kmeans-l/c64": {39336, 4157},
 		"baseline/ssca2/c64":    {5785, 782},
@@ -42,10 +46,12 @@ func TestPostedResumeCounts(t *testing.T) {
 		"chats/ssca2/c64":       {4476, 664},
 		"chats/yada/c64":        {66103, 19523},
 		"chats/cadd/c64":        {236430, 5824},
+		"baseline/intruder/c64": {133339, 2146},
+		"chats/intruder/c64":    {194999, 5255},
 	}
 	for _, cores := range []int{16, 64} {
 		for _, kind := range []core.Kind{core.KindBaseline, core.KindCHATS} {
-			for _, bench := range []string{"kmeans-h", "kmeans-l", "ssca2", "yada", "cadd"} {
+			for _, bench := range []string{"kmeans-h", "kmeans-l", "ssca2", "yada", "cadd", "intruder"} {
 				name := fmt.Sprintf("%s/%s/c%d", kind, bench, cores)
 				w, err := workloads.New(bench, workloads.Tiny)
 				if err != nil {

@@ -5,6 +5,15 @@
 // interface, so the same code runs inside hardware transactions (via
 // machine.Tx), non-transactionally (via machine.Ctx), or directly against
 // the backing memory during workload setup.
+//
+// Under machine.Ctx and machine.Tx every Load suspends the simulated
+// thread until its reply, while stores are posted. So the operations
+// run their pure load chains as one Mem.Walk each, and the thread
+// suspends once per chain: a List, HashSet or Treap lookup, a List
+// insert or remove, a Treap insert's descent and each of its climbs,
+// and a Queue push or pop. Treap.Remove still loads word by word,
+// suspending once per load; Treap.Scan and Queue.Len do too, but only
+// workload checks call them, through Direct.
 package structures
 
 import "chats/internal/mem"

@@ -2,6 +2,7 @@ package structures
 
 import (
 	"fmt"
+	"sync"
 
 	"chats/internal/mem"
 )
@@ -10,7 +11,9 @@ import (
 // rotations write along the access path the way red-black rebalancing
 // does, reproducing the intruder/vacation tree-contention pattern with a
 // much smaller correctness surface. Nodes are 5-word records
-// {key, val, prio, left, right}.
+// {key, val, prio, left, right}. Find, Update and Insert run their
+// loads as walks (see Insert); Remove suspends a simulated thread on
+// every load.
 type Treap struct {
 	Root mem.Addr // one-word header holding the root pointer
 }
@@ -32,56 +35,173 @@ func NewTreap(al *mem.Allocator) *Treap {
 }
 
 // Insert adds key→val with rotation priority prio; false on duplicate.
+// It makes the loads and stores of a recursive insert, in its order,
+// but runs each chain of loads as one Mem.Walk, so a simulated thread
+// suspends once per chain: once for the descent, and once per climb
+// from the new leaf (or a rotation) up to the next rotation or the top.
+// The stores between the chains (the new record, a changed child slot,
+// a rotation's two links, the root) are the thread's own.
 func (t *Treap) Insert(m Mem, node mem.Addr, key, val, prio uint64) bool {
 	m.Store(node.Plus(tKey), key)
 	m.Store(node.Plus(tVal), val)
 	m.Store(node.Plus(tPrio), prio)
 	m.Store(node.Plus(tLeft), 0)
 	m.Store(node.Plus(tRight), 0)
-	root := mem.Addr(m.Load(t.Root))
-	newRoot, ok := insertRec(m, root, node)
-	if newRoot != root {
-		m.Store(t.Root, uint64(newRoot))
+	w := insertPool.Get().(*inserter)
+	defer insertPool.Put(w)
+	w.descend(node)
+	m.Walk(t.Root, w)
+	if w.dup {
+		return false
 	}
-	return ok
+	// up is the subtree the level below hands back: the new node, the
+	// child a rotation lifted, or the level's own node.
+	up := node
+	for i := len(w.path) - 1; i >= 0; i-- {
+		s := &w.path[i]
+		if up != s.child {
+			m.Store(s.cur.Plus(s.dir), uint64(up))
+		}
+		w.climb(i, up)
+		m.Walk(up.Plus(tPrio), w)
+		if !w.rotate {
+			up = w.up
+			break
+		}
+		i = w.lvl
+		s = &w.path[i]
+		m.Store(s.cur.Plus(s.dir), uint64(w.inner))
+		m.Store(w.lifted.Plus(opposite(s.dir)), uint64(s.cur))
+		up = w.lifted
+	}
+	if up != w.root {
+		m.Store(t.Root, uint64(up))
+	}
+	return true
 }
 
-func insertRec(m Mem, cur, node mem.Addr) (mem.Addr, bool) {
-	if cur == 0 {
-		return node, true
-	}
-	ck := m.Load(cur.Plus(tKey))
-	nk := m.Load(node.Plus(tKey))
-	if nk == ck {
-		return cur, false
-	}
-	if nk < ck {
-		child := mem.Addr(m.Load(cur.Plus(tLeft)))
-		newChild, ok := insertRec(m, child, node)
-		if !ok {
-			return cur, false
-		}
-		if newChild != child {
-			m.Store(cur.Plus(tLeft), uint64(newChild))
-		}
-		if m.Load(newChild.Plus(tPrio)) > m.Load(cur.Plus(tPrio)) {
-			return rotateRight(m, cur), true
-		}
-		return cur, true
-	}
-	child := mem.Addr(m.Load(cur.Plus(tRight)))
-	newChild, ok := insertRec(m, child, node)
-	if !ok {
-		return cur, false
-	}
-	if newChild != child {
-		m.Store(cur.Plus(tRight), uint64(newChild))
-	}
-	if m.Load(newChild.Plus(tPrio)) > m.Load(cur.Plus(tPrio)) {
-		return rotateLeft(m, cur), true
-	}
-	return cur, true
+// insertStep is one level of an Insert's descent: the node there, the
+// child slot the new key goes down and the pointer loaded from it.
+type insertStep struct {
+	cur   mem.Addr
+	dir   int // tLeft or tRight
+	child mem.Addr
 }
+
+// inserter is the walker of every Insert. Its descent loads the root,
+// then at each level the node's key, the new node's key (reloaded, as
+// a recursive insert does) and the child slot the comparison picks,
+// recording the path, until a nil slot or an equal key. A climb from
+// level lvl loads up's priority and then the level's node's; while
+// up's is not above the node's it moves up a level, up becoming that
+// node. At the first level where it is above, it loads the rotation's
+// two links and stops: the child lifted and the lifted child's inner
+// subtree.
+type inserter struct {
+	node  mem.Addr
+	root  mem.Addr
+	path  []insertStep
+	state uint8
+	key   uint64 // the key loaded from the current node
+	dup   bool
+
+	lvl    int
+	up     mem.Addr
+	prio   uint64 // up's priority
+	rotate bool
+	lifted mem.Addr
+	inner  mem.Addr
+}
+
+// inserter states: the value just loaded is a child pointer (the root
+// first), a node's key, the new node's key, up's priority, the level's
+// node's priority, the lifted child or its inner subtree.
+const (
+	insPtr uint8 = iota
+	insKey
+	insNewKey
+	insUpPrio
+	insCurPrio
+	insLifted
+	insInner
+)
+
+func (w *inserter) Next(v uint64) (mem.Addr, bool) {
+	switch w.state {
+	case insPtr:
+		p := mem.Addr(v)
+		if n := len(w.path); n > 0 {
+			w.path[n-1].child = p
+		} else {
+			w.root = p
+		}
+		if p == 0 {
+			return 0, false
+		}
+		w.path = append(w.path, insertStep{cur: p})
+		w.state = insKey
+		return p.Plus(tKey), true
+	case insKey:
+		w.key = v
+		w.state = insNewKey
+		return w.node.Plus(tKey), true
+	case insNewKey:
+		if v == w.key {
+			w.dup = true
+			return 0, false
+		}
+		s := &w.path[len(w.path)-1]
+		s.dir = tRight
+		if v < w.key {
+			s.dir = tLeft
+		}
+		w.state = insPtr
+		return s.cur.Plus(s.dir), true
+	case insUpPrio:
+		w.prio = v
+		w.state = insCurPrio
+		return w.path[w.lvl].cur.Plus(tPrio), true
+	case insCurPrio:
+		s := &w.path[w.lvl]
+		if w.prio > v {
+			w.state = insLifted
+			return s.cur.Plus(s.dir), true
+		}
+		w.up = s.cur
+		if w.lvl--; w.lvl < 0 {
+			return 0, false
+		}
+		w.state = insUpPrio
+		return w.up.Plus(tPrio), true
+	case insLifted:
+		w.lifted = mem.Addr(v)
+		w.state = insInner
+		return w.lifted.Plus(opposite(w.path[w.lvl].dir)), true
+	}
+	w.inner = mem.Addr(v)
+	w.rotate = true
+	return 0, false
+}
+
+// descend readies w for an Insert's descent, keeping its path's
+// storage.
+func (w *inserter) descend(node mem.Addr) {
+	*w = inserter{node: node, path: w.path[:0]}
+}
+
+// climb readies w for a climb from level lvl, where up is the subtree
+// the level below handed back.
+func (w *inserter) climb(lvl int, up mem.Addr) {
+	w.lvl, w.up, w.rotate, w.state = lvl, up, false, insUpPrio
+}
+
+// opposite is the other child slot of dir.
+func opposite(dir int) int { return tLeft + tRight - dir }
+
+// insertPool recycles inserters as seekPool recycles seeks; Walk may
+// unwind with a transaction abort, so Insert defers the Put before its
+// first walk.
+var insertPool = sync.Pool{New: func() any { return new(inserter) }}
 
 // rotateRight lifts cur's left child above cur and returns it.
 func rotateRight(m Mem, cur mem.Addr) mem.Addr {

@@ -101,7 +101,7 @@ func TestWalkExactness(t *testing.T) {
 		{"spurious", func(c *machine.Config) { c.Faults = &faults.Plan{Spurious: 0.02} }},
 	}
 	systems := []core.Kind{core.KindBaseline, core.KindNaiveRS, core.KindCHATS, core.KindPower, core.KindPCHATS}
-	for _, name := range []string{"llb-l", "llb-h", "cadd", "genome", "vacation", "labyrinth"} {
+	for _, name := range []string{"llb-l", "llb-h", "cadd", "genome", "vacation", "labyrinth", "intruder"} {
 		for _, kind := range systems {
 			for _, v := range variants {
 				name, kind, v := name, kind, v
