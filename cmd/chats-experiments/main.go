@@ -16,15 +16,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"chats/internal/experiments"
-	"chats/internal/faults"
 	"chats/internal/machine"
 	"chats/internal/profiling"
 	"chats/internal/runstore"
 	"chats/internal/stats"
+	"chats/internal/sweep"
 	"chats/internal/workloads"
 )
 
@@ -45,31 +44,23 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("chats-experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		figs      = fs.String("fig", "all", "comma-separated figure list (1,4,5,6,7,8,9,10,11) or 'all'")
-		size      = fs.String("size", "medium", "workload size: tiny, small, medium")
-		seed      = fs.Uint64("seed", 1, "simulation seed")
-		seeds     = fs.Int("seeds", 1, "seeds to average each cell over")
-		verbose   = fs.Bool("v", false, "print a line per simulation")
-		csvDir    = fs.String("csv", "", "also write each table as CSV into this directory")
-		jobs      = fs.Int("j", 0, "simulation cells to run in parallel (0 = GOMAXPROCS; results are identical at any -j)")
-		storeDir  = fs.String("store", "", "record every simulation into the run database at this directory")
-		progress  = fs.Bool("progress", false, "print a live done/total cell count to stderr while each grid runs")
-		soak      = fs.Bool("faults-soak", false, "instead of figures, run every system × micro bench under the fault plan with invariants and the watchdog on")
-		faultSpec = fs.String("faults", "", "fault spec for every simulation ('soak' = the canonical all-kinds plan, which -faults-soak defaults to)")
-		fbMatrix  = fs.Bool("fallback-matrix", false, "instead of figures, sweep fallback path × system × micro bench under a lockburst plan (graceful-degradation check)")
-		fallback  = fs.String("fallback", "", "fallback path for every simulation: lock (default), stm[:locks=N], elide[:budget=N,refill=N]")
-		hotLine   = fs.Int("hotline", 0, "NACK transactional probes for a line once its recent conflict aborts reach N (0 = off)")
-		backoff   = fs.String("backoff", "", "post-abort backoff variant: exp (default), linear, jitter, each with optional :cap=N")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
-		memProf   = fs.String("memprofile", "", "write an allocation profile to this file on exit")
+		figs     = fs.String("fig", "all", "comma-separated figure list (1,4,5,6,7,8,9,10,11) or 'all'")
+		size     = fs.String("size", "medium", "workload size: tiny, small, medium")
+		seed     = fs.Uint64("seed", 1, "simulation seed")
+		seeds    = fs.Int("seeds", 1, "seeds to average each cell over")
+		verbose  = fs.Bool("v", false, "print a line per simulation")
+		csvDir   = fs.String("csv", "", "also write each table as CSV into this directory")
+		jobs     = fs.Int("j", 0, "simulation cells to run in parallel (0 = GOMAXPROCS; results are identical at any -j)")
+		storeDir = fs.String("store", "", "record every simulation into the run database at this directory")
+		progress = fs.Bool("progress", false, "print a live done/total cell count to stderr while each grid runs")
+		soak     = fs.Bool("faults-soak", false, "instead of figures, run every system × micro bench under the fault plan with invariants and the watchdog on")
+		fbMatrix = fs.Bool("fallback-matrix", false, "instead of figures, sweep fallback path × system × micro bench under a lockburst plan (graceful-degradation check)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this file (go tool pprof)")
+		memProf  = fs.String("memprofile", "", "write an allocation profile to this file on exit")
+		knobs    = experiments.RegisterKnobs(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	cellJobs := *jobs
-	if cellJobs <= 0 {
-		cellJobs = runtime.GOMAXPROCS(0)
 	}
 
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
@@ -83,28 +74,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// The -fallback/-hotline/-backoff/-faults knobs apply to every
-	// simulation of the figures and the soak. The fallback matrix
-	// sweeps its own path axis, so it honors all but -fallback.
+	// The knobs apply to every simulation of the figures and the soak.
+	// The fallback matrix sweeps its own path axis, so it honors all but
+	// -fallback; the soak defaults -faults to the canonical plan.
 	mcfg := machine.DefaultConfig()
 	mcfg.Seed = *seed
-	if *fallback != "" {
-		if mcfg.Fallback, err = machine.ParseFallback(*fallback); err != nil {
-			return err
-		}
-	}
-	mcfg.HotLine = *hotLine
-	if *backoff != "" {
-		if mcfg.Backoff, err = machine.ParseBackoff(*backoff); err != nil {
-			return err
-		}
-	}
-	if *faultSpec != "" {
-		plan, err := faults.ParseFlag(*faultSpec)
-		if err != nil {
-			return err
-		}
-		mcfg.Faults = &plan
+	if err := knobs.Apply(&mcfg); err != nil {
+		return err
 	}
 
 	// Open the run database before mode dispatch: the figures, soak and
@@ -127,7 +103,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		recorder = store.Recorder(runstore.NowMeta(), source)
 	}
 
-	p := experiments.Params{Size: sz, Machine: mcfg, Workers: cellJobs, Recorder: recorder}
+	p := experiments.Params{Size: sz, Machine: mcfg, Workers: *jobs, Recorder: recorder}
 	if *verbose {
 		p.Verbose = stderr
 	}
@@ -140,12 +116,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	p.Seeds = *seeds
 	if *progress {
-		p.Progress = func(done, total int) {
-			fmt.Fprintf(stderr, "\rcells: %d/%d", done, total)
-			if done == total {
-				fmt.Fprintln(stderr)
-			}
-		}
+		p.Progress = sweep.Printer(stderr)
 	}
 	suite := experiments.NewSuite(p)
 

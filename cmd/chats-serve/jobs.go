@@ -1,13 +1,13 @@
 package main
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"chats"
+	"chats/internal/core"
 	"chats/internal/experiments"
 	"chats/internal/machine"
 	"chats/internal/runstore"
@@ -70,9 +70,7 @@ func newJobManager(store *runstore.Store, b *broker, workers int) *jobManager {
 // background goroutine and returns the new job immediately.
 func (m *jobManager) Start(req sweepRequest) (job, error) {
 	if len(req.Systems) == 0 {
-		for _, k := range chats.Systems() {
-			req.Systems = append(req.Systems, string(k))
-		}
+		req.Systems = core.KindNames()
 	}
 	kinds := make([]chats.SystemKind, 0, len(req.Systems))
 	for _, s := range req.Systems {
@@ -85,18 +83,8 @@ func (m *jobManager) Start(req sweepRequest) (job, error) {
 	if len(req.Workloads) == 0 {
 		req.Workloads = workloads.Names()
 	}
-	known := workloads.Names()
-	for _, w := range req.Workloads {
-		ok := false
-		for _, n := range known {
-			if n == w {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return job{}, fmt.Errorf("unknown workload %q (known: %v)", w, known)
-		}
+	if err := workloads.Check(req.Workloads); err != nil {
+		return job{}, err
 	}
 	if req.Size == "" {
 		req.Size = "tiny"

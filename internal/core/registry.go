@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"chats/internal/htm"
 )
@@ -64,13 +64,30 @@ func NewWith(k Kind, t htm.Traits) (htm.Policy, error) {
 	return nil, fmt.Errorf("core: unknown system %q", k)
 }
 
-// KindNames returns the registry keys sorted, for CLI help text.
+// ParseList parses a comma-separated system list. An empty list gives
+// nil, so each caller keeps its own default.
+func ParseList(list string) ([]Kind, error) {
+	if list == "" {
+		return nil, nil
+	}
+	var ks []Kind
+	for _, s := range strings.Split(list, ",") {
+		k := Kind(strings.TrimSpace(s))
+		if _, err := New(k); err != nil {
+			return nil, err
+		}
+		ks = append(ks, k)
+	}
+	return ks, nil
+}
+
+// KindNames returns the system names in the paper's presentation order,
+// for CLI help text and lists.
 func KindNames() []string {
 	ks := Kinds()
 	names := make([]string, len(ks))
 	for i, k := range ks {
 		names[i] = string(k)
 	}
-	sort.Strings(names)
 	return names
 }

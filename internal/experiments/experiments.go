@@ -29,14 +29,15 @@ type Params struct {
 	// single run with Machine.Seed).
 	Seeds int
 	// Verbose, when non-nil, receives a progress line per simulation.
-	// Under Workers > 1 the lines appear in completion order, but every
-	// cell's statistics are identical to a serial run (each cell owns its
-	// engine, machine and workload, so results are bit-reproducible
-	// regardless of scheduling).
+	// When cells run in parallel the lines appear in completion order,
+	// but every cell's statistics are identical to a serial run (each
+	// cell owns its engine, machine and workload, so results are
+	// bit-reproducible regardless of scheduling).
 	Verbose io.Writer
-	// Workers bounds how many simulation cells the figure functions run
-	// concurrently (0 or 1 = serial; cmd/chats-experiments wires -j
-	// here). Only wall clock changes with Workers — never results.
+	// Workers bounds how many simulation cells run concurrently: 1 is
+	// serial and 0 is runtime.GOMAXPROCS(0), as in sweep.Map (the CLIs
+	// wire -j here). Only wall clock changes with Workers — never
+	// results.
 	Workers int
 	// Tracer, when non-nil, builds a fresh tracer per simulation. A
 	// telemetry.Collector is per-run state and must NOT be shared across
@@ -121,7 +122,7 @@ func (s *Suite) prime(cells []cell) error {
 		return nil
 	}
 	var verbose sweep.Progress
-	if s.p.Verbose != nil && s.p.Workers > 1 {
+	if s.p.Verbose != nil && s.p.Workers != 1 {
 		verbose = func(done, total int) {
 			s.mu.Lock() // all Verbose writes go through s.mu
 			fmt.Fprintf(s.p.Verbose, "sweep: %d/%d cells\n", done, total)
@@ -177,6 +178,38 @@ func (s *Suite) Run(kind core.Kind, traits *htm.Traits, bench string) (machine.R
 	}
 	s.mu.Unlock()
 	return st, nil
+}
+
+// stat reads a cell that prime has already run from the memo; the
+// figure tables read their cells through it after priming.
+func (s *Suite) stat(kind core.Kind, traits *htm.Traits, bench string) machine.RunStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st, ok := s.cache[runKey{system: kind, traits: traitsKey(traits), bench: bench}]
+	if !ok {
+		panic(fmt.Sprintf("experiments: cell %s/%s read before it was primed", kind, bench))
+	}
+	return st
+}
+
+// Grid runs every (kind, bench) cell, kind k under traits[k] (nil =
+// Table II), and returns the statistics in system-major order. A
+// repeated name repeats its row but runs once.
+func (s *Suite) Grid(kinds []core.Kind, traits map[core.Kind]*htm.Traits, benches []string) ([]machine.RunStats, error) {
+	var cells []cell
+	for _, k := range kinds {
+		for _, b := range benches {
+			cells = append(cells, cell{kind: k, traits: traits[k], bench: b})
+		}
+	}
+	if err := s.prime(cells); err != nil {
+		return nil, err
+	}
+	out := make([]machine.RunStats, len(cells))
+	for i, c := range cells {
+		out[i] = s.stat(c.kind, c.traits, c.bench)
+	}
+	return out, nil
 }
 
 func (s *Suite) runOnce(kind core.Kind, traits *htm.Traits, bench string, seed uint64) (machine.RunStats, error) {
@@ -280,16 +313,9 @@ func (s *Suite) normTimeTable(title string, systems []core.Kind) (*stats.Table, 
 	t := stats.NewTable(title, workloads.AllNames(), sysNames(systems))
 	t.Note = "execution time normalized to baseline (lower is better); means over STAMP only"
 	for _, b := range workloads.AllNames() {
-		base, err := s.Run(core.KindBaseline, nil, b)
-		if err != nil {
-			return nil, err
-		}
+		base := s.stat(core.KindBaseline, nil, b)
 		for _, k := range systems {
-			st, err := s.Run(k, nil, b)
-			if err != nil {
-				return nil, err
-			}
-			t.Set(b, string(k), stats.Ratio(st.Cycles, base.Cycles))
+			t.Set(b, string(k), stats.Ratio(s.stat(k, nil, b).Cycles, base.Cycles))
 		}
 	}
 	t.AddMeanRows(workloads.STAMPNames())
@@ -327,15 +353,8 @@ func (s *Suite) Fig5() ([]*stats.Table, error) {
 			workloads.AllNames(), causeCols)
 		ct.Format = "%.0f"
 		for _, b := range workloads.AllNames() {
-			st, err := s.Run(k, nil, b)
-			if err != nil {
-				return nil, err
-			}
-			base, err := s.Run(core.KindBaseline, nil, b)
-			if err != nil {
-				return nil, err
-			}
-			summary.Set(b, string(k), stats.Ratio(st.Aborts, base.Aborts))
+			st := s.stat(k, nil, b)
+			summary.Set(b, string(k), stats.Ratio(st.Aborts, s.stat(core.KindBaseline, nil, b).Aborts))
 			for c := 1; c < htm.NumCauses; c++ {
 				ct.Set(b, htm.AbortCause(c).String(), float64(st.ByCause[c]))
 			}
@@ -360,10 +379,7 @@ func (s *Suite) Fig6() ([]*stats.Table, error) {
 			workloads.AllNames(), cols)
 		t.Note = "fraction of executed transaction attempts"
 		for _, b := range workloads.AllNames() {
-			st, err := s.Run(k, nil, b)
-			if err != nil {
-				return nil, err
-			}
+			st := s.stat(k, nil, b)
 			exec := st.Commits + st.Aborts
 			t.Set(b, "conflicted-committed", stats.Ratio(st.ConflictedCommitted, exec))
 			t.Set(b, "conflicted-aborted", stats.Ratio(st.ConflictedAborted, exec))
@@ -383,16 +399,9 @@ func (s *Suite) Fig7() (*stats.Table, error) {
 	t := stats.NewTable("Fig. 7: network usage (flits, normalized to baseline)",
 		workloads.AllNames(), sysNames(mainSystems()))
 	for _, b := range workloads.AllNames() {
-		base, err := s.Run(core.KindBaseline, nil, b)
-		if err != nil {
-			return nil, err
-		}
+		base := s.stat(core.KindBaseline, nil, b)
 		for _, k := range mainSystems() {
-			st, err := s.Run(k, nil, b)
-			if err != nil {
-				return nil, err
-			}
-			t.Set(b, string(k), stats.Ratio(st.Flits, base.Flits))
+			t.Set(b, string(k), stats.Ratio(s.stat(k, nil, b).Flits, base.Flits))
 		}
 	}
 	t.AddMeanRows(workloads.STAMPNames())

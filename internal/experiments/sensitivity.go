@@ -51,10 +51,7 @@ func (s *Suite) Fig8() (*stats.Table, error) {
 	for _, b := range workloads.AllNames() {
 		var ref uint64
 		for i, v := range variants {
-			st, err := s.Run(v.kind, v.traits, b)
-			if err != nil {
-				return nil, err
-			}
+			st := s.stat(v.kind, v.traits, b)
 			if i == 0 {
 				ref = st.Cycles
 			}
@@ -109,16 +106,9 @@ func (s *Suite) Fig9(systems []core.Kind) ([]*stats.Table, error) {
 		t := stats.NewTable(fmt.Sprintf("Fig. 9: retry sensitivity, %s (normalized to baseline r=6)", k),
 			workloads.AllNames(), cols)
 		for _, b := range workloads.AllNames() {
-			base, err := s.Run(core.KindBaseline, nil, b)
-			if err != nil {
-				return nil, err
-			}
+			base := s.stat(core.KindBaseline, nil, b)
 			for i := range Fig9Retries {
-				st, err := s.Run(k, traits[k][i], b)
-				if err != nil {
-					return nil, err
-				}
-				t.Set(b, cols[i], stats.Ratio(st.Cycles, base.Cycles))
+				t.Set(b, cols[i], stats.Ratio(s.stat(k, traits[k][i], b).Cycles, base.Cycles))
 			}
 		}
 		t.AddMeanRows(workloads.STAMPNames())
@@ -174,29 +164,20 @@ func (s *Suite) Fig10() ([]*stats.Table, error) {
 		return nil, err
 	}
 
-	square := func(vsb int, iv uint64) (float64, float64, error) {
+	square := func(vsb int, iv uint64) (float64, float64) {
 		var times, aborts []float64
 		for _, b := range workloads.STAMPNames() {
-			st, err := s.Run(core.KindCHATS, traits[[2]uint64{uint64(vsb), iv}], b)
-			if err != nil {
-				return 0, 0, err
-			}
+			st := s.stat(core.KindCHATS, traits[[2]uint64{uint64(vsb), iv}], b)
 			times = append(times, float64(st.Cycles))
 			aborts = append(aborts, float64(st.Aborts)+1) // +1 keeps geomean defined
 		}
-		return stats.GeoMean(times), stats.GeoMean(aborts), nil
+		return stats.GeoMean(times), stats.GeoMean(aborts)
 	}
 
-	refT, refA, err := square(1, 50)
-	if err != nil {
-		return nil, err
-	}
+	refT, refA := square(1, 50)
 	for _, vsb := range Fig10VSBSizes {
 		for _, iv := range Fig10Intervals {
-			ct, ca, err := square(vsb, iv)
-			if err != nil {
-				return nil, err
-			}
+			ct, ca := square(vsb, iv)
 			timeT.Set(fmt.Sprintf("vsb=%d", vsb), fmt.Sprintf("val=%d", iv), ct/refT)
 			abortT.Set(fmt.Sprintf("vsb=%d", vsb), fmt.Sprintf("val=%d", iv), ca/refA)
 		}

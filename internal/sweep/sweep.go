@@ -12,6 +12,7 @@ package sweep
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -21,6 +22,17 @@ import (
 // Progress receives live completion updates: done cells out of total.
 // It is called from worker goroutines but never concurrently.
 type Progress func(done, total int)
+
+// Printer returns a Progress that redraws "cells: done/total" on w and
+// ends the line once every cell is done.
+func Printer(w io.Writer) Progress {
+	return func(done, total int) {
+		fmt.Fprintf(w, "\rcells: %d/%d", done, total)
+		if done == total {
+			fmt.Fprintln(w)
+		}
+	}
+}
 
 // CellPanic is the error a panicking cell is converted into: the pool
 // must never let one cell's panic tear down the whole process (and, with
