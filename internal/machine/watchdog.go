@@ -174,9 +174,6 @@ type CoreSnapshot struct {
 // NumCores returns the number of simulated cores.
 func (m *Machine) NumCores() int { return len(m.nodes) }
 
-// PowerHolder returns the core holding the PowerTM token, or -1.
-func (m *Machine) PowerHolder() int { return m.powerHolder }
-
 // Now returns the current simulation cycle.
 func (m *Machine) Now() uint64 { return m.eng.Now() }
 

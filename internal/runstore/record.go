@@ -60,15 +60,6 @@ func CurrentCommit() string {
 	return "unknown"
 }
 
-// Key is the identity a run is stored and queried under.
-type Key struct {
-	Commit   string `json:"commit"`
-	Seed     uint64 `json:"seed"`
-	Config   string `json:"config"`
-	System   string `json:"system"`
-	Workload string `json:"workload"`
-}
-
 // Record is one persisted run. The flat cost fields (SimCycles,
 // WallclockNS, Allocs) mirror the chats-bench cell schema; Counters and
 // ByCause carry the full RunStats breakdown; the optional telemetry
@@ -115,11 +106,6 @@ type Record struct {
 	Series   []TimeSeries `json:"series,omitempty"`
 	HotLines []HotLine    `json:"hot_lines,omitempty"`
 	Chain    *Chain       `json:"chain,omitempty"`
-}
-
-// Key returns the identity tuple of the record.
-func (r Record) Key() Key {
-	return Key{Commit: r.Commit, Seed: r.Seed, Config: r.Config, System: r.System, Workload: r.Workload}
 }
 
 // Cell returns the chats-bench style cell name

@@ -159,9 +159,6 @@ func (e *Engine) Halt(err error) {
 	}
 }
 
-// Halted returns the pending halt error, if any.
-func (e *Engine) Halted() error { return e.halt }
-
 // Now returns the current simulation cycle.
 func (e *Engine) Now() uint64 { return e.now }
 

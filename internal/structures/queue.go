@@ -137,6 +137,3 @@ func (q *Queue) Len(m Mem) int {
 
 // HeadAddr exposes the head-cursor address (tests and diagnostics).
 func (q *Queue) HeadAddr() mem.Addr { return q.head }
-
-// TailAddr exposes the tail-cursor address (tests and diagnostics).
-func (q *Queue) TailAddr() mem.Addr { return q.tail }

@@ -51,10 +51,6 @@ func (c *Collector) HotLines(k int) []HotLine {
 	return all
 }
 
-// TrackedLines returns how many distinct lines saw at least one
-// attributed event.
-func (c *Collector) TrackedLines() int { return len(c.hot) }
-
 // WriteHotLineReport renders the top-k profile as a fixed-width table.
 func (c *Collector) WriteHotLineReport(w io.Writer, k int) {
 	top := c.HotLines(k)

@@ -115,15 +115,6 @@ func (r *Registry) AllSeries() []*stats.Series {
 	return out
 }
 
-// CounterValues returns a name → count snapshot of every counter.
-func (r *Registry) CounterValues() map[string]uint64 {
-	out := make(map[string]uint64, len(r.counters))
-	for k, c := range r.counters {
-		out[k] = c.N
-	}
-	return out
-}
-
 func sortedKeys[V any](m map[string]V) []string {
 	ks := make([]string, 0, len(m))
 	for k := range m {
