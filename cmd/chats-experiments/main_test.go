@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -65,5 +67,33 @@ func TestRunFaultsApplyInEveryMode(t *testing.T) {
 	}
 	if clean, faulted := rows(), rows("-faults", "spurious:p=0.3"); clean == faulted {
 		t.Fatalf("-fallback-matrix rows with -faults spurious:p=0.3 are the lockburst rows:\n%s", clean)
+	}
+}
+
+// -csv writes each printed table into the directory, named by a slug of
+// its title.
+func TestRunWritesCSV(t *testing.T) {
+	dir := t.TempDir()
+	if err := run([]string{"-fig", "7", "-size", "tiny", "-csv", dir}, io.Discard, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	const want = "fig-7-network-usage-flits-normalized-to-baseline.csv"
+	if len(names) != 1 || names[0] != want {
+		t.Fatalf("-csv wrote %v, want [%s]", names, want)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head, _, _ := strings.Cut(string(data), "\n"); head != "row,baseline,naive-rs,chats,power,pchats" {
+		t.Fatalf("%s starts %q", want, head)
 	}
 }

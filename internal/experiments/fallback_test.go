@@ -150,3 +150,20 @@ func TestHotLineBeatsDefaultOnKmeansH(t *testing.T) {
 		t.Fatalf("kmeans-h baseline cycles: default %d, -hotline 8 %d; want 80553, 29190", def, hot)
 	}
 }
+
+// The hot-line table halves every line's heat after each 1,024 conflict
+// aborts. Requester-wins llb-h (small, seed 1) under -hotline 16 passes
+// two such decays; with decay disabled the same run takes 661,665
+// cycles, so the pin fails if decay stops running or changes.
+func TestHotLineDecayPinned(t *testing.T) {
+	p := Params{Size: workloads.Small, Machine: machine.DefaultConfig()}
+	p.Machine.HotLine = 16
+	st, err := NewSuite(p).Run(core.KindBaseline, nil, "llb-h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cycles != 662_243 || st.Aborts != 4_758 || st.Fallbacks != 281 {
+		t.Fatalf("llb-h baseline -hotline 16: %d cycles, %d aborts, %d fallbacks; want 662243, 4758, 281",
+			st.Cycles, st.Aborts, st.Fallbacks)
+	}
+}
