@@ -88,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// with the mode as the record source.
 	var recorder func(runstore.Record)
 	if *storeDir != "" {
-		store, err := runstore.Open(*storeDir, runstore.Options{})
+		store, err := runstore.Open(*storeDir)
 		if err != nil {
 			return err
 		}

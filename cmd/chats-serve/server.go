@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
+	"sync"
 
 	"chats"
 	"chats/internal/runstore"
@@ -16,43 +16,66 @@ import (
 //go:embed dashboard.html
 var dashboardHTML []byte
 
-// server wires the run database, the job manager and the SSE broker
-// behind one http.Handler. All state lives in those three; handlers are
-// stateless translators.
+// server answers every request from the last read of one store
+// directory, re-reading it first when a writer has changed it since.
 type server struct {
-	store  *runstore.Store
-	jobs   *jobManager
-	broker *broker
-	mux    *http.ServeMux
+	mux *http.ServeMux
+
+	mu    sync.Mutex
+	store *runstore.Store // the last read; never nil
 }
 
-func newServer(store *runstore.Store, workers int) *server {
-	b := newBroker()
-	s := &server{
-		store:  store,
-		jobs:   newJobManager(store, b, workers),
-		broker: b,
-		mux:    http.NewServeMux(),
+// newServer reads dir once, so a missing or corrupt store fails at
+// startup rather than on the first request.
+func newServer(dir string) (*server, error) {
+	store, err := runstore.Read(dir)
+	if err != nil {
+		return nil, err
 	}
+	s := &server{store: store, mux: http.NewServeMux()}
 	s.mux.HandleFunc("/", s.handleIndex)
-	s.mux.HandleFunc("/api/runs", s.handleRuns)
-	s.mux.HandleFunc("/api/run", s.handleRun)
-	s.mux.HandleFunc("/api/trends", s.handleTrends)
-	s.mux.HandleFunc("/api/commits", s.handleCommits)
-	s.mux.HandleFunc("/api/meta", s.handleMeta)
-	s.mux.HandleFunc("/api/jobs", s.handleJobs)
-	s.mux.HandleFunc("/api/sweep", s.handleSweep)
-	s.mux.HandleFunc("/api/events", s.handleEvents)
-	return s
+	s.mux.HandleFunc("/api/runs", s.reading(handleRuns))
+	s.mux.HandleFunc("/api/run", s.reading(handleRun))
+	s.mux.HandleFunc("/api/trends", s.reading(handleTrends))
+	s.mux.HandleFunc("/api/commits", s.reading(handleCommits))
+	s.mux.HandleFunc("/api/meta", s.reading(handleMeta))
+	return s, nil
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// current returns the store as of its newest state. The lock makes
+// concurrent requests after one append share a single re-read.
+func (s *server) current() (*runstore.Store, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.store.Changed() {
+		store, err := runstore.Read(s.store.Dir())
+		if err != nil {
+			return nil, err
+		}
+		s.store = store
+	}
+	return s.store, nil
+}
+
+// reading adapts a handler over one store read to an http.HandlerFunc.
+func (s *server) reading(h func(http.ResponseWriter, *http.Request, *runstore.Store)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		store, err := s.current()
+		if err != nil {
+			httpError(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
+		h(w, r, store)
+	}
+}
+
 func (s *server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
-		http.NotFound(w, r)
+		httpError(w, http.StatusNotFound, "no page %q", r.URL.Path)
 		return
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
@@ -106,7 +129,7 @@ func summarize(r runstore.Record) runSummary {
 	}
 }
 
-func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
+func handleRuns(w http.ResponseWriter, r *http.Request, store *runstore.Store) {
 	q := runstore.Query{
 		Commit:   r.URL.Query().Get("commit"),
 		System:   r.URL.Query().Get("system"),
@@ -121,7 +144,7 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		}
 		q.Limit = n
 	}
-	recs := s.store.Runs(q)
+	recs := store.Runs(q)
 	out := make([]runSummary, len(recs))
 	for i, rec := range recs {
 		out[i] = summarize(rec)
@@ -129,13 +152,13 @@ func (s *server) handleRuns(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
+func handleRun(w http.ResponseWriter, r *http.Request, store *runstore.Store) {
 	id, err := strconv.ParseUint(r.URL.Query().Get("id"), 10, 64)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad id %q", r.URL.Query().Get("id"))
 		return
 	}
-	rec, ok := s.store.Get(id)
+	rec, ok := store.Get(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no run %d", id)
 		return
@@ -143,23 +166,22 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, rec)
 }
 
-func (s *server) handleTrends(w http.ResponseWriter, r *http.Request) {
+func handleTrends(w http.ResponseWriter, r *http.Request, store *runstore.Store) {
 	q := runstore.Query{
 		System:   r.URL.Query().Get("system"),
 		Workload: r.URL.Query().Get("workload"),
 		Source:   r.URL.Query().Get("source"),
 	}
-	writeJSON(w, s.store.Trends(q))
+	writeJSON(w, store.Trends(q))
 }
 
-func (s *server) handleCommits(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.store.Commits())
+func handleCommits(w http.ResponseWriter, r *http.Request, store *runstore.Store) {
+	writeJSON(w, store.Commits())
 }
 
-// handleMeta serves the dashboard's form vocabulary: the canonical
-// system order (also the fixed chart-color order), workload names and
-// sizes.
-func (s *server) handleMeta(w http.ResponseWriter, r *http.Request) {
+// handleMeta serves the dashboard's vocabulary: the canonical system
+// order (also the fixed chart-color order), workload names and sizes.
+func handleMeta(w http.ResponseWriter, r *http.Request, store *runstore.Store) {
 	systems := make([]string, 0, len(chats.Systems()))
 	for _, k := range chats.Systems() {
 		systems = append(systems, string(k))
@@ -168,75 +190,8 @@ func (s *server) handleMeta(w http.ResponseWriter, r *http.Request) {
 		"systems":   systems,
 		"workloads": workloads.Names(),
 		"sizes":     []string{"tiny", "small", "medium"},
-		"store":     s.store.Dir(),
+		"store":     store.Dir(),
 	})
-}
-
-func (s *server) handleJobs(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, s.jobs.Snapshot())
-}
-
-func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
-	var req sweepRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return
-	}
-	j, err := s.jobs.Start(req)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSON(w, j)
-}
-
-// handleEvents is the SSE stream. Each connection gets a hello event
-// with the current store/job snapshot (so a reconnecting dashboard
-// re-syncs without racing the stream), then live progress/run/job
-// events until the client goes away or the server shuts down.
-func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		httpError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	ch, cancel := s.broker.Subscribe()
-	defer cancel()
-
-	hello, _ := json.Marshal(map[string]any{
-		"runs":    s.store.Len(),
-		"commits": s.store.Commits(),
-		"jobs":    s.jobs.Snapshot(),
-	})
-	fmt.Fprintf(w, "event: hello\ndata: %s\n\n", hello)
-	fl.Flush()
-
-	keepalive := time.NewTicker(15 * time.Second)
-	defer keepalive.Stop()
-	for {
-		select {
-		case ev, ok := <-ch:
-			if !ok {
-				return // broker closed: server shutting down
-			}
-			fmt.Fprintf(w, "event: %s\ndata: %s\n\n", ev.name, ev.data)
-			fl.Flush()
-		case <-keepalive.C:
-			fmt.Fprint(w, ": keepalive\n\n")
-			fl.Flush()
-		case <-r.Context().Done():
-			return
-		}
-	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

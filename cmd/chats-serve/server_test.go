@@ -1,33 +1,46 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
-	"time"
 
+	"chats"
+	"chats/internal/experiments"
+	"chats/internal/machine"
 	"chats/internal/runstore"
+	"chats/internal/telemetry"
+	"chats/internal/workloads"
 )
 
-func newTestServer(t *testing.T) (*server, *httptest.Server) {
+// newTestServer serves dir, which must already exist.
+func newTestServer(t *testing.T, dir string) *httptest.Server {
 	t.Helper()
-	store, err := runstore.Open(t.TempDir(), runstore.Options{})
+	s, err := newServer(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := newServer(store, 2)
 	ts := httptest.NewServer(s)
-	t.Cleanup(func() {
-		ts.Close()
-		s.jobs.Wait()
-		store.Close()
-	})
-	return s, ts
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// openStore opens a writer on a fresh store directory.
+func openStore(t *testing.T) *runstore.Store {
+	t.Helper()
+	w, err := runstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
 }
 
 func get(t *testing.T, url string, out any) {
@@ -45,81 +58,40 @@ func get(t *testing.T, url string, out any) {
 	}
 }
 
-// TestServeEndToEnd is the demo path the dashboard promises: POST a tiny
-// sweep, watch its live progress and per-run events arrive over SSE,
-// then read the recorded cells back through /api/runs and the
-// drill-down through /api/run.
+func status(t *testing.T, method, url string) int {
+	t.Helper()
+	req, err := http.NewRequest(method, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestServeEndToEnd is the documented loop: a writer records cells
+// into a store while the server reads it. Cells recorded with a
+// telemetry collector come back with their drill-downs, a record
+// appended after startup shows on the next request, and a torn tail
+// left by a writer mid-append is neither an error nor touched.
 func TestServeEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t)
-
-	// Subscribe to SSE before launching so no event can be missed.
-	resp, err := http.Get(ts.URL + "/api/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
-		t.Fatalf("SSE content type = %q", ct)
-	}
-
-	body := `{"systems":["baseline","chats"],"workloads":["cadd"],"size":"tiny","telemetry":true}`
-	post, err := http.Post(ts.URL+"/api/sweep", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer post.Body.Close()
-	if post.StatusCode != http.StatusAccepted {
-		t.Fatalf("POST /api/sweep: status %d", post.StatusCode)
-	}
-	var j job
-	if err := json.NewDecoder(post.Body).Decode(&j); err != nil {
-		t.Fatal(err)
-	}
-	if j.Total != 2 || j.State != "running" {
-		t.Fatalf("job = %+v, want total 2 running", j)
-	}
-
-	// Drain the stream until the job-done event; along the way we must
-	// see hello, at least one progress tick and both run events.
-	var sawHello, sawProgress bool
-	runs := 0
-	deadline := time.Now().Add(30 * time.Second)
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var event string
-	for !time.Now().After(deadline) && sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data := strings.TrimPrefix(line, "data: ")
-			switch event {
-			case "hello":
-				sawHello = true
-			case "progress":
-				sawProgress = true
-			case "run":
-				runs++
-			case "job":
-				var ev job
-				if err := json.Unmarshal([]byte(data), &ev); err != nil {
-					t.Fatalf("job event %q: %v", data, err)
-				}
-				if ev.State == "failed" {
-					t.Fatalf("job failed: %s", ev.Error)
-				}
-				if ev.State == "done" {
-					goto done
-				}
-			}
+	w := openStore(t)
+	record := w.Recorder(runstore.Meta{Commit: "c1"}, "chatsim")
+	for _, k := range []chats.SystemKind{chats.Baseline, chats.CHATS} {
+		c := experiments.Cell{System: k, Bench: "cadd", Size: workloads.Tiny, Machine: machine.DefaultConfig()}
+		col := telemetry.New(c.Machine.Cores, telemetry.Options{MaxEvents: 1})
+		c.Tracers = []machine.Tracer{col}
+		_, rec, err := experiments.RunCell(c)
+		if err != nil {
+			t.Fatal(err)
 		}
+		runstore.AttachTelemetry(&rec, col, 16)
+		record(rec)
 	}
-	t.Fatal("SSE stream ended before the job-done event")
-done:
-	if !sawHello || !sawProgress || runs != 2 {
-		t.Fatalf("SSE saw hello=%v progress=%v runs=%d, want true/true/2", sawHello, sawProgress, runs)
-	}
+	ts := newTestServer(t, w.Dir())
 
 	var summaries []runSummary
 	get(t, ts.URL+"/api/runs", &summaries)
@@ -127,33 +99,105 @@ done:
 		t.Fatalf("/api/runs returned %d runs, want 2", len(summaries))
 	}
 	for _, r := range summaries {
-		if r.Source != "serve" || r.SimCycles == 0 || r.Commits == 0 {
+		if r.Source != "chatsim" || r.SimCycles == 0 || r.Commits == 0 || !r.HasTelemetry {
 			t.Fatalf("bad run summary %+v", r)
-		}
-		if !r.HasTelemetry {
-			t.Fatalf("run %d: telemetry sweep produced no drill-down payload", r.ID)
 		}
 	}
 
-	// System filter.
 	var chatsOnly []runSummary
-	get(t, ts.URL+"/api/runs?system=chats", &chatsOnly)
+	get(t, ts.URL+"/api/runs?system=chats&workload=cadd", &chatsOnly)
 	if len(chatsOnly) != 1 || chatsOnly[0].System != "chats" {
 		t.Fatalf("system filter returned %+v", chatsOnly)
 	}
-
-	// Drill-down carries the full telemetry payload.
-	var rec runstore.Record
-	get(t, fmt.Sprintf("%s/api/run?id=%d", ts.URL, summaries[0].ID), &rec)
-	if len(rec.Hists) == 0 || rec.Chain == nil {
-		t.Fatalf("drill-down for run %d missing telemetry: %d hists, chain %v",
-			summaries[0].ID, len(rec.Hists), rec.Chain)
+	var none []runSummary
+	get(t, ts.URL+"/api/runs?source=sweep", &none)
+	if len(none) != 0 {
+		t.Fatalf("source filter returned %+v", none)
 	}
 
-	var jobs []job
-	get(t, ts.URL+"/api/jobs", &jobs)
-	if len(jobs) != 1 || jobs[0].State != "done" || jobs[0].Done != 2 {
-		t.Fatalf("/api/jobs = %+v", jobs)
+	// The drill-down carries the full telemetry payload.
+	var rec runstore.Record
+	get(t, fmt.Sprintf("%s/api/run?id=%d", ts.URL, summaries[0].ID), &rec)
+	if len(rec.Hists) == 0 || len(rec.HotLines) == 0 || rec.Chain == nil {
+		t.Fatalf("drill-down for run %d missing telemetry: %d hists, %d hot lines, chain %v",
+			summaries[0].ID, len(rec.Hists), len(rec.HotLines), rec.Chain)
+	}
+
+	// A record appended after the server started shows on the next read.
+	record(runstore.Record{System: "chats", Workload: "llb-h", Size: "tiny", SimCycles: 7})
+	get(t, ts.URL+"/api/runs", &summaries)
+	if len(summaries) != 3 || summaries[2].Workload != "llb-h" {
+		t.Fatalf("after an append /api/runs = %+v, want the third record", summaries)
+	}
+
+	// Half a record, as a writer mid-append leaves it.
+	seg := filepath.Join(w.Dir(), "seg-000001.jsonl")
+	f, err := os.OpenFile(seg, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(`{"id":3,"sys`); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	get(t, ts.URL+"/api/runs", &summaries)
+	if len(summaries) != 3 {
+		t.Fatalf("with a torn tail /api/runs holds %d runs, want 3", len(summaries))
+	}
+	var trends []runstore.Trend
+	get(t, ts.URL+"/api/trends", &trends)
+	if after, err := os.ReadFile(seg); err != nil || !bytes.Equal(after, before) {
+		t.Fatalf("serving changed the segment (err %v)", err)
+	}
+}
+
+// TestServeConcurrentReads has several clients read while a writer
+// appends: every answer holds a whole prefix of the records, and once
+// the writer is done every client sees all of them.
+func TestServeConcurrentReads(t *testing.T) {
+	w := openStore(t)
+	ts := newTestServer(t, w.Dir())
+	record := w.Recorder(runstore.Meta{Commit: "c1"}, "sweep")
+	const appends, readers = 20, 4
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < appends; j++ {
+				resp, err := http.Get(ts.URL + "/api/runs")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var runs []runSummary
+				err = json.NewDecoder(resp.Body).Decode(&runs)
+				resp.Body.Close()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for k, r := range runs {
+					if r.ID != uint64(k) {
+						t.Errorf("answer %d holds id %d at position %d", j, r.ID, k)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < appends; i++ {
+		record(runstore.Record{System: "chats", Workload: "cadd", Seed: uint64(i)})
+	}
+	wg.Wait()
+	var runs []runSummary
+	get(t, ts.URL+"/api/runs", &runs)
+	if len(runs) != appends {
+		t.Fatalf("after the writer finished /api/runs holds %d runs, want %d", len(runs), appends)
 	}
 }
 
@@ -161,15 +205,16 @@ done:
 // cells recorded under two commit labels make every shared cell a
 // 2-point series.
 func TestServeTrendsAcrossCommits(t *testing.T) {
-	s, ts := newTestServer(t)
+	w := openStore(t)
 	for i, commit := range []string{"c1", "c2"} {
-		record := s.store.Recorder(runstore.Meta{Commit: commit}, "sweep")
+		record := w.Recorder(runstore.Meta{Commit: commit}, "sweep")
 		for _, system := range []string{"baseline", "chats"} {
 			for _, workload := range []string{"cadd", "llb-h"} {
 				record(runstore.Record{System: system, Workload: workload, Size: "tiny", SimCycles: uint64(1000 + i)})
 			}
 		}
 	}
+	ts := newTestServer(t, w.Dir())
 
 	var commits []string
 	get(t, ts.URL+"/api/commits", &commits)
@@ -205,45 +250,45 @@ func TestServeTrendsAcrossCommits(t *testing.T) {
 	}
 }
 
-// TestServeValidation pins the upfront-rejection contract: a bad sweep
-// request must fail the POST with 400, not cell N of a running grid.
+// TestServeValidation pins the rejections: bad query values are 400,
+// unknown runs and paths are 404 (the endpoints that once launched
+// sweeps included), and a missing store fails at startup naming it.
 func TestServeValidation(t *testing.T) {
-	_, ts := newTestServer(t)
-	for _, body := range []string{
-		`{"systems":["warp-drive"]}`,
-		`{"workloads":["nope"]}`,
-		`{"size":"galactic"}`,
-		`not json`,
+	w := openStore(t)
+	w.Recorder(runstore.Meta{Commit: "c1"}, "sweep")(runstore.Record{System: "chats", Workload: "cadd"})
+	ts := newTestServer(t, w.Dir())
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{"GET", "/api/runs?limit=-1", http.StatusBadRequest},
+		{"GET", "/api/runs?limit=many", http.StatusBadRequest},
+		{"GET", "/api/run?id=x", http.StatusBadRequest},
+		{"GET", "/api/run", http.StatusBadRequest},
+		{"GET", "/api/run?id=42", http.StatusNotFound},
+		{"GET", "/api/run?id=0", http.StatusOK},
+		{"POST", "/api/sweep", http.StatusNotFound},
+		{"GET", "/api/jobs", http.StatusNotFound},
+		{"GET", "/api/events", http.StatusNotFound},
 	} {
-		resp, err := http.Post(ts.URL+"/api/sweep", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
+		if got := status(t, c.method, ts.URL+c.path); got != c.want {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, got, c.want)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s: status %d, want 400", body, resp.StatusCode)
-		}
-	}
-	var jobs []job
-	get(t, ts.URL+"/api/jobs", &jobs)
-	if len(jobs) != 0 {
-		t.Fatalf("rejected sweeps must not create jobs: %+v", jobs)
 	}
 
-	resp, err := http.Get(ts.URL + "/api/run?id=42")
-	if err != nil {
-		t.Fatal(err)
+	missing := filepath.Join(t.TempDir(), "no-such-store")
+	if _, err := newServer(missing); err == nil || !strings.Contains(err.Error(), missing) {
+		t.Fatalf("serving a missing store: err %v, want one naming %s", err, missing)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /api/run?id=42: status %d, want 404", resp.StatusCode)
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("serving a missing store created it (stat err %v)", err)
 	}
 }
 
-// TestServeDashboard pins that the embedded page ships and references
-// the API the JS drives.
+// TestServeDashboard pins that the embedded page ships, fetches only
+// the read endpoints, and no longer drives sweeps or an event stream.
 func TestServeDashboard(t *testing.T) {
-	_, ts := newTestServer(t)
+	ts := newTestServer(t, openStore(t).Dir())
 	resp, err := http.Get(ts.URL + "/")
 	if err != nil {
 		t.Fatal(err)
@@ -253,18 +298,19 @@ func TestServeDashboard(t *testing.T) {
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"/api/events", "/api/sweep", "/api/trends", "/api/runs", "chats run database",
-		"fallback &amp; contention", "fallback concurrency"} {
-		if !strings.Contains(buf.String(), want) {
+	page := buf.String()
+	for _, want := range []string{"/api/meta", "/api/trends", "/api/commits", "/api/runs?", "/api/run?id=",
+		"chats run database", "fallback &amp; contention", "fallback concurrency"} {
+		if !strings.Contains(page, want) {
 			t.Errorf("dashboard.html does not mention %q", want)
 		}
 	}
-	if resp, err := http.Get(ts.URL + "/nope"); err != nil {
-		t.Fatal(err)
-	} else {
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET /nope: status %d, want 404", resp.StatusCode)
+	for _, gone := range []string{"/api/events", "/api/sweep", "/api/jobs", "EventSource"} {
+		if strings.Contains(page, gone) {
+			t.Errorf("dashboard.html still mentions %q", gone)
 		}
+	}
+	if got := status(t, "GET", ts.URL+"/nope"); got != http.StatusNotFound {
+		t.Fatalf("GET /nope: status %d, want 404", got)
 	}
 }

@@ -112,12 +112,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	ov := overrides{retries: *retries, vsb: *vsb, valInterval: *valInterval}
 
-	if *dumpConfig {
-		experiments.PrintTableI(stdout, cfg)
+	if *dumpConfig || *dumpSystems {
+		if *dumpConfig {
+			experiments.PrintTableI(stdout, cfg)
+		}
+		if *dumpSystems {
+			return experiments.PrintTableII(stdout)
+		}
 		return nil
-	}
-	if *dumpSystems {
-		return experiments.PrintTableII(stdout)
 	}
 	if *list {
 		fmt.Fprintln(stdout, "benchmarks:", strings.Join(workloads.Names(), " "))
@@ -127,7 +129,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 	var store *runstore.Store
 	if *storeDir != "" {
-		store, err = runstore.Open(*storeDir, runstore.Options{})
+		store, err = runstore.Open(*storeDir)
 		if err != nil {
 			return err
 		}

@@ -24,6 +24,7 @@ var pins = []struct{ golden, args string }{
 	{"list", "-list"},
 	{"dump-config", "-dump-config"},
 	{"dump-systems", "-dump-systems"},
+	{"dump-both", "-dump-config -dump-systems"},
 	{"fuzz", "-fuzz 8 -size tiny -json"},
 	{"repro", "-repro @../../internal/difftest/corpus/fallback-storm.txt"},
 }
@@ -90,11 +91,10 @@ func TestRunStoreRecords(t *testing.T) {
 	if err := run(strings.Fields("-system chats -bench cadd -size tiny -hot-lines 3 -store "+dir), io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	st, err := runstore.Open(dir, runstore.Options{})
+	st, err := runstore.Read(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	type key struct {
 		source, system, workload string
 		seed                     uint64

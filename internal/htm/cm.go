@@ -12,11 +12,7 @@ package htm
 // from engine events, whose strict one-at-a-time order makes every
 // update land in the same order on every run. It draws no randomness.
 
-import (
-	"sort"
-
-	"chats/internal/mem"
-)
+import "chats/internal/mem"
 
 // heatDecayEvery halves every line's heat after this many conflict
 // aborts machine-wide, so stale hot spots cool off deterministically.
@@ -74,20 +70,4 @@ func (h *HeatTable) decay() {
 // is currently hot.
 func (h *HeatTable) OverrideNack(line mem.Addr) bool {
 	return h != nil && h.heat[line] >= h.threshold
-}
-
-// HotLines returns the currently-hot lines in address order, for
-// diagnostics.
-func (h *HeatTable) HotLines() []mem.Addr {
-	if h == nil {
-		return nil
-	}
-	var lines []mem.Addr
-	for line, n := range h.heat {
-		if n >= h.threshold {
-			lines = append(lines, line)
-		}
-	}
-	sort.Slice(lines, func(i, j int) bool { return lines[i] < lines[j] })
-	return lines
 }

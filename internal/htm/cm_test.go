@@ -26,8 +26,9 @@ func TestCMHotLine(t *testing.T) {
 	if h.OverrideNack(other) {
 		t.Fatal("unrelated line nacked")
 	}
-	if hot := h.HotLines(); len(hot) != 1 || hot[0] != line {
-		t.Fatalf("HotLines = %v, want [%v]", hot, line)
+	h.NoteLineAbort(other)
+	if h.OverrideNack(other) {
+		t.Fatal("line nacked after one abort")
 	}
 
 	// Decay halves heat machine-wide; 3/2 = 1 drops below the threshold.
@@ -62,7 +63,7 @@ func TestCMHotLineDisabled(t *testing.T) {
 	if h.OverrideNack(mem.Addr(0x40)) {
 		t.Fatal("threshold 0 must disable the override")
 	}
-	if hot := h.HotLines(); hot != nil {
-		t.Fatalf("threshold 0 reported hot lines %v", hot)
+	if h.OverrideNack(mem.Addr(0x80)) {
+		t.Fatal("threshold 0 nacked a line it never saw")
 	}
 }

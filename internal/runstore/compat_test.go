@@ -21,7 +21,7 @@ func TestOpenSegmentWithEngineFields(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "seg-000000.jsonl"), line, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // writeRuns appends n minimal records and returns what the store holds.
 func writeRuns(t *testing.T, dir string, n int) []Record {
 	t.Helper()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen after torn tail: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestCrashRecoveryTornTail(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, Options{})
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestCrashRecoveryTornJSONWithNewline(t *testing.T) {
 	}
 	f.Close()
 
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatalf("reopen after torn JSON line: %v", err)
 	}
@@ -141,7 +141,7 @@ func TestCorruptionMidSegmentIsAnError(t *testing.T) {
 	if err := os.WriteFile(seg, bytes.Join(lines, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, err := Open(dir); err == nil {
 		t.Fatal("Open succeeded on a segment with mid-file corruption")
 	}
 }
@@ -151,7 +151,7 @@ func TestCorruptionMidSegmentIsAnError(t *testing.T) {
 // and the result must replay identically from disk.
 func TestConcurrentWriters(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SegmentBytes: 4096}) // small: rotate under load
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestConcurrentWriters(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir, Options{})
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

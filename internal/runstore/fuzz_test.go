@@ -36,9 +36,10 @@ func replayModel(data []byte, newest bool) (recs []Record, fails bool) {
 }
 
 // FuzzReplaySegment opens arbitrary bytes as the newest segment and as a
-// sealed one. Open must never panic, must fail exactly on mid-file
-// corruption, and must otherwise hold the model's records; after a torn
-// tail is dropped, an Append and a reopen must round-trip.
+// sealed one. Read and Open must never panic, must fail exactly on
+// mid-file corruption, and must otherwise hold the model's records.
+// Read must leave the bytes as they were, torn tail included; after
+// Open drops a torn tail, an Append and a reopen must round-trip.
 func FuzzReplaySegment(f *testing.F) {
 	rec, err := json.Marshal(fullRecord(3))
 	if err != nil {
@@ -72,7 +73,23 @@ func FuzzReplaySegment(f *testing.F) {
 				want = append(want, recs...)
 				fails = fails || bad
 			}
-			s, err := Open(dir, Options{})
+			r, err := Read(dir)
+			if fails {
+				if err == nil {
+					t.Fatalf("newest %v: Read of a corrupt segment returned no error", newest)
+				}
+			} else if err != nil {
+				t.Fatalf("newest %v: Read: %v", newest, err)
+			} else if got := r.Runs(Query{}); !sameRecords(got, want) {
+				t.Fatalf("newest %v: Read replayed %d records, model %d", newest, len(got), len(want))
+			} else if _, err := r.Append(fullRecord(0)); err == nil {
+				t.Fatalf("newest %v: Append to a Read store succeeded", newest)
+			}
+			if got, err := os.ReadFile(filepath.Join(dir, "seg-000001.jsonl")); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("newest %v: Read changed the segment (err %v)", newest, err)
+			}
+
+			s, err := Open(dir)
 			if fails {
 				if err == nil {
 					s.Close()
@@ -94,7 +111,7 @@ func FuzzReplaySegment(f *testing.F) {
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
-			s, err = Open(dir, Options{})
+			s, err = Open(dir)
 			if err != nil {
 				t.Fatalf("newest %v: reopen after Append: %v", newest, err)
 			}

@@ -3,14 +3,18 @@
 // cell, bench run, fuzz campaign and fault soak a permanent, queryable
 // home keyed by (commit, seed, config, system, workload).
 //
-// On disk a store is a directory of JSONL segment files
-// (seg-000001.jsonl, ...), one JSON record per line, appended and
-// flushed per run — recording happens per completed simulation, never
-// per event, so it adds nothing to the simulation hot path. Opening a
-// store replays every segment into an in-memory index; a torn tail
-// record (the only corruption a crash mid-append can produce) is
-// detected and truncated away, so the store always reopens cleanly with
-// every fully-written run intact.
+// On disk a store is a directory of JSONL segment files, one JSON
+// record per line, appended and flushed per run — recording happens per
+// completed simulation, never per event, so it adds nothing to the
+// simulation hot path. A store never rotates: a new one has the single
+// segment seg-000001.jsonl, and stores written by older versions may
+// hold several, which replay in name order. Open replays every segment
+// into an in-memory index; a torn tail record (the only corruption a
+// crash mid-append can produce) is detected and truncated away, so the
+// store always reopens cleanly with every fully-written run intact.
+// Only one Open writer may append to a directory at a time. Read
+// replays the same way but never writes: it leaves a torn tail on disk,
+// since a writer may be mid-append.
 package runstore
 
 import (
@@ -81,7 +85,8 @@ type Record struct {
 	Config string `json:"config,omitempty"`
 	Size   string `json:"size,omitempty"`
 	// Source names the producing entry point: "chatsim", "sweep",
-	// "experiments", "soak", "fallback-matrix", "fuzz" or "serve".
+	// "experiments", "soak", "fallback-matrix" or "fuzz" ("serve" in
+	// stores from when chats-serve ran sweeps).
 	Source string `json:"source,omitempty"`
 
 	// WaveEvents/Waves/SerialEvents are the engine counters of

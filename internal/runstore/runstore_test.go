@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -71,7 +72,7 @@ func TestRecordRoundTrip(t *testing.T) {
 // reopen, and the full record content survives the disk round trip.
 func TestStoreAppendReopen(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestStoreAppendReopen(t *testing.T) {
 		t.Error("Append after Close succeeded")
 	}
 
-	s2, err := Open(dir, Options{})
+	s2, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,39 +113,61 @@ func TestStoreAppendReopen(t *testing.T) {
 	}
 }
 
-// TestStoreSegmentRotation forces tiny segments and checks records span
-// multiple files while queries see one continuous store.
+// TestStoreSegmentRotation covers stores that older versions left with
+// several segments: a hand-written two-segment store opens as one
+// continuous store, and an append lands in the newest segment.
 func TestStoreSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{SegmentBytes: 256})
+	var want []Record
+	for i, name := range []string{"seg-000001.jsonl", "seg-000002.jsonl"} {
+		var seg []byte
+		for j := 0; j < 2; j++ {
+			r := fullRecord(uint64(2*i + j))
+			line, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seg = append(append(seg, line...), '\n')
+			want = append(want, r)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := os.ReadFile(filepath.Join(dir, "seg-000001.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 20
-	for i := 0; i < n; i++ {
-		r := fullRecord(0)
-		r.Seed = uint64(i)
-		if _, err := s.Append(r); err != nil {
-			t.Fatal(err)
-		}
+
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Runs(Query{}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("two segments replayed as %+v, want %+v", got, want)
+	}
+	id, err := s.Append(fullRecord(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id != 4 {
+		t.Errorf("appended ID %d, want 4", id)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.jsonl"))
+	if after, err := os.ReadFile(filepath.Join(dir, "seg-000001.jsonl")); err != nil || !bytes.Equal(after, first) {
+		t.Errorf("the older segment changed (err %v)", err)
+	}
+	newest, err := os.ReadFile(filepath.Join(dir, "seg-000002.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(segs) < 2 {
-		t.Fatalf("expected rotation to produce multiple segments, got %v", segs)
+	if n := bytes.Count(newest, []byte("\n")); n != 3 {
+		t.Errorf("newest segment holds %d records, want 3", n)
 	}
-	s2, err := Open(dir, Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got := s2.Len(); got != n {
-		t.Errorf("Len after rotation+reopen = %d, want %d", got, n)
+	if segs, _ := filepath.Glob(filepath.Join(dir, "seg-*.jsonl")); len(segs) != 2 {
+		t.Errorf("segments after the append: %v, want the two written", segs)
 	}
 }
 
@@ -152,7 +175,7 @@ func TestStoreSegmentRotation(t *testing.T) {
 // aggregation (commit order = first-recorded, seeds folded by mean).
 func TestQueryAndTrends(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +232,7 @@ func TestQueryAndTrends(t *testing.T) {
 
 // TestGetByID covers the drill-down lookup.
 func TestGetByID(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +253,7 @@ func TestGetByID(t *testing.T) {
 // TestOpenEmptyAndMissingDir covers the create-on-open path.
 func TestOpenEmptyAndMissingDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "store")
-	s, err := Open(dir, Options{})
+	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +274,7 @@ func TestOpenEmptyAndMissingDir(t *testing.T) {
 // TestRecorderStampsMeta checks the callback the CLIs hand to
 // experiments.Params.Recorder.
 func TestRecorderStampsMeta(t *testing.T) {
-	s, err := Open(t.TempDir(), Options{})
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

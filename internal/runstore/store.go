@@ -10,16 +10,6 @@ import (
 	"sync"
 )
 
-// Options tune a Store.
-type Options struct {
-	// SegmentBytes rotates the active segment once it grows past this
-	// size (0 = 8 MiB). Rotation bounds the work a torn-tail recovery
-	// scan has to redo and keeps individual files manageable.
-	SegmentBytes int64
-}
-
-const defaultSegmentBytes = 8 << 20
-
 // Store is the embedded run database: append-only JSONL segments on
 // disk plus a full in-memory index. All methods are safe for concurrent
 // use; appends are serialized, queries return copies of the index
@@ -27,54 +17,85 @@ const defaultSegmentBytes = 8 << 20
 // read-only by callers).
 type Store struct {
 	dir string
-	opt Options
 
-	mu      sync.Mutex
-	seg     *os.File // active segment (nil after Close)
-	segSize int64
-	segIdx  int
-	nextID  uint64
-	recs    []Record // insertion == ID order
-	closed  bool
+	mu     sync.Mutex
+	seg    *os.File // the segment appends go to (nil once closed)
+	nextID uint64
+	recs   []Record // insertion == ID order
+	closed bool
+
+	// segs and newestSize record what the replay read: the segment
+	// names and the byte length of the newest one. Changed compares
+	// them with the directory.
+	segs       []string
+	newestSize int64
 }
 
 // Open opens (creating if needed) the store directory and replays every
 // segment into the in-memory index. A torn final record — the only
 // corruption a crash mid-append can leave behind — is truncated away;
-// corruption anywhere else is reported as an error.
-func Open(dir string, opt Options) (*Store, error) {
-	if opt.SegmentBytes <= 0 {
-		opt.SegmentBytes = defaultSegmentBytes
-	}
+// corruption anywhere else is reported as an error. Appends go to the
+// newest segment, or to seg-000001.jsonl in an empty directory. One
+// writer at a time: two Stores opened on one directory both number
+// their records from the same next ID.
+func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	s := &Store{dir: dir, opt: opt}
-	names, err := s.segments()
+	s, err := load(dir, true)
+	if err != nil {
+		return nil, err
+	}
+	path := filepath.Join(dir, "seg-000001.jsonl")
+	if len(s.segs) > 0 {
+		path = s.segs[len(s.segs)-1]
+	}
+	if s.seg, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644); err != nil {
+		return nil, fmt.Errorf("runstore: %w", err)
+	}
+	return s, nil
+}
+
+// Read replays an existing store directory without writing to it: a
+// torn tail of the newest segment (a writer may be mid-append) is
+// dropped from the index but left on disk. The returned Store is
+// closed, so Append fails while every query works.
+func Read(dir string) (*Store, error) {
+	s, err := load(dir, false)
+	if err != nil {
+		return nil, err
+	}
+	s.closed = true
+	return s, nil
+}
+
+// load replays every segment of dir into a new Store. With truncate
+// set, a torn tail of the newest segment is also cut from the file.
+func load(dir string, truncate bool) (*Store, error) {
+	s := &Store{dir: dir}
+	names, err := segments(dir)
 	if err != nil {
 		return nil, err
 	}
 	for i, name := range names {
 		// Only the newest segment can legally carry a torn tail: older
-		// segments were sealed by rotation.
-		if err := s.replay(name, i == len(names)-1); err != nil {
+		// ones were complete before the next was started.
+		newest := i == len(names)-1
+		size, good, err := s.replay(name, newest)
+		if err != nil {
 			return nil, err
 		}
-	}
-	if len(names) > 0 {
-		last := names[len(names)-1]
-		fmt.Sscanf(filepath.Base(last), "seg-%06d.jsonl", &s.segIdx)
-		f, err := os.OpenFile(last, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("runstore: %w", err)
+		if newest {
+			s.newestSize = size
 		}
-		st, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return nil, fmt.Errorf("runstore: %w", err)
+		if truncate && good < size {
+			if err := os.Truncate(name, good); err != nil {
+				return nil, fmt.Errorf("runstore: truncating torn tail of %s: %w", name, err)
+			}
+			s.newestSize = good
 		}
-		s.seg, s.segSize = f, st.Size()
 	}
+	s.segs = names
 	for i := range s.recs {
 		if s.recs[i].ID >= s.nextID {
 			s.nextID = s.recs[i].ID + 1
@@ -83,26 +104,32 @@ func Open(dir string, opt Options) (*Store, error) {
 	return s, nil
 }
 
-// segments lists the segment files in name (= creation) order.
-func (s *Store) segments() ([]string, error) {
-	names, err := filepath.Glob(filepath.Join(s.dir, "seg-*.jsonl"))
+// segments lists the segment files of dir in name (= creation) order.
+// Stores written by older versions can hold several.
+func segments(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
-	sort.Strings(names)
+	var names []string
+	for _, e := range entries {
+		if ok, _ := filepath.Match("seg-*.jsonl", e.Name()); ok && !e.IsDir() {
+			names = append(names, filepath.Join(dir, e.Name()))
+		}
+	}
 	return names, nil
 }
 
-// replay decodes one segment into the index. With truncate set, a torn
-// tail record (no trailing newline, or a final line that is not valid
-// JSON) is dropped and the file is truncated back to the last good
-// record boundary.
-func (s *Store) replay(path string, truncate bool) error {
+// replay decodes one segment into the index and returns the segment's
+// size and the offset just past its last fully-decoded record. In the
+// newest segment a torn tail (no trailing newline, or a final line that
+// is not valid JSON) is left out of the index; anywhere else it is an
+// error.
+func (s *Store) replay(path string, newest bool) (size, good int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
+		return 0, 0, fmt.Errorf("runstore: %w", err)
 	}
-	good := int64(0) // offset just past the last fully-decoded record
 	rest := data
 	for len(rest) > 0 {
 		nl := bytes.IndexByte(rest, '\n')
@@ -113,10 +140,10 @@ func (s *Store) replay(path string, truncate bool) error {
 		var r Record
 		if len(bytes.TrimSpace(line)) > 0 {
 			if err := json.Unmarshal(line, &r); err != nil {
-				if truncate && int64(nl+1) == int64(len(rest)) {
+				if newest && nl+1 == len(rest) {
 					break // torn final line (partial flush that happened to end in \n)
 				}
-				return fmt.Errorf("runstore: %s: corrupt record at offset %d: %w",
+				return 0, 0, fmt.Errorf("runstore: %s: corrupt record at offset %d: %w",
 					path, good, err)
 			}
 			s.recs = append(s.recs, r)
@@ -124,18 +151,34 @@ func (s *Store) replay(path string, truncate bool) error {
 		good += int64(nl + 1)
 		rest = rest[nl+1:]
 	}
-	if int64(len(data)) > good {
-		if !truncate {
-			return fmt.Errorf("runstore: %s: torn record in sealed segment at offset %d", path, good)
-		}
-		if err := os.Truncate(path, good); err != nil {
-			return fmt.Errorf("runstore: truncating torn tail of %s: %w", path, err)
-		}
+	if !newest && good < int64(len(data)) {
+		return 0, 0, fmt.Errorf("runstore: %s: torn record in sealed segment at offset %d", path, good)
 	}
-	return nil
+	return int64(len(data)), good, nil
 }
 
-// Append assigns the record an ID, persists it to the active segment
+// Changed reports whether the directory's segment list or the size of
+// its newest segment differs from what Read replayed, so a reader knows
+// when another process has appended. An unreadable directory counts as
+// changed.
+func (s *Store) Changed() bool {
+	names, err := segments(s.dir)
+	if err != nil || len(names) != len(s.segs) {
+		return true
+	}
+	for i := range names {
+		if names[i] != s.segs[i] {
+			return true
+		}
+	}
+	if len(names) == 0 {
+		return false
+	}
+	st, err := os.Stat(names[len(names)-1])
+	return err != nil || st.Size() != s.newestSize
+}
+
+// Append assigns the record an ID, persists it to the store's segment
 // and indexes it. The write is flushed to the OS before Append returns,
 // so a crash can tear at most the record being appended.
 func (s *Store) Append(r Record) (uint64, error) {
@@ -143,11 +186,6 @@ func (s *Store) Append(r Record) (uint64, error) {
 	defer s.mu.Unlock()
 	if s.closed {
 		return 0, fmt.Errorf("runstore: store is closed")
-	}
-	if s.seg == nil || s.segSize >= s.opt.SegmentBytes {
-		if err := s.rotateLocked(); err != nil {
-			return 0, err
-		}
 	}
 	r.ID = s.nextID
 	line, err := json.Marshal(r)
@@ -158,31 +196,13 @@ func (s *Store) Append(r Record) (uint64, error) {
 	if _, err := s.seg.Write(line); err != nil {
 		return 0, fmt.Errorf("runstore: %w", err)
 	}
-	s.segSize += int64(len(line))
 	s.nextID++
 	s.recs = append(s.recs, r)
 	return r.ID, nil
 }
 
-// rotateLocked seals the active segment and starts the next one.
-func (s *Store) rotateLocked() error {
-	if s.seg != nil {
-		if err := s.seg.Close(); err != nil {
-			return fmt.Errorf("runstore: %w", err)
-		}
-	}
-	s.segIdx++
-	path := filepath.Join(s.dir, fmt.Sprintf("seg-%06d.jsonl", s.segIdx))
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("runstore: %w", err)
-	}
-	s.seg, s.segSize = f, 0
-	return nil
-}
-
-// Close seals the active segment. Further Appends fail; queries keep
-// working from the in-memory index.
+// Close closes the segment. Further Appends fail; queries keep working
+// from the in-memory index.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
