@@ -7,8 +7,8 @@
 //	chatsim -trace-chrome out.json -bench kmeans-h   # load in Perfetto
 //	chatsim -hot-lines 8 -chain -metrics -bench cadd
 //	chatsim -sweep -systems baseline,chats -benches cadd,llb-h -j 4
-//	chatsim -fuzz 50 -size tiny -minimize            # differential fuzzing
-//	chatsim -repro 'rp1;cores=2;pool=4;pack=1;priv=0|[a0+1]|[s0+2]'
+//	chatsim -repro 'rp1;cores=2;pool=4;pack=1;priv=0|[a0+1]|[s0+2]'  # differential oracle
+//	chatsim -repro @internal/difftest/corpus/fallback-storm.txt -fallback stm
 //	chatsim -dump-config     # Table I
 //	chatsim -dump-systems    # Table II
 //	chatsim -list            # available benchmarks and systems
@@ -72,17 +72,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 		invariants  = fs.Bool("invariants", false, "attach the runtime invariant checker (chains, coherence, serializability oracle)")
 		wdCycles    = fs.Uint64("watchdog-cycles", 0, "arm the livelock watchdog: kill the run with a diagnostic dump after this many cycles without a commit or fallback (0 = off)")
 		maxAttempts = fs.Int("max-attempts", 0, "per-transaction attempt budget before the starvation watchdog kills the run (0 = off)")
-		fuzzN       = fs.Int("fuzz", 0, "differential-fuzz N seeded random programs across systems (0 = off)")
-		fuzzSeed    = fs.Uint64("fuzz-seed", 1, "first generator seed for -fuzz")
-		fuzzBudget  = fs.Duration("fuzz-budget", 0, "wall-clock budget for -fuzz (0 = none; budgeted runs are not seed-reproducible)")
-		minimize    = fs.Bool("minimize", false, "shrink each -fuzz failure to a minimal reproducer")
-		reproOut    = fs.String("repro-out", "", "write -fuzz failures (specs + minimized reproducers) as JSON to this file")
-		fuzzBreak   = fs.Bool("fuzz-break", false, "oracle self-test: break CHATS validation on purpose; the fuzz campaign must catch it")
 		repro       = fs.String("repro", "", "replay one rp1 spec (or @file) through the differential oracle and exit")
 		doSweep     = fs.Bool("sweep", false, "run a (systems × benches) grid instead of a single cell")
 		storeDir    = fs.String("store", "", "record the run (or every sweep cell) into the run database at this directory")
 		progress    = fs.Bool("progress", false, "with -sweep: print a live done/total cell count to stderr")
-		sweepSys    = fs.String("systems", "", "comma-separated systems for -sweep (default: all)")
+		sweepSys    = fs.String("systems", "", "comma-separated systems for -sweep (default: all) and -repro (default: the five paper systems)")
 		sweepBench  = fs.String("benches", "", "comma-separated benchmarks for -sweep (default: all)")
 		jobs        = fs.Int("j", 0, "cells to run in parallel with -sweep (0 = GOMAXPROCS; results are identical at any -j)")
 		dumpConfig  = fs.Bool("dump-config", false, "print Table I and exit")
@@ -136,14 +130,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer store.Close()
 	}
 
-	if *fuzzN > 0 {
-		var record func(runstore.Record)
-		if store != nil {
-			record = store.Recorder(runstore.NowMeta(), "fuzz")
-		}
-		return runFuzz(stdout, cfg, *fuzzN, *fuzzSeed, *size, *sweepSys, *jobs,
-			*fuzzBudget, *minimize, *reproOut, *fuzzBreak, *jsonOut, record)
-	}
 	if *repro != "" {
 		return runRepro(stdout, cfg, *repro, *sweepSys)
 	}

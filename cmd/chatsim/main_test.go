@@ -25,7 +25,6 @@ var pins = []struct{ golden, args string }{
 	{"dump-config", "-dump-config"},
 	{"dump-systems", "-dump-systems"},
 	{"dump-both", "-dump-config -dump-systems"},
-	{"fuzz", "-fuzz 8 -size tiny -json"},
 	{"repro", "-repro @../../internal/difftest/corpus/fallback-storm.txt"},
 }
 
@@ -127,7 +126,7 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{"-sweep -benches nope -size tiny", `"nope"`},
 		{"-system nope -size tiny", `"nope"`},
 		{"-sweep -systems nope -size tiny", `"nope"`},
-		{"-fuzz 1 -systems nope -size tiny", `"nope"`},
+		{"-repro @../../internal/difftest/corpus/fallback-storm.txt -systems nope", `"nope"`},
 		{"-size huge", `"huge"`},
 		{"-fallback bogus -size tiny", `bogus`},
 		{"-backoff bogus -size tiny", `bogus`},
@@ -170,13 +169,11 @@ func TestRunFlagDefaults(t *testing.T) {
 	want := []string{
 		"backoff=", `bench="kmeans-h"`, "benches=", "chain=", "cores=16",
 		"cpuprofile=", "dump-config=", "dump-systems=", "fallback=", "faults=",
-		"fuzz=", "fuzz-break=", "fuzz-budget=", "fuzz-seed=1", "hot-lines=",
-		"hotline=", "invariants=", "j=", "json=", "list=", "max-attempts=",
-		"memprofile=", "metrics=", "minimize=", "progress=", "repro=",
-		"repro-out=", "retries=-1", "seed=1", `size="small"`, "store=",
-		"sweep=", `system="chats"`, "systems=", "trace=", "trace-chrome=",
-		"trace-json=", "validation=-1", "vsb=-1", "watchdog-cycles=",
-		"window=10000",
+		"hot-lines=", "hotline=", "invariants=", "j=", "json=", "list=",
+		"max-attempts=", "memprofile=", "metrics=", "progress=", "repro=",
+		"retries=-1", "seed=1", `size="small"`, "store=", "sweep=",
+		`system="chats"`, "systems=", "trace=", "trace-chrome=", "trace-json=",
+		"validation=-1", "vsb=-1", "watchdog-cycles=", "window=10000",
 	}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("flags and defaults:\ngot  %v\nwant %v", got, want)

@@ -81,7 +81,7 @@ func TestCheckMatchesSerial(t *testing.T) {
 		panicIdx int // index in kinds of the panicking system, or -1
 	}{
 		{"clean", nil, -1},
-		{"broken-validation", func(_ core.Kind, p htm.Policy) htm.Policy { return difftest.SkipValidation(p) }, -1},
+		{"broken-validation", func(_ core.Kind, p htm.Policy) htm.Policy { return skipValidation(p) }, -1},
 		{"one-panics", func(k core.Kind, p htm.Policy) htm.Policy {
 			if k == panicker {
 				return probePanicPolicy{p}

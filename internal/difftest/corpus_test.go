@@ -13,7 +13,7 @@ import (
 
 // loadCorpus reads every corpus/*.txt entry, skipping '#' comment and
 // blank lines; each remaining line must be a valid rp1 spec.
-func loadCorpus(t *testing.T) map[string]*randprog.Program {
+func loadCorpus(t testing.TB) map[string]*randprog.Program {
 	t.Helper()
 	paths, err := filepath.Glob(filepath.Join("corpus", "*.txt"))
 	if err != nil {

@@ -25,9 +25,12 @@
 //     to Aborts, and the forwarding counters are internally consistent
 //     (consumed <= sent, validated <= validations).
 //
-// On a failure, Minimize delta-debugs the program down to a minimal
-// reproducer and the spec string goes into the committed corpus
-// (corpus/*.txt), which corpus_test.go replays forever after.
+// Two native fuzz targets search for failures: FuzzMachine generates a
+// program and machine knobs from a seed and knob bytes, and FuzzProgram
+// runs rp1 specs. go test -fuzz writes a failing input under
+// testdata/fuzz, which plain go test replays from then on; its message
+// carries Minimize's delta-debugged reproducer, whose spec string goes
+// into the committed corpus (corpus/*.txt) that corpus_test.go replays.
 package difftest
 
 import (
@@ -35,7 +38,6 @@ import (
 	"strings"
 	"time"
 
-	"chats/internal/coherence"
 	"chats/internal/core"
 	"chats/internal/faults"
 	"chats/internal/htm"
@@ -77,10 +79,10 @@ type Options struct {
 	NoInvariants bool
 	// Record, when non-nil, receives one runstore.Record per system run
 	// that completed — even when an oracle then rejects the result: the
-	// cost profile of a failing campaign is still data. Check calls it
-	// on the caller's goroutine, in system order. Under Fuzz the
-	// callback fires from worker goroutines, so it must be safe for
-	// concurrent use (runstore.Store.Recorder is).
+	// cost profile of a failing program is still data. Check calls it
+	// on the caller's goroutine, in system order; a caller that runs
+	// checks concurrently must make it safe for concurrent use
+	// (runstore.Store.Recorder is).
 	Record func(runstore.Record)
 }
 
@@ -256,16 +258,4 @@ func Check(p *randprog.Program, opts Options) error {
 		return nil
 	}
 	return fmt.Errorf("difftest: %s", strings.Join(msgs, "; "))
-}
-
-// SkipValidation wraps a policy so value-based validation always
-// reports a match — stale forwarded data is never detected, the bug
-// class the VSB exists to prevent. Use as Options.Wrap in self-tests:
-// the differential oracle must catch it.
-func SkipValidation(p htm.Policy) htm.Policy { return brokenValidation{p} }
-
-type brokenValidation struct{ htm.Policy }
-
-func (p brokenValidation) ValidationCheck(local *htm.TxState, isSpec bool, pic coherence.PiC, match bool) (htm.ValidationOutcome, htm.AbortCause) {
-	return p.Policy.ValidationCheck(local, isSpec, pic, true)
 }

@@ -1,9 +1,10 @@
 package difftest_test
 
 import (
-	"reflect"
+	"strings"
 	"testing"
 
+	"chats/internal/coherence"
 	"chats/internal/core"
 	"chats/internal/difftest"
 	"chats/internal/faults"
@@ -11,7 +12,7 @@ import (
 	"chats/internal/randprog"
 )
 
-// smokeGen is the campaign configuration the smoke tests share: small
+// smokeGen is the generator configuration the smoke tests share: small
 // programs, mixed adds and order-sensitive stores.
 func smokeGen() randprog.GenConfig {
 	g := randprog.Preset(0)
@@ -19,47 +20,21 @@ func smokeGen() randprog.GenConfig {
 	return g
 }
 
-// TestFuzzSmoke is the CI entry point: a fixed-seed campaign over all
-// five systems with the invariant checker attached must be green.
+// checkSeeds runs the full oracle, with Minimize on a failure, on the
+// n programs g generates from seeds start, start+1, ...
+func checkSeeds(t *testing.T, start uint64, n int, g randprog.GenConfig, opts difftest.Options) {
+	t.Helper()
+	for seed := start; seed < start+uint64(n); seed++ {
+		if err := checkMin(randprog.Generate(seed, g), opts); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+	}
+}
+
+// TestFuzzSmoke: six fixed-seed programs over all five systems with the
+// invariant checker attached must pass.
 func TestFuzzSmoke(t *testing.T) {
-	rep := difftest.Fuzz(difftest.FuzzOptions{Start: 1, N: 6, Gen: smokeGen()})
-	if !rep.Ok() {
-		t.Fatalf("%s\nfirst: %+v", rep.Summary(), rep.Failures[0])
-	}
-	if rep.Ran != 6 {
-		t.Fatalf("ran %d of 6", rep.Ran)
-	}
-}
-
-// The campaign report must be bit-identical at any parallelism.
-func TestFuzzDeterminismAcrossJobs(t *testing.T) {
-	opts := difftest.FuzzOptions{Start: 3, N: 6, Gen: smokeGen()}
-	opts.Jobs = 1
-	a := difftest.Fuzz(opts)
-	opts.Jobs = 4
-	b := difftest.Fuzz(opts)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("fuzz diverged across -j:\n-j1: %+v\n-j4: %+v", a, b)
-	}
-	if a.Digest == "" {
-		t.Fatal("the report has no digest")
-	}
-}
-
-// The digest covers simulated results, not just the pass count: a
-// campaign on another machine seed passes the same programs with other
-// cycles and counters, and must hash differently.
-func TestFuzzDigestCoversSimulatedResults(t *testing.T) {
-	opts := difftest.FuzzOptions{Start: 3, N: 4, Gen: smokeGen(), Jobs: 2}
-	a := difftest.Fuzz(opts)
-	opts.Check.Seed = 99
-	b := difftest.Fuzz(opts)
-	if !a.Ok() || !b.Ok() || a.Ran != b.Ran {
-		t.Fatalf("campaigns: %s; %s", a.Summary(), b.Summary())
-	}
-	if a.Digest == b.Digest {
-		t.Fatalf("machine seeds 0 and 99 share the digest %s", a.Digest)
-	}
+	checkSeeds(t, 1, 6, smokeGen(), difftest.Options{})
 }
 
 // Fault injection must not break the oracle: faulted runs abort and
@@ -69,13 +44,19 @@ func TestFuzzUnderFaults(t *testing.T) {
 		t.Skip("fault fuzz skipped in -short mode")
 	}
 	plan := faults.SoakPlan()
-	rep := difftest.Fuzz(difftest.FuzzOptions{
-		Start: 1, N: 4, Gen: smokeGen(),
-		Check: difftest.Options{Faults: &plan},
-	})
-	if !rep.Ok() {
-		t.Fatalf("%s\nfirst: %+v", rep.Summary(), rep.Failures[0])
-	}
+	checkSeeds(t, 1, 4, smokeGen(), difftest.Options{Faults: &plan})
+}
+
+// skipValidation wraps a policy so value-based validation always
+// reports a match — stale forwarded data is never detected, the bug
+// class the VSB exists to prevent. The differential oracle must catch
+// it.
+func skipValidation(p htm.Policy) htm.Policy { return brokenValidation{p} }
+
+type brokenValidation struct{ htm.Policy }
+
+func (p brokenValidation) ValidationCheck(local *htm.TxState, isSpec bool, pic coherence.PiC, match bool) (htm.ValidationOutcome, htm.AbortCause) {
+	return p.Policy.ValidationCheck(local, isSpec, pic, true)
 }
 
 // brokenOpts cripples value-based validation on CHATS and disables the
@@ -85,7 +66,7 @@ func brokenOpts() difftest.Options {
 	return difftest.Options{
 		Systems:      []core.Kind{core.KindCHATS},
 		NoInvariants: true,
-		Wrap:         func(k core.Kind, p htm.Policy) htm.Policy { return difftest.SkipValidation(p) },
+		Wrap:         func(k core.Kind, p htm.Policy) htm.Policy { return skipValidation(p) },
 	}
 }
 
@@ -130,8 +111,8 @@ func TestBrokenValidationCaughtAndMinimized(t *testing.T) {
 	t.Logf("reproducer (%d ops): %s", min.NumOps(), min)
 }
 
-// The same hunt through the Fuzz driver: failures carry minimized
-// specs.
+// The same hunt through the fuzz targets' failure path: the message
+// carries a minimized reproducer that still fails.
 func TestFuzzReportsMinimizedFailures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("minimizing fuzz skipped in -short mode")
@@ -139,19 +120,26 @@ func TestFuzzReportsMinimizedFailures(t *testing.T) {
 	g := randprog.Preset(1)
 	g.AddFrac = 0.5
 	g.ChainFrac = 0.6
-	rep := difftest.Fuzz(difftest.FuzzOptions{
-		Start: 1, N: 3, Gen: g, Check: brokenOpts(),
-		Minimize: true, MinimizeBudget: 300,
-	})
-	if rep.Ok() {
-		t.Fatal("broken policy produced a green campaign")
+	var err error
+	for seed := uint64(1); seed <= 3 && err == nil; seed++ {
+		err = checkMin(randprog.Generate(seed, g), brokenOpts())
 	}
-	f := rep.Failures[0]
-	if f.MinSpec == "" || f.MinOps == 0 || f.MinErr == "" {
-		t.Fatalf("failure not minimized: %+v", f)
+	if err == nil {
+		t.Fatal("broken policy passed three programs")
 	}
-	if f.MinOps > 16 {
-		t.Fatalf("minimized reproducer has %d ops: %s", f.MinOps, f.MinSpec)
+	_, spec, ok := strings.Cut(err.Error(), "\n  reproducer: ")
+	if !ok {
+		t.Fatalf("failure carries no reproducer: %v", err)
+	}
+	min, perr := randprog.Parse(spec)
+	if perr != nil {
+		t.Fatalf("reproducer %q: %v", spec, perr)
+	}
+	if min.NumOps() > 16 {
+		t.Fatalf("minimized reproducer has %d ops: %s", min.NumOps(), spec)
+	}
+	if difftest.Check(min, brokenOpts()) == nil {
+		t.Fatalf("reproducer %s no longer fails", spec)
 	}
 }
 
@@ -162,7 +150,7 @@ func TestSkipValidationHarmlessOnBaseline(t *testing.T) {
 	p := randprog.Generate(5, g)
 	err := difftest.Check(p, difftest.Options{
 		Systems: []core.Kind{core.KindBaseline},
-		Wrap:    func(k core.Kind, pol htm.Policy) htm.Policy { return difftest.SkipValidation(pol) },
+		Wrap:    func(k core.Kind, pol htm.Policy) htm.Policy { return skipValidation(pol) },
 	})
 	if err != nil {
 		t.Fatal(err)

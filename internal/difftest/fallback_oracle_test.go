@@ -82,19 +82,7 @@ func TestFallbackPathsPassOracle(t *testing.T) {
 			cfg := knobConfig(t, k.fallback, k.hotLine, k.backoff)
 			g := randprog.Preset(0)
 			g.AddFrac = 0.5
-			rep := difftest.Fuzz(difftest.FuzzOptions{
-				Start: 7000,
-				N:     6,
-				Gen:   g,
-				Check: difftest.Options{
-					Machine: &cfg,
-					Wrap:    lowRetryWrap,
-				},
-				Jobs: 2,
-			})
-			for _, f := range rep.Failures {
-				t.Errorf("seed %d: %s", f.Seed, f.Err)
-			}
+			checkSeeds(t, 7000, 6, g, difftest.Options{Machine: &cfg, Wrap: lowRetryWrap})
 		})
 	}
 }
@@ -107,23 +95,14 @@ func TestFallbackSTMTakesSTMPath(t *testing.T) {
 	g := randprog.Preset(0)
 	g.AddFrac = 0.5
 	var stmCommits, fallbacks uint64
-	rep := difftest.Fuzz(difftest.FuzzOptions{
-		Start: 7000,
-		N:     6,
-		Gen:   g,
-		Check: difftest.Options{
-			Machine: &cfg,
-			Wrap:    lowRetryWrap,
-			Record: func(r runstore.Record) {
-				stmCommits += r.Counters["fallback_stm_commits"]
-				fallbacks += r.Counters["fallbacks"]
-			},
+	checkSeeds(t, 7000, 6, g, difftest.Options{
+		Machine: &cfg,
+		Wrap:    lowRetryWrap,
+		Record: func(r runstore.Record) {
+			stmCommits += r.Counters["fallback_stm_commits"]
+			fallbacks += r.Counters["fallbacks"]
 		},
-		Jobs: 1,
 	})
-	if !rep.Ok() {
-		t.Fatalf("oracle failures: %v", rep.Failures)
-	}
 	if fallbacks == 0 {
 		t.Fatal("batch never reached the fallback path; the STM oracle sweep is vacuous")
 	}
@@ -172,12 +151,12 @@ func TestFallbackIntraEquivalence(t *testing.T) {
 	}
 }
 
-// TestRandomKnobFuzz mirrors the CI step: a batch of programs each
-// checked under a seed-derived random (fallback, hot-line, backoff) triple,
-// once alone (intra1) and as four concurrent checks in this process
-// (intra4) — the knob space itself is fuzzed (the oracle re-runs and
-// compares internally via the replay; here the point is that no
-// combination crashes or breaks an oracle, alone or side by side).
+// TestRandomKnobFuzz checks a batch of programs, each under a
+// seed-derived random (fallback, hot-line, backoff) triple, once alone
+// (intra1) and as four concurrent checks in this process (intra4) — the
+// knob space itself is fuzzed (the oracle re-runs and compares
+// internally via the replay; here the point is that no combination
+// crashes or breaks an oracle, alone or side by side).
 func TestRandomKnobFuzz(t *testing.T) {
 	fallbacks := []string{"lock", "stm", "stm:locks=32", "elide", "elide:budget=1,refill=2"}
 	// Hot-line thresholds, each under the cm= label its subtests have

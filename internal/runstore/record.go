@@ -12,9 +12,11 @@
 // into an in-memory index; a torn tail record (the only corruption a
 // crash mid-append can produce) is detected and truncated away, so the
 // store always reopens cleanly with every fully-written run intact.
-// Only one Open writer may append to a directory at a time. Read
-// replays the same way but never writes: it leaves a torn tail on disk,
-// since a writer may be mid-append.
+// Only one Open writer may append to a directory at a time: Open locks
+// the directory's LOCK file and a second Open fails until the first
+// Store is closed. Read takes no lock and replays the same way but never
+// writes: it leaves a torn tail on disk, since a writer may be
+// mid-append.
 package runstore
 
 import (

@@ -20,6 +20,7 @@ type Store struct {
 
 	mu     sync.Mutex
 	seg    *os.File // the segment appends go to (nil once closed)
+	lock   *os.File // the held LOCK file of an Open store (nil once closed)
 	nextID uint64
 	recs   []Record // insertion == ID order
 	closed bool
@@ -35,22 +36,36 @@ type Store struct {
 // segment into the in-memory index. A torn final record — the only
 // corruption a crash mid-append can leave behind — is truncated away;
 // corruption anywhere else is reported as an error. Appends go to the
-// newest segment, or to seg-000001.jsonl in an empty directory. One
-// writer at a time: two Stores opened on one directory both number
-// their records from the same next ID.
+// newest segment, or to seg-000001.jsonl in an empty directory.
+//
+// One writer at a time: Open holds an exclusive lock on the directory's
+// LOCK file until Close, taken before the replay (which may truncate),
+// and fails while another Store holds it, so two writers never hand out
+// the same IDs.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
+	lock, err := os.OpenFile(filepath.Join(dir, "LOCK"), os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("runstore: %w", err)
+	}
+	if err := flock(lock); err != nil {
+		lock.Close()
+		return nil, fmt.Errorf("runstore: %s is open for writing by another store: %w", dir, err)
+	}
 	s, err := load(dir, true)
 	if err != nil {
+		lock.Close()
 		return nil, err
 	}
+	s.lock = lock
 	path := filepath.Join(dir, "seg-000001.jsonl")
 	if len(s.segs) > 0 {
 		path = s.segs[len(s.segs)-1]
 	}
 	if s.seg, err = os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644); err != nil {
+		lock.Close()
 		return nil, fmt.Errorf("runstore: %w", err)
 	}
 	return s, nil
@@ -201,8 +216,8 @@ func (s *Store) Append(r Record) (uint64, error) {
 	return r.ID, nil
 }
 
-// Close closes the segment. Further Appends fail; queries keep working
-// from the in-memory index.
+// Close closes the segment and releases the directory lock. Further
+// Appends fail; queries keep working from the in-memory index.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -212,6 +227,8 @@ func (s *Store) Close() error {
 	}
 	err := s.seg.Close()
 	s.seg = nil
+	s.lock.Close() // closing the descriptor drops the lock
+	s.lock = nil
 	if err != nil {
 		return fmt.Errorf("runstore: %w", err)
 	}

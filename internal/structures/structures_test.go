@@ -356,15 +356,22 @@ func lineImage(m *mem.Memory) map[mem.Addr]mem.Line {
 
 // Build must leave the memory image of n Inserts in key order: the same
 // words on every line, the same written lines and the same Touched
-// count, also when priorities tie.
+// count, also when priorities tie. Under -race the largest case is
+// 1,024 nodes: the equal-priority stream builds a right chain, whose
+// inserts are quadratic in n, and the race detector instruments every
+// step (8,192 nodes take ~30 s there).
 func TestTreapBuildMatchesInserts(t *testing.T) {
+	big := 8192
+	if raceEnabled {
+		big = 1024
+	}
 	streams := map[string]func(r *sim.Rand) uint64{
 		"random":      func(r *sim.Rand) uint64 { return r.Uint64() },
 		"all-equal":   func(*sim.Rand) uint64 { return 7 },
 		"small-range": func(r *sim.Rand) uint64 { return r.Uint64n(3) },
 	}
 	for name, prio := range streams {
-		for _, n := range []int{0, 1, 2, 3, 17, 8192} {
+		for _, n := range []int{0, 1, 2, 3, 17, big} {
 			key := func(i int) uint64 { return uint64(2*i + 1) }
 			ins, insAl := testMem()
 			tr := NewTreap(insAl)
