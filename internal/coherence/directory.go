@@ -118,10 +118,10 @@ type Directory struct {
 	lines  map[mem.Addr]*dirLine
 	stats  Stats
 
-	// Free lists for the pooled flow/message objects below. Every
-	// request hop used to capture its state in a fresh closure; the
-	// pools plus sim.Runner dispatch make the whole request path
-	// allocation-free in steady state.
+	// Free lists for the pooled flow/message objects below. Each object
+	// embeds the event it is delivered by, bound once when it is built,
+	// so the whole request path is allocation-free in steady state and
+	// schedules without the engine's free list.
 	freeMsgs []*dirMsg
 	freeFwds []*fwdFlow
 	freeInvC []*invCollect
@@ -203,8 +203,11 @@ const (
 
 // dirMsg is the one pooled event payload for directory flows that need
 // no per-flow identity; op selects the behavior, the other fields are a
-// union over the ops.
+// union over the ops. A message is pending at most once: Run returns it
+// to the pool before acting, so it may be taken and posted again inside
+// its own Run.
 type dirMsg struct {
+	ev   sim.Event
 	d    *Directory
 	op   uint8
 	isX  bool
@@ -223,7 +226,9 @@ func (d *Directory) newMsg() *dirMsg {
 		d.freeMsgs = d.freeMsgs[:n-1]
 		return m
 	}
-	return &dirMsg{d: d}
+	m := &dirMsg{d: d}
+	m.ev.Bind(m)
+	return m
 }
 
 func (d *Directory) freeMsg(m *dirMsg) {
@@ -241,9 +246,9 @@ func (d *Directory) sendResp(data bool, h RespHandler, r Resp) {
 	m.h = h
 	m.resp = r
 	if data {
-		d.net.SendDataMsg(m)
+		d.net.PostData(&m.ev)
 	} else {
-		d.net.SendControlMsg(m)
+		d.net.PostControl(&m.ev)
 	}
 }
 
@@ -278,7 +283,7 @@ func (m *dirMsg) Run() {
 		f.isX = m.isX
 		f.phase = fwdDeliver
 		d.freeMsg(m)
-		d.net.SendControlMsg(f)
+		d.net.PostControl(&f.ev)
 	case mCollect:
 		line, l, req, h := m.line, m.l, m.req, m.h
 		d.freeMsg(m)
@@ -299,6 +304,7 @@ func (m *dirMsg) Run() {
 // replies ship the flow itself back to the directory and do their
 // bookkeeping on arrival, one control hop later.
 type fwdFlow struct {
+	ev    sim.Event
 	d     *Directory
 	line  mem.Addr
 	l     *dirLine
@@ -326,7 +332,9 @@ func (d *Directory) newFwd() *fwdFlow {
 		d.freeFwds = d.freeFwds[:n-1]
 		return f
 	}
-	return &fwdFlow{d: d}
+	f := &fwdFlow{d: d}
+	f.ev.Bind(f)
+	return f
 }
 
 func (d *Directory) freeFwd(f *fwdFlow) {
@@ -348,26 +356,26 @@ func (f *fwdFlow) ReplyData(data mem.Line) {
 		f.phase = fwdMemS
 	}
 	f.data = data
-	d.net.SendDataMsg(f)
+	d.net.PostData(&f.ev)
 }
 
 func (f *fwdFlow) ReplyNoData() {
 	f.phase = fwdNoData
-	f.d.net.SendControlMsg(f)
+	f.d.net.PostControl(&f.ev)
 }
 
 func (f *fwdFlow) ReplySpec(data mem.Line, pic PiC) {
 	d := f.d
 	d.sendResp(true, f.h, Resp{Kind: RespSpec, Data: data, PiC: pic})
 	f.phase = fwdCancelSpec // cancel at directory
-	d.net.SendControlMsg(f)
+	d.net.PostControl(&f.ev)
 }
 
 func (f *fwdFlow) ReplyNack() {
 	d := f.d
 	d.sendResp(false, f.h, Resp{Kind: RespNack})
 	f.phase = fwdCancelNack
-	d.net.SendControlMsg(f)
+	d.net.PostControl(&f.ev)
 }
 
 func (f *fwdFlow) Run() {
@@ -462,6 +470,7 @@ func (c *invCollect) done() {
 // route the ack; all bookkeeping (and the object's recycling) happens
 // directory-side in Run.
 type invTarget struct {
+	ev     sim.Event
 	c      *invCollect
 	target int
 	phase  uint8 // invDeliver | invAck
@@ -483,13 +492,15 @@ func (d *Directory) newInvT(c *invCollect, target int) *invTarget {
 		t.phase = invDeliver
 		return t
 	}
-	return &invTarget{c: c, target: target, phase: invDeliver}
+	t := &invTarget{c: c, target: target, phase: invDeliver}
+	t.ev.Bind(t)
+	return t
 }
 
 // ack routes the reply back to the directory.
 func (t *invTarget) ack() {
 	t.phase = invAck
-	t.c.d.net.SendControlMsg(t)
+	t.c.d.net.PostControl(&t.ev)
 }
 
 func (t *invTarget) ReplyData(mem.Line) { // invalidated (clean sharer)
@@ -551,7 +562,7 @@ func (d *Directory) startNext(l *dirLine) {
 		m.line = next.line
 		m.req = next.req
 		m.h = next.resp
-		d.eng.ScheduleRunner(0, m)
+		d.eng.Post(0, &m.ev)
 	}
 }
 
@@ -568,7 +579,7 @@ func (d *Directory) SendUnblock(line mem.Addr) {
 	m := d.newMsg()
 	m.op = mUnblockLine
 	m.line = line
-	d.net.SendControlMsg(m)
+	d.net.PostControl(&m.ev)
 }
 
 // shouldForceNack consults the fault seam.
@@ -636,7 +647,7 @@ func (d *Directory) request(isX bool, lineAddr mem.Addr, req ReqInfo, resp RespH
 	default:
 		m.op = mGrantShared
 	}
-	d.eng.ScheduleRunner(lat, m)
+	d.eng.Post(lat, &m.ev)
 }
 
 // grantExcl serves line from memory and makes core id its exclusive
@@ -673,7 +684,7 @@ func (d *Directory) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp
 	for wi, w := range targets {
 		for ; w != 0; w &= w - 1 {
 			d.stats.Invs++
-			d.net.SendControlMsg(d.newInvT(c, wi<<6+bits.TrailingZeros64(w)))
+			d.net.PostControl(&d.newInvT(c, wi<<6+bits.TrailingZeros64(w)).ev)
 		}
 	}
 }

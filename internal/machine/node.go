@@ -21,6 +21,7 @@ type accessDone interface{ onAccessDone(v uint64, aborted bool) }
 // pendingWB is a writeback in flight; a probe served from it cancels the
 // in-flight message. It is its own delivery event payload.
 type pendingWB struct {
+	ev        sim.Event
 	n         *Node
 	tag       mem.Addr
 	data      mem.Line
@@ -66,11 +67,12 @@ type Node struct {
 	// thread is the core's thread; BeginTx and Commit reply to it.
 	thread *tctx
 
-	// Reusable event payloads. A thread stays suspended until its op
-	// completes, so at most one demand access and one begin is in flight
-	// per core, and valInFlight/valTimer guard the validation pair, so a
-	// single embedded instance of each replaces the per-stage closures
-	// the hot path used to allocate.
+	// Reusable event payloads, each with its own embedded event. A thread
+	// stays suspended until its op completes, so at most one demand
+	// access and one begin is in flight per core, and valInFlight and
+	// the timer's pending event guard the validation pair, so a single
+	// instance of each carries its whole flow without allocating; Post
+	// panics if one were ever scheduled twice.
 	acc     access
 	beg     beginOp
 	val     valOp
@@ -82,7 +84,6 @@ type Node struct {
 	pendingStore    mem.Addr
 	hasPendingStore bool
 
-	valTimer    *sim.Event
 	valInFlight bool
 
 	// validatedThisTx counts VSB entries validated by the current
@@ -115,9 +116,13 @@ func newNode(id int, m *Machine, policy htm.Policy) *Node {
 	}
 	n.tx.L1 = n.l1
 	n.acc.n = n
+	n.acc.ev.Bind(&n.acc)
 	n.beg.n = n
+	n.beg.ev.Bind(&n.beg)
 	n.val.n = n
+	n.val.ev.Bind(&n.val)
 	n.valTick.n = n
+	n.valTick.ev.Bind(&n.valTick)
 	return n
 }
 
@@ -169,7 +174,7 @@ func (n *Node) handleVictim(v cache.Victim) {
 		n.wbPending[v.Tag] = wb
 		// While the message is in flight, a probe served from wbPending or
 		// a reinstall can cancel it; the delivery observes the flag.
-		n.m.net.SendDataMsg(wb)
+		n.m.net.PostData(&wb.ev)
 	}
 	// Clean lines (E, M-clean, S) drop silently; the directory tolerates
 	// it because the memory image holds their committed value.
@@ -185,7 +190,9 @@ func (n *Node) allocWB() *pendingWB {
 		wb.cancelled = false
 		return wb
 	}
-	return &pendingWB{n: n}
+	wb := &pendingWB{n: n}
+	wb.ev.Bind(wb)
+	return wb
 }
 
 // freeWB recycles an entry whose delivery message has run.
@@ -237,6 +244,7 @@ const (
 // and a single embedded instance carries the whole chain with zero
 // allocations.
 type access struct {
+	ev        sim.Event
 	n         *Node
 	kind      uint8
 	stage     uint8
@@ -286,7 +294,7 @@ func (n *Node) demand(kind uint8, a mem.Addr, old, v uint64, inTx bool, done acc
 	c.nackTries = 0
 	c.vsbTries = 0
 	c.done = done
-	n.eng.ScheduleRunner(n.m.cfg.L1Latency, c)
+	n.eng.Post(n.m.cfg.L1Latency, &c.ev)
 }
 
 // Run advances the access to its next stage.
@@ -298,7 +306,7 @@ func (c *access) Run() {
 	case stIssue:
 		c.stage = stReq
 		c.ri = n.reqInfo(c.inTx, false)
-		n.m.net.SendControlMsg(c)
+		n.m.net.PostControl(&c.ev)
 	case stReq:
 		if c.kind == accLoad {
 			n.m.dir.GetS(c.a.Line(), c.ri, c)
@@ -309,7 +317,7 @@ func (c *access) Run() {
 		// The writeback landed at the directory; ack back to the core.
 		c.stage = stWBAck
 		n.m.dir.WriteBackData(c.a.Line(), c.wbData)
-		n.m.net.SendControlMsg(c)
+		n.m.net.PostControl(&c.ev)
 	case stWBAck:
 		if cur := n.l1.Peek(c.a.Line()); cur != nil {
 			cur.Dirty = false
@@ -382,7 +390,7 @@ func (c *access) complete(e *cache.Entry) bool {
 			// the writeback lands and is acked.
 			c.wbData = e.Data
 			c.stage = stWBData
-			n.m.net.SendDataMsg(c)
+			n.m.net.PostData(&c.ev)
 			return true
 		case c.inTx:
 			n.l1.MarkSM(e)
@@ -456,7 +464,7 @@ func (c *access) HandleResp(resp coherence.Resp) {
 		case specRetry:
 			c.vsbTries++
 			c.stage = stVSBRetry
-			n.eng.ScheduleRunner(n.m.cfg.VSBRetryDelay, c)
+			n.eng.Post(n.m.cfg.VSBRetryDelay, &c.ev)
 		case specOK:
 			if !c.complete(e) {
 				n.fail("the forwarded line lacks the access's permission", line)
@@ -482,7 +490,7 @@ func (c *access) HandleResp(resp coherence.Resp) {
 		n.m.emitNackRetry(n.id, line)
 		c.nackTries++
 		c.stage = stNackRetry
-		n.eng.ScheduleRunner(n.m.cfg.NackRetryDelay, c)
+		n.eng.Post(n.m.cfg.NackRetryDelay, &c.ev)
 	}
 }
 
@@ -490,7 +498,7 @@ func (c *access) HandleResp(resp coherence.Resp) {
 // directory over the interconnect.
 func (c *access) issueL2() {
 	c.stage = stIssue
-	c.n.eng.ScheduleRunner(c.n.m.cfg.L2Latency, c)
+	c.n.eng.Post(c.n.m.cfg.L2Latency, &c.ev)
 }
 
 // specOutcome is consumeSpec's verdict on a demand-path SpecResp.

@@ -7,6 +7,7 @@ import (
 	"chats/internal/coherence"
 	"chats/internal/htm"
 	"chats/internal/mem"
+	"chats/internal/sim"
 )
 
 // HandleProbe processes a directory probe: normal coherence service when
@@ -155,6 +156,7 @@ func (n *Node) abortTx(cause htm.AbortCause) {
 // transactional lock read (with randomized backoff while the lock is
 // held) and the eager transactional lock subscription.
 type beginOp struct {
+	ev      sim.Event
 	n       *Node
 	attempt int
 	power   bool
@@ -178,7 +180,7 @@ func (b *beginOp) onAccessDone(v uint64, aborted bool) {
 	switch b.phase {
 	case bpLockFree:
 		if v != 0 {
-			n.eng.ScheduleRunner(n.m.cfg.BackoffBase+n.rng.Uint64n(n.m.cfg.BackoffBase), b)
+			n.eng.Post(n.m.cfg.BackoffBase+n.rng.Uint64n(n.m.cfg.BackoffBase), &b.ev)
 			return
 		}
 		n.tx.Begin(b.attempt, n.policy.Traits().NaiveBudget)
@@ -213,7 +215,7 @@ func (n *Node) BeginTx(attempt int, power bool) {
 	b := &n.beg
 	b.attempt = attempt
 	b.power = power
-	n.eng.ScheduleRunner(n.m.cfg.BeginLatency, b)
+	n.eng.Post(n.m.cfg.BeginLatency, &b.ev)
 }
 
 // Commit attempts to commit: the VSB must drain first (validation of all
@@ -297,19 +299,21 @@ func (n *Node) openFallbackClock() {
 
 // ---------- VSB validation controller (Section IV-B) ----------
 
-// valTimerOp is the periodic validation timer's payload.
-type valTimerOp struct{ n *Node }
-
-// Run fires the timer: clear the handle and issue the validation.
-func (v *valTimerOp) Run() {
-	v.n.valTimer = nil
-	v.n.issueValidation()
+// valTimerOp is the periodic validation timer's payload; its event is
+// pending exactly while the timer is armed.
+type valTimerOp struct {
+	ev sim.Event
+	n  *Node
 }
+
+// Run fires the timer: issue the validation.
+func (v *valTimerOp) Run() { v.n.issueValidation() }
 
 // valOp is one in-flight validation request: the network hop carrying
 // the re-issued GetX, and the response handler. valInFlight guarantees a
 // single instance suffices.
 type valOp struct {
+	ev    sim.Event
 	n     *Node
 	ent   htm.VSBEntry
 	epoch uint64
@@ -326,24 +330,19 @@ func (v *valOp) HandleResp(resp coherence.Resp) {
 	v.n.onValidationResp(v.ent, v.epoch, resp)
 }
 
-func (n *Node) stopValidationTimer() {
-	if n.valTimer != nil {
-		n.eng.Cancel(n.valTimer)
-		n.valTimer = nil
-	}
-}
+func (n *Node) stopValidationTimer() { n.eng.Cancel(&n.valTick.ev) }
 
 // armValidationTimer schedules the next periodic validation if the VSB
 // holds unvalidated data.
 func (n *Node) armValidationTimer() {
-	if n.valTimer != nil || n.valInFlight || !n.tx.InTx() || n.tx.VSB.Empty() {
+	if n.valTick.ev.Pending() || n.valInFlight || !n.tx.InTx() || n.tx.VSB.Empty() {
 		return
 	}
 	interval := n.policy.Traits().ValidationInterval
 	if interval == 0 || n.tx.Status == htm.Committing {
 		interval = 1 // back-to-back validation
 	}
-	n.valTimer = n.eng.ScheduleRunner(interval, &n.valTick)
+	n.eng.Post(interval, &n.valTick.ev)
 }
 
 // kickValidation validates immediately (commit is waiting).
@@ -369,7 +368,7 @@ func (n *Node) issueValidation() {
 	n.val.ri = n.reqInfo(true, true)
 	n.valInFlight = true
 	n.stats.Validations++
-	n.m.net.SendControlMsg(&n.val)
+	n.m.net.PostControl(&n.val.ev)
 }
 
 // validationCheck is the policy's ValidationCheck for line; an abort

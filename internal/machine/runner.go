@@ -158,6 +158,7 @@ type opReply struct {
 // power handoff) and the node's commit outcome. One per thread: a
 // thread has at most one op in flight.
 type tctxTimer struct {
+	ev  sim.Event
 	t   *tctx
 	rep opReply
 }
@@ -176,10 +177,19 @@ func (tt *tctxTimer) Run() {
 	t.finish(rep)
 }
 
+// tctxStart is the payload of the thread's first resume, at cycle 0.
+type tctxStart struct {
+	ev sim.Event
+	t  *tctx
+}
+
+// Run starts the thread: it runs to its first op.
+func (s *tctxStart) Run() { s.t.r.pump(s.t) }
+
 // reply delivers rep to the thread delay cycles from now.
 func (t *tctx) reply(delay uint64, rep opReply) {
 	t.timer.rep = rep
-	t.node.eng.ScheduleRunner(delay, &t.timer)
+	t.node.eng.Post(delay, &t.timer.ev)
 }
 
 // postCap bounds the ops a thread posts between two yields; each slot
@@ -231,6 +241,7 @@ type tctx struct {
 	req   opReq // the op in flight
 	qi    int   // index in posted of the op in flight; nposted once it is then
 	then  opReq // the op the thread yielded, issued after its posted ops
+	start tctxStart
 	timer tctxTimer
 	acq   spinAcquire
 	walk  chainWalk
@@ -302,6 +313,7 @@ func (t *tctx) onAccessDone(v uint64, aborted bool) {
 // the ones a thread-side test-and-test-and-set loop makes, so every
 // event keeps the (cycle, seq) the golden statistics pin.
 type spinAcquire struct {
+	ev   sim.Event
 	t    *tctx
 	addr mem.Addr
 	span uint64
@@ -340,7 +352,7 @@ func (s *spinAcquire) onAccessDone(v uint64, _ bool) {
 }
 
 func (s *spinAcquire) wait() {
-	s.t.node.eng.ScheduleRunner(s.span+s.t.rng.Uint64n(s.span), s)
+	s.t.node.eng.Post(s.span+s.t.rng.Uint64n(s.span), &s.ev)
 }
 
 // chainWalk is the opWalk payload: a chain of loads whose next address
@@ -395,13 +407,16 @@ func (c *chainWalk) step(v uint64) (next mem.Addr, more, ok bool) {
 	return next, more, true
 }
 
-// wdTick is the livelock watchdog's event payload.
-type wdTick struct{ r *runner }
+// wdTick is the livelock watchdog's event payload; its event is pending
+// while the watchdog is armed.
+type wdTick struct {
+	ev sim.Event
+	r  *runner
+}
 
 // Run checks for progress since the last tick.
 func (w *wdTick) Run() {
 	r := w.r
-	r.wd = nil
 	if r.active == 0 {
 		return
 	}
@@ -419,11 +434,10 @@ type runner struct {
 	threads []*tctx
 	active  int // threads not yet finished
 
-	// Livelock watchdog (armed when cfg.WatchdogCycles > 0): wd is the
-	// pending tick event, wdLast the Commits+Fallbacks count at the last
+	// Livelock watchdog (armed when cfg.WatchdogCycles > 0): tick is the
+	// progress check, wdLast the Commits+Fallbacks count at the last
 	// tick. A tick observing no progress since the previous one halts the
 	// run with a diagnostic dump.
-	wd     *sim.Event
 	wdLast uint64
 	tick   wdTick
 }
@@ -431,12 +445,13 @@ type runner struct {
 func newRunner(m *Machine) *runner {
 	r := &runner{m: m}
 	r.tick.r = r
+	r.tick.ev.Bind(&r.tick)
 	return r
 }
 
 // armWatchdog schedules the next progress check.
 func (r *runner) armWatchdog() {
-	r.wd = r.m.eng.ScheduleRunner(r.m.cfg.WatchdogCycles, &r.tick)
+	r.m.eng.Post(r.m.cfg.WatchdogCycles, &r.tick.ev)
 }
 
 func (r *runner) run(w Workload) error {
@@ -449,9 +464,13 @@ func (r *runner) run(w Workload) error {
 			tid:  i,
 			rng:  sim.NewRand(r.m.cfg.Seed*7919 + uint64(i) + 101),
 		}
+		t.start.t = t
+		t.start.ev.Bind(&t.start)
 		t.timer.t = t
+		t.timer.ev.Bind(&t.timer)
 		t.node.thread = t
 		t.acq.t = t
+		t.acq.ev.Bind(&t.acq)
 		t.walk.t = t
 		if r.m.cfg.Fallback.Kind == FallbackElide {
 			t.elide = r.m.cfg.Fallback.elideBudget()
@@ -471,8 +490,7 @@ func (r *runner) run(w Workload) error {
 	}()
 	r.active = len(r.threads)
 	for _, t := range r.threads {
-		t := t
-		r.m.eng.Schedule(0, func() { r.pump(t) })
+		r.m.eng.Post(0, &t.start.ev)
 	}
 	if r.m.cfg.WatchdogCycles > 0 {
 		r.wdLast = r.m.progress()
@@ -523,11 +541,10 @@ func (r *runner) pump(t *tctx) {
 			r.m.eng.Halt(t.panicked)
 		}
 		r.active--
-		if r.active == 0 && r.wd != nil {
+		if r.active == 0 {
 			// Keeping the tick pending would hold the event queue open and
 			// inflate the Cycles stat past the last real event.
-			r.m.eng.Cancel(r.wd)
-			r.wd = nil
+			r.m.eng.Cancel(&r.tick.ev)
 		}
 		return
 	}

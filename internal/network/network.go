@@ -58,9 +58,8 @@ func (n *Network) SendControl(deliver func()) { n.SendControlMsg(sim.Func(delive
 // data responses, SpecResp, writebacks).
 func (n *Network) SendData(deliver func()) { n.SendDataMsg(sim.Func(deliver)) }
 
-// SendControlMsg is SendControl with a typed payload: the hot paths use
-// pooled message structs instead of per-hop closures so sending does not
-// allocate.
+// SendControlMsg is SendControl with a typed payload, wrapped in an
+// event from the engine's free list.
 func (n *Network) SendControlMsg(r sim.Runner) {
 	n.eng.ScheduleRunner(n.delay(ControlFlits), r)
 	n.Stats.ControlMsgs++
@@ -69,6 +68,20 @@ func (n *Network) SendControlMsg(r sim.Runner) {
 // SendDataMsg is SendData with a typed payload.
 func (n *Network) SendDataMsg(r sim.Runner) {
 	n.eng.ScheduleRunner(n.delay(DataFlits), r)
+	n.Stats.DataMsgs++
+}
+
+// PostControl sends a 1-flit message whose delivery is the embedded
+// event ev (see sim.Engine.Post): the hot paths' payloads carry their
+// own event, so sending neither allocates nor touches a free list.
+func (n *Network) PostControl(ev *sim.Event) {
+	n.eng.Post(n.delay(ControlFlits), ev)
+	n.Stats.ControlMsgs++
+}
+
+// PostData is PostControl for a 5-flit message.
+func (n *Network) PostData(ev *sim.Event) {
+	n.eng.Post(n.delay(DataFlits), ev)
 	n.Stats.DataMsgs++
 }
 

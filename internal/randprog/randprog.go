@@ -262,29 +262,39 @@ func (p *Program) InitState() *State {
 	return st
 }
 
+// blockIndex lists each core's atomic blocks, by core and block index,
+// so a replay looks every block up in O(1) instead of scanning the
+// core's sequence for it.
+type blockIndex [][][]Op
+
+func (p *Program) blockIndex() blockIndex {
+	bi := make(blockIndex, len(p.Seq))
+	for c, seq := range p.Seq {
+		for _, a := range seq {
+			if a.Kind == ActBlock {
+				bi[c] = append(bi[c], a.Ops)
+			}
+		}
+	}
+	return bi
+}
+
 // block returns the ops of block (core, idx).
-func (p *Program) block(ref BlockRef) ([]Op, error) {
-	if ref.Core < 0 || ref.Core >= p.Cores {
-		return nil, fmt.Errorf("randprog: replay references core %d of %d", ref.Core, p.Cores)
+func (bi blockIndex) block(ref BlockRef) ([]Op, error) {
+	if ref.Core < 0 || ref.Core >= len(bi) {
+		return nil, fmt.Errorf("randprog: replay references core %d of %d", ref.Core, len(bi))
 	}
-	idx := 0
-	for _, a := range p.Seq[ref.Core] {
-		if a.Kind != ActBlock {
-			continue
-		}
-		if idx == ref.Index {
-			return a.Ops, nil
-		}
-		idx++
+	if blocks := bi[ref.Core]; ref.Index >= 0 && ref.Index < len(blocks) {
+		return blocks[ref.Index], nil
 	}
-	return nil, fmt.Errorf("randprog: replay references block %d of core %d (has %d)", ref.Index, ref.Core, idx)
+	return nil, fmt.Errorf("randprog: replay references block %d of core %d (has %d)", ref.Index, ref.Core, len(bi[ref.Core]))
 }
 
 // applyBlock runs one atomic block against st, mirroring the machine
 // workload's Atomic body exactly (same accumulator seed, same mixing,
 // uint64 wraparound).
-func (p *Program) applyBlock(st *State, ref BlockRef) error {
-	ops, err := p.block(ref)
+func applyBlock(st *State, bi blockIndex, ref BlockRef) error {
+	ops, err := bi.block(ref)
 	if err != nil {
 		return err
 	}
@@ -321,8 +331,9 @@ func (p *Program) Replay(order []BlockRef) (*State, error) {
 		return nil, fmt.Errorf("randprog: replay order has %d blocks, program has %d", len(order), want)
 	}
 	st := p.InitState()
+	bi := p.blockIndex()
 	for _, ref := range order {
-		if err := p.applyBlock(st, ref); err != nil {
+		if err := applyBlock(st, bi, ref); err != nil {
 			return nil, err
 		}
 	}
@@ -341,7 +352,7 @@ func (p *Program) Replay(order []BlockRef) (*State, error) {
 func (p *Program) SerialOrder() []BlockRef {
 	var order []BlockRef
 	for c := 0; c < p.Cores; c++ {
-		for i := 0; i < p.NumBlocks(c); i++ {
+		for i, n := 0, p.NumBlocks(c); i < n; i++ {
 			order = append(order, BlockRef{Core: c, Index: i})
 		}
 	}

@@ -15,6 +15,23 @@
 // (cycle, seq) order. The observable firing order is exactly the
 // (cycle, seq) order of the old pure-heap engine, so runs stay
 // bit-identical.
+//
+// Events come in two lifetimes. An embedded event is a field of the
+// payload it fires: the payload binds it once, when it is built
+// (Event.Bind), and schedules it with Post for as long as it lives. The
+// holder owns it, so its pointer never goes stale, but it can be
+// pending only once at a time: Post of a pending event panics. That is
+// the rule the simulator's payloads live by anyway (one access, one
+// timer and one begin in flight per core; one pooled message per hop).
+// A wrapped event comes from Schedule or ScheduleRunner, which take an
+// Event from the engine's free list and wrap the payload in it; its
+// handle is valid only until it fires or is cancelled.
+//
+// Run drains the wheel one cycle at a time: it advances the clock to the
+// next occupied bucket, migrates far events and checks the cycle limit
+// once, then fires the bucket's events in one loop, checking for a Halt
+// before each. A delay-0 event scheduled while the bucket drains joins
+// its tail and fires in the same loop, after the events already queued.
 package sim
 
 import (
@@ -24,10 +41,10 @@ import (
 )
 
 // Runner is a typed event payload: Run is invoked when the event fires.
-// Hot paths implement Runner on pooled per-layer message structs and use
-// ScheduleRunner, so scheduling a latency hop allocates nothing — unlike
-// a func() payload, which captures its state in a fresh closure per
-// call.
+// Hot paths implement Runner on pooled or per-core payload structs that
+// embed their own Event, so scheduling a latency hop allocates nothing,
+// unlike a func() payload, which captures its state in a fresh closure
+// per call.
 type Runner interface{ Run() }
 
 // Func adapts a plain function to Runner. A func value is pointer-sized,
@@ -62,25 +79,51 @@ const maxFreeEvents = 4096
 
 // Event is a callback scheduled to run at a specific cycle.
 //
-// The pointer returned by Schedule stays valid until the event fires or
-// is cancelled; after that the engine may recycle the object for a later
-// Schedule call, so holders must drop the pointer once it fires (the
-// machine's validation timer clears its handle inside the callback for
-// exactly this reason).
+// An embedded Event is a field of the payload it fires, bound to it
+// once by Bind and scheduled by Post. It belongs to its holder: the
+// engine never recycles it, a fired or cancelled one may be posted
+// again, and a pending one may not (Post panics, naming the cycle).
+//
+// The Event returned by Schedule or ScheduleRunner wraps its payload and
+// belongs to the engine: the handle stays valid until the event fires
+// or is cancelled; after that the engine may recycle the object for a
+// later Schedule call, so holders must drop the pointer once it fires.
 type Event struct {
 	cycle uint64
-	seq   uint64 // global insertion sequence
-	run   Runner
-	// next/prev link the event into its timing-wheel bucket (nil while
-	// in the far heap).
+	// seq orders same-cycle events in the far heap by insertion. Wheel
+	// events need none: a bucket is a FIFO, and a cycle's far events
+	// migrate into it before any event can be posted to it directly.
+	seq uint64
+	run Runner
+	// next/prev link the event into its timing-wheel bucket (unused in
+	// the far heap).
 	next, prev *Event
 	// index: far-heap position while overflowed, idxWheel while parked
-	// in a bucket, idxFired once popped, idxCancelled once cancelled.
-	index int
+	// in a bucket, idxFired once popped (or bound and not yet posted),
+	// idxCancelled once cancelled. An int32, so that it and wrapped
+	// share a word.
+	index int32
+	// wrapped marks an Event from the free list, returned to it once it
+	// fires or is cancelled.
+	wrapped bool
+}
+
+// Bind makes e an embedded event that fires r. The payload that holds e
+// calls it once, when the payload is built.
+func (e *Event) Bind(r Runner) {
+	if r == nil {
+		panic("sim: Bind called with nil Runner")
+	}
+	e.run = r
+	e.index = idxFired
 }
 
 // Cancelled reports whether the event was removed before firing.
 func (e *Event) Cancelled() bool { return e.index == idxCancelled }
+
+// Pending reports whether the event is scheduled and has not yet fired.
+// An event reports false inside its own Run.
+func (e *Event) Pending() bool { return e.run != nil && e.index >= 0 }
 
 type eventHeap []*Event
 
@@ -93,12 +136,12 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+	h[i].index = int32(i)
+	h[j].index = int32(j)
 }
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.index = len(*h)
+	e.index = int32(len(*h))
 	*h = append(*h, e)
 }
 func (h *eventHeap) Pop() any {
@@ -137,10 +180,10 @@ type Engine struct {
 	// advances.
 	far eventHeap
 
-	// free recycles Event objects popped or cancelled, so the
-	// steady-state schedule/fire cycle allocates nothing (a simulation
-	// schedules one event per latency hop, which dominated the heap
-	// profile before). Capped at maxFreeEvents.
+	// free recycles the wrapped Events that Schedule and ScheduleRunner
+	// hand out, once they fire or are cancelled, so their steady-state
+	// schedule/fire cycle allocates nothing. Embedded events never
+	// enter it. Capped at maxFreeEvents.
 	free []*Event
 
 	// halt, when set by Halt, stops Run before the next event fires. It
@@ -168,6 +211,33 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Pending returns the number of scheduled, not-yet-fired events.
 func (e *Engine) Pending() int { return e.wheelCount + len(e.far) }
 
+// Post schedules the embedded event ev to fire delay cycles from now. A
+// delay of zero fires it after all events already scheduled for the
+// current cycle. ev must be bound (Event.Bind) and must not be pending.
+func (e *Engine) Post(delay uint64, ev *Event) {
+	if ev.index >= 0 || ev.run == nil {
+		e.badPost(ev)
+	}
+	ev.cycle = e.now + delay
+	if delay < wheelSize {
+		e.wheelAdd(ev)
+	} else {
+		ev.seq = e.seq
+		e.seq++
+		heap.Push(&e.far, ev)
+	}
+}
+
+// badPost panics on a Post of an unbound or pending event. A wrapped
+// event reads as one or the other: its handle is pending until it fires
+// or is cancelled, and unbound from then on.
+func (e *Engine) badPost(ev *Event) {
+	if ev.run == nil {
+		panic(fmt.Sprintf("sim: cycle %d: Post of an event not bound with Bind", e.now))
+	}
+	panic(fmt.Sprintf("sim: cycle %d: Post of an event still pending for cycle %d", e.now, ev.cycle))
+}
+
 // Schedule runs fn delay cycles from now. A delay of zero runs fn after
 // all events already scheduled for the current cycle. The returned
 // handle may be passed to Cancel, but is only valid until the event
@@ -180,8 +250,8 @@ func (e *Engine) Schedule(delay uint64, fn func()) *Event {
 }
 
 // ScheduleRunner runs r.Run() delay cycles from now, with the same
-// ordering and handle semantics as Schedule. Unlike a closure payload,
-// r is typically a pooled or embedded struct, so the call allocates
+// ordering and handle semantics as Schedule. It wraps r in an Event from
+// the free list, so with a pooled or embedded r the call allocates
 // nothing.
 func (e *Engine) ScheduleRunner(delay uint64, r Runner) *Event {
 	if r == nil {
@@ -193,17 +263,10 @@ func (e *Engine) ScheduleRunner(delay uint64, r Runner) *Event {
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
 	} else {
-		ev = &Event{}
+		ev = &Event{wrapped: true, index: idxFired}
 	}
-	ev.cycle = e.now + delay
-	ev.seq = e.seq
 	ev.run = r
-	e.seq++
-	if delay < wheelSize {
-		e.wheelAdd(ev)
-	} else {
-		heap.Push(&e.far, ev)
-	}
+	e.Post(delay, ev)
 	return ev
 }
 
@@ -293,24 +356,26 @@ func (e *Engine) scanWheel() uint64 {
 }
 
 // Cancel removes a scheduled event. It is a no-op if the event already
-// fired or was already cancelled.
+// fired, was already cancelled, or was never posted.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil {
+	if ev == nil || ev.run == nil {
 		return
 	}
 	switch {
 	case ev.index == idxWheel:
 		e.wheelRemove(ev)
 	case ev.index >= 0:
-		heap.Remove(&e.far, ev.index)
+		heap.Remove(&e.far, int(ev.index))
 	default:
 		return
 	}
 	ev.index = idxCancelled
-	// Recycle: the object keeps reporting Cancelled() until Schedule
-	// hands it out again.
-	ev.run = nil
-	e.release(ev)
+	if ev.wrapped {
+		// Recycle: the object keeps reporting Cancelled() until Schedule
+		// hands it out again.
+		ev.run = nil
+		e.release(ev)
+	}
 }
 
 func (e *Engine) release(ev *Event) {
@@ -332,6 +397,18 @@ func (e *Engine) Step() bool {
 
 // step fires the earliest event, known to be at cycle c.
 func (e *Engine) step(c uint64) {
+	e.advance(c)
+	i := int(uint(c) & wheelMask)
+	b := &e.buckets[i]
+	if b.head == nil || b.head.cycle != c {
+		e.outOfSync(i)
+	}
+	e.fire(e.pop(b, i))
+}
+
+// advance moves the clock to cycle c, the earliest pending event's, and
+// migrates the far events that come within the wheel's horizon.
+func (e *Engine) advance(c uint64) {
 	if c < e.now {
 		panic(fmt.Sprintf("sim: cycle %d: event scheduled in the past (cycle %d)", e.now, c))
 	}
@@ -339,12 +416,12 @@ func (e *Engine) step(c uint64) {
 		e.now = c
 		e.migrate()
 	}
-	i := int(uint(e.now) & wheelMask)
-	b := &e.buckets[i]
+}
+
+// pop unlinks the head of bucket b, at index i, which the caller knows
+// is a current-cycle event.
+func (e *Engine) pop(b *bucket, i int) *Event {
 	ev := b.head
-	if ev == nil || ev.cycle != e.now {
-		panic(fmt.Sprintf("sim: cycle %d: timing wheel bucket %d out of sync with clock", e.now, i))
-	}
 	b.head = ev.next
 	if b.head == nil {
 		b.tail = nil
@@ -352,13 +429,28 @@ func (e *Engine) step(c uint64) {
 	} else {
 		b.head.prev = nil
 	}
-	ev.next, ev.prev = nil, nil
 	ev.index = idxFired
 	e.wheelCount--
+	return ev
+}
+
+func (e *Engine) outOfSync(i int) {
+	panic(fmt.Sprintf("sim: cycle %d: timing wheel bucket %d out of sync with clock", e.now, i))
+}
+
+// fire runs a popped event. A wrapped event joins the free list only
+// after its callback returns, since the callback may observe its own
+// popped handle (index -1); an embedded one is its holder's, and may
+// already be posted again by then.
+func (e *Engine) fire(ev *Event) {
 	e.fired++
 	ev.run.Run()
-	// The callback may observe its own popped handle (index -1), so the
-	// object joins the free list only after it returns.
+	if ev.wrapped {
+		e.recycle(ev)
+	}
+}
+
+func (e *Engine) recycle(ev *Event) {
 	ev.run = nil
 	e.release(ev)
 }
@@ -367,25 +459,38 @@ func (e *Engine) step(c uint64) {
 // A limit of 0 means no limit. It returns the number of events fired and
 // an error if the limit was reached with events still pending (a likely
 // deadlock or livelock in the simulated system).
+//
+// Each cycle is drained in one loop: the clock, the far-heap migration
+// and the limit are handled once per cycle, and a Halt is honored
+// before every event.
 func (e *Engine) Run(limit uint64) (uint64, error) {
 	start := e.fired
-	for {
+	for e.halt == nil {
 		c, ok := e.nextCycle()
 		if !ok {
 			break
-		}
-		if e.halt != nil {
-			err := e.halt
-			e.halt = nil
-			return e.fired - start, err
 		}
 		if limit != 0 && c > limit {
 			return e.fired - start, fmt.Errorf("sim: cycle limit %d reached with %d events pending at cycle %d",
 				limit, e.Pending(), c)
 		}
-		e.step(c)
+		e.advance(c)
+		i := int(uint(c) & wheelMask)
+		b := &e.buckets[i]
+		for b.head != nil && e.halt == nil {
+			if b.head.cycle != c {
+				e.outOfSync(i)
+			}
+			// fire, inlined: the call alone cost scale256 ~5%.
+			ev := e.pop(b, i)
+			e.fired++
+			ev.run.Run()
+			if ev.wrapped {
+				e.recycle(ev)
+			}
+		}
 	}
-	// The last event may itself have requested the halt.
+	// A Halt stops the drain; the last event may itself have requested it.
 	if e.halt != nil {
 		err := e.halt
 		e.halt = nil

@@ -87,9 +87,39 @@ func BenchmarkScheduleFireRunnerDeep(b *testing.B) {
 	}
 }
 
+// postBenchRunner is a typed payload with its own embedded event, like
+// the simulator's per-core and pooled payloads.
+type postBenchRunner struct {
+	ev Event
+	n  uint64
+}
+
+func (r *postBenchRunner) Run() { r.n++ }
+
+func newPostBenchRunner() *postBenchRunner {
+	r := &postBenchRunner{}
+	r.ev.Bind(r)
+	return r
+}
+
+// BenchmarkPostFire is BenchmarkScheduleFireRunner for an embedded
+// event: Post plus fire, with no free list involved. 0 allocs/op.
+func BenchmarkPostFire(b *testing.B) {
+	var e Engine
+	r := newPostBenchRunner()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Post(1, &r.ev)
+		e.Step()
+	}
+}
+
 // TestSerialSchedZeroAllocs hard-pins the serial schedule/fire hot path
-// the benchmarks above report: Engine.ScheduleRunner plus Step must
-// allocate nothing, or every simulated latency hop pays for it.
+// the benchmarks above report: Engine.ScheduleRunner plus Step, and Post
+// of an embedded event plus its firing, through the near wheel and
+// through the far heap, must allocate nothing, or every simulated
+// latency hop pays for it.
 func TestSerialSchedZeroAllocs(t *testing.T) {
 	var e Engine
 	r := &benchRunner{}
@@ -98,6 +128,20 @@ func TestSerialSchedZeroAllocs(t *testing.T) {
 		e.Step()
 	}); avg != 0 {
 		t.Errorf("ScheduleRunner+Step allocates %.2f per op, want 0", avg)
+	}
+	p := newPostBenchRunner()
+	for _, delay := range []uint64{1, wheelSize + 1} {
+		// The far heap's backing array grows on first use.
+		e.Post(delay, &p.ev)
+		e.Step()
+		if avg := testing.AllocsPerRun(1000, func() {
+			e.Post(delay, &p.ev)
+			if _, err := e.Run(0); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("Post(%d)+Run allocates %.2f per op, want 0", delay, avg)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -329,5 +330,143 @@ func TestSerialModeStartsNoGoroutines(t *testing.T) {
 	}
 	if during != before {
 		t.Errorf("goroutines during Run = %d, before = %d", during, before)
+	}
+}
+
+// postRunner is a payload with its own embedded event, the way the
+// simulator's per-core and pooled payloads carry theirs.
+type postRunner struct {
+	ev  Event
+	out *[]int
+	id  int
+}
+
+func newPostRunner(out *[]int, id int) *postRunner {
+	p := &postRunner{out: out, id: id}
+	p.ev.Bind(p)
+	return p
+}
+
+func (p *postRunner) Run() { *p.out = append(*p.out, p.id) }
+
+// TestPostPendingPanics: an embedded event is pending at most once, and
+// a second Post names both the cycle it happened at and the cycle the
+// event is already pending for. Unbound events cannot be posted.
+func TestPostPendingPanics(t *testing.T) {
+	wantPanic := func(want string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); msg != want {
+				t.Errorf("panic = %q, want %q", msg, want)
+			}
+		}()
+		f()
+	}
+	var e Engine
+	var got []int
+	p := newPostRunner(&got, 1)
+	e.Schedule(5, func() {})
+	e.Step()
+	e.Post(3, &p.ev)
+	if !p.ev.Pending() {
+		t.Fatal("posted event does not report Pending")
+	}
+	wantPanic("sim: cycle 5: Post of an event still pending for cycle 8", func() { e.Post(1, &p.ev) })
+	wantPanic("sim: cycle 5: Post of an event not bound with Bind", func() { e.Post(1, &Event{}) })
+	wrapped := e.Schedule(2, func() {})
+	wantPanic("sim: cycle 5: Post of an event still pending for cycle 7", func() { e.Post(1, wrapped) })
+	if _, err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || p.ev.Pending() {
+		t.Fatalf("fired %v, pending %v; want one firing and idle", got, p.ev.Pending())
+	}
+	wantPanic("sim: cycle 8: Post of an event not bound with Bind", func() { e.Post(1, wrapped) })
+}
+
+// TestCancelledEmbeddedEventPostsAgain: cancelling an embedded event,
+// in the wheel or in the far heap, leaves it bound: it reports
+// Cancelled until it is posted again, and then fires once.
+func TestCancelledEmbeddedEventPostsAgain(t *testing.T) {
+	for _, delay := range []uint64{4, wheelSize + 4} {
+		var e Engine
+		var got []int
+		p := newPostRunner(&got, 1)
+		e.Post(delay, &p.ev)
+		e.Cancel(&p.ev)
+		e.Cancel(&p.ev) // a second cancel is a no-op
+		if !p.ev.Cancelled() || p.ev.Pending() || e.Pending() != 0 {
+			t.Fatalf("delay %d: after Cancel: cancelled=%v pending=%v engine pending=%d",
+				delay, p.ev.Cancelled(), p.ev.Pending(), e.Pending())
+		}
+		e.Post(delay, &p.ev)
+		if p.ev.Cancelled() {
+			t.Fatalf("delay %d: re-posted event still reports Cancelled", delay)
+		}
+		if _, err := e.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || e.Now() != delay {
+			t.Fatalf("delay %d: fired %v at cycle %d, want one firing at %d", delay, got, e.Now(), delay)
+		}
+		if len(e.free) != 0 {
+			t.Fatalf("delay %d: an embedded event entered the free list", delay)
+		}
+	}
+}
+
+// TestPostZeroDuringDrain: a delay-0 Post made while a cycle's bucket
+// drains fires in that cycle, after the events already queued for it,
+// and before any later cycle.
+func TestPostZeroDuringDrain(t *testing.T) {
+	var e Engine
+	var got []int
+	late := newPostRunner(&got, 9)
+	again := newPostRunner(&got, 4)
+	e.Schedule(2, func() {
+		got = append(got, 1)
+		e.Post(0, &again.ev)
+	})
+	e.Schedule(2, func() { got = append(got, 2) })
+	e.Schedule(2, func() { got = append(got, 3) })
+	e.Post(3, &late.ev)
+	if _, err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	want := []int{1, 2, 3, 4, 9}
+	if len(got) != len(want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("order = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestHaltInsideDrain: a Halt requested by one event stops Run before
+// the next event of the same cycle; a later Run resumes with it.
+func TestHaltInsideDrain(t *testing.T) {
+	var e Engine
+	var got []int
+	halt := errors.New("stop")
+	e.Schedule(1, func() { got = append(got, 1) })
+	e.Schedule(1, func() {
+		got = append(got, 2)
+		e.Halt(halt)
+	})
+	e.Schedule(1, func() { got = append(got, 3) })
+	n, err := e.Run(0)
+	if err != halt {
+		t.Fatalf("Run error = %v, want %v", err, halt)
+	}
+	if n != 2 || len(got) != 2 || e.Pending() != 1 {
+		t.Fatalf("fired %d (%v), %d pending; want 2 fired, 1 pending", n, got, e.Pending())
+	}
+	if _, err := e.Run(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 3 || got[2] != 3 || e.Now() != 1 {
+		t.Fatalf("after resume: %v at cycle %d", got, e.Now())
 	}
 }
