@@ -118,14 +118,13 @@ type Directory struct {
 	lines  map[mem.Addr]*dirLine
 	stats  Stats
 
-	// Free lists for the pooled flow/message objects below. Each object
-	// embeds the event it is delivered by, bound once when it is built,
-	// so the whole request path is allocation-free in steady state and
-	// schedules without the engine's free list.
-	freeMsgs []*dirMsg
-	freeFwds []*fwdFlow
-	freeInvC []*invCollect
-	freeInvT []*invTarget
+	// Pools for the flow/message objects below. Each object embeds the
+	// event it is delivered by, bound once when it is built, so the
+	// whole request path is allocation-free in steady state.
+	msgs  sim.FreeList[dirMsg]
+	fwds  sim.FreeList[fwdFlow]
+	invCs sim.FreeList[invCollect]
+	invTs sim.FreeList[invTarget]
 
 	// ForceNack, when non-nil, is consulted for every transactional
 	// request before it is admitted; returning true bounces the request
@@ -220,14 +219,11 @@ type dirMsg struct {
 }
 
 func (d *Directory) newMsg() *dirMsg {
-	if n := len(d.freeMsgs); n > 0 {
-		m := d.freeMsgs[n-1]
-		d.freeMsgs[n-1] = nil
-		d.freeMsgs = d.freeMsgs[:n-1]
-		return m
+	m := d.msgs.Get()
+	if m == nil {
+		m = &dirMsg{d: d}
+		m.ev.Bind(m)
 	}
-	m := &dirMsg{d: d}
-	m.ev.Bind(m)
 	return m
 }
 
@@ -235,7 +231,7 @@ func (d *Directory) freeMsg(m *dirMsg) {
 	m.h = nil
 	m.l = nil
 	m.resp = Resp{}
-	d.freeMsgs = append(d.freeMsgs, m)
+	d.msgs.Put(m)
 }
 
 // sendResp schedules a response delivery at the requester over the
@@ -326,21 +322,18 @@ const (
 )
 
 func (d *Directory) newFwd() *fwdFlow {
-	if n := len(d.freeFwds); n > 0 {
-		f := d.freeFwds[n-1]
-		d.freeFwds[n-1] = nil
-		d.freeFwds = d.freeFwds[:n-1]
-		return f
+	f := d.fwds.Get()
+	if f == nil {
+		f = &fwdFlow{d: d}
+		f.ev.Bind(f)
 	}
-	f := &fwdFlow{d: d}
-	f.ev.Bind(f)
 	return f
 }
 
 func (d *Directory) freeFwd(f *fwdFlow) {
 	f.h = nil
 	f.l = nil
-	d.freeFwds = append(d.freeFwds, f)
+	d.fwds.Put(f)
 }
 
 func (f *fwdFlow) ReplyData(data mem.Line) {
@@ -433,10 +426,7 @@ type invCollect struct {
 }
 
 func (d *Directory) newInvC() *invCollect {
-	if n := len(d.freeInvC); n > 0 {
-		c := d.freeInvC[n-1]
-		d.freeInvC[n-1] = nil
-		d.freeInvC = d.freeInvC[:n-1]
+	if c := d.invCs.Get(); c != nil {
 		return c
 	}
 	return &invCollect{d: d}
@@ -445,7 +435,7 @@ func (d *Directory) newInvC() *invCollect {
 func (d *Directory) freeInvCollect(c *invCollect) {
 	c.h = nil
 	c.l = nil
-	d.freeInvC = append(d.freeInvC, c)
+	d.invCs.Put(c)
 }
 
 func (c *invCollect) done() {
@@ -483,17 +473,14 @@ const (
 )
 
 func (d *Directory) newInvT(c *invCollect, target int) *invTarget {
-	if n := len(d.freeInvT); n > 0 {
-		t := d.freeInvT[n-1]
-		d.freeInvT[n-1] = nil
-		d.freeInvT = d.freeInvT[:n-1]
-		t.c = c
-		t.target = target
-		t.phase = invDeliver
-		return t
+	t := d.invTs.Get()
+	if t == nil {
+		t = &invTarget{}
+		t.ev.Bind(t)
 	}
-	t := &invTarget{c: c, target: target, phase: invDeliver}
-	t.ev.Bind(t)
+	t.c = c
+	t.target = target
+	t.phase = invDeliver
 	return t
 }
 
@@ -530,7 +517,7 @@ func (t *invTarget) Run() {
 	}
 	c, target, nack := t.c, t.target, t.nack
 	t.c = nil
-	c.d.freeInvT = append(c.d.freeInvT, t)
+	c.d.invTs.Put(t)
 	if nack {
 		c.nacked = true
 	} else {

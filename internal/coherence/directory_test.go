@@ -45,6 +45,10 @@ func newRig(n int) *rig {
 	return r
 }
 
+// send runs fn one control-message hop from now, as a core's request or
+// Unblock reaches the directory.
+func (r *rig) send(fn func()) { r.net.SendControlMsg(sim.Func(fn)) }
+
 // request issues GetS/GetX from core id and runs the sim until the
 // response arrives, returning it. It sends Unblock on RespData like a
 // real core would.
@@ -54,14 +58,14 @@ func (r *rig) request(t *testing.T, isX bool, line mem.Addr, id int) Resp {
 	handler := RespFunc(func(resp Resp) {
 		got = &resp
 		if resp.Kind == RespData {
-			r.net.SendControl(func() { r.dir.Unblock(line) })
+			r.send(func() { r.dir.Unblock(line) })
 		}
 	})
 	req := ReqInfo{ID: id}
 	if isX {
-		r.net.SendControl(func() { r.dir.GetX(line, req, handler) })
+		r.send(func() { r.dir.GetX(line, req, handler) })
 	} else {
-		r.net.SendControl(func() { r.dir.GetS(line, req, handler) })
+		r.send(func() { r.dir.GetS(line, req, handler) })
 	}
 	if _, err := r.eng.Run(1_000_000); err != nil {
 		t.Fatal(err)
@@ -300,16 +304,16 @@ func TestBusyLineQueuesRequests(t *testing.T) {
 		return func(resp Resp) {
 			order = append(order, id)
 			if resp.Kind == RespData {
-				r.net.SendControl(func() { r.dir.Unblock(0x280) })
+				r.send(func() { r.dir.Unblock(0x280) })
 			}
 		}
 	}
-	r.net.SendControl(func() { r.dir.GetX(0x280, ReqInfo{ID: 1}, mk(1)) })
+	r.send(func() { r.dir.GetX(0x280, ReqInfo{ID: 1}, mk(1)) })
 	r.eng.Run(0)
 	if !r.dir.Busy(0x280) {
 		t.Fatal("line should be busy while probe outstanding")
 	}
-	r.net.SendControl(func() { r.dir.GetX(0x280, ReqInfo{ID: 2}, mk(2)) })
+	r.send(func() { r.dir.GetX(0x280, ReqInfo{ID: 2}, mk(2)) })
 	r.eng.Run(0)
 	// Release the first; core 1 then owns, its probe must be answered too.
 	r.cores[0].onProbe = nil

@@ -20,13 +20,13 @@ func (r *rig) requestInfo(t *testing.T, isX bool, line mem.Addr, req ReqInfo) Re
 	handler := RespFunc(func(resp Resp) {
 		got = &resp
 		if resp.Kind == RespData {
-			r.net.SendControl(func() { r.dir.Unblock(line) })
+			r.send(func() { r.dir.Unblock(line) })
 		}
 	})
 	if isX {
-		r.net.SendControl(func() { r.dir.GetX(line, req, handler) })
+		r.send(func() { r.dir.GetX(line, req, handler) })
 	} else {
-		r.net.SendControl(func() { r.dir.GetS(line, req, handler) })
+		r.send(func() { r.dir.GetS(line, req, handler) })
 	}
 	if _, err := r.eng.Run(1_000_000); err != nil {
 		t.Fatal(err)
@@ -48,10 +48,10 @@ func TestCrossBankIndependence(t *testing.T) {
 	// Core 0 holds the forward probe: line A stays busy.
 	var pending Probe
 	r.cores[0].onProbe = func(p Probe) { pending = p }
-	r.net.SendControl(func() {
+	r.send(func() {
 		r.dir.GetX(lineA, ReqInfo{ID: 1}, RespFunc(func(resp Resp) {
 			if resp.Kind == RespData {
-				r.net.SendControl(func() { r.dir.Unblock(lineA) })
+				r.send(func() { r.dir.Unblock(lineA) })
 			}
 		}))
 	})
@@ -95,7 +95,7 @@ func TestCrossBankInvalidationCollect(t *testing.T) {
 	r.request(t, true, 0x40, 3)
 	var parked Probe
 	r.cores[3].onProbe = func(p Probe) { parked = p }
-	r.net.SendControl(func() { r.dir.GetX(0x40, ReqInfo{ID: 0}, RespFunc(func(Resp) {})) })
+	r.send(func() { r.dir.GetX(0x40, ReqInfo{ID: 0}, RespFunc(func(Resp) {})) })
 	r.eng.Run(0)
 
 	for _, c := range r.cores[1:3] {
@@ -139,10 +139,10 @@ func TestWriteBackRacesForwardAcrossBanks(t *testing.T) {
 	var pending Probe
 	r.cores[0].onProbe = func(p Probe) { pending = p }
 	var got *Resp
-	r.net.SendControl(func() {
+	r.send(func() {
 		r.dir.GetX(fwdLine, ReqInfo{ID: 1}, RespFunc(func(resp Resp) {
 			got = &resp
-			r.net.SendControl(func() { r.dir.Unblock(fwdLine) })
+			r.send(func() { r.dir.Unblock(fwdLine) })
 		}))
 	})
 	r.eng.Run(0)
@@ -243,18 +243,18 @@ func TestGlobalForceNackStillCoversAllBanks(t *testing.T) {
 		return func(resp Resp) {
 			kinds[id] = resp.Kind
 			if resp.Kind == RespData {
-				r.net.SendControl(func() { r.dir.Unblock(hot) })
+				r.send(func() { r.dir.Unblock(hot) })
 			}
 		}
 	}
-	r.net.SendControl(func() { r.dir.GetX(hot, ReqInfo{ID: 3, IsTx: true}, mk(3)) })
+	r.send(func() { r.dir.GetX(hot, ReqInfo{ID: 3, IsTx: true}, mk(3)) })
 	r.eng.Run(0)
 	if !r.dir.Busy(hot) {
 		t.Fatal("setup: forward should hold the line busy")
 	}
-	r.net.SendControl(func() { r.dir.GetX(hot, ReqInfo{ID: 2, IsTx: true}, mk(2)) })
+	r.send(func() { r.dir.GetX(hot, ReqInfo{ID: 2, IsTx: true}, mk(2)) })
 	r.eng.Run(0)
-	r.net.SendControl(func() { r.dir.GetX(hot, ReqInfo{ID: 1, IsTx: true}, mk(1)) })
+	r.send(func() { r.dir.GetX(hot, ReqInfo{ID: 1, IsTx: true}, mk(1)) })
 	r.eng.Run(0)
 	if r.dir.QueuedLen(hot) != 2 {
 		t.Fatalf("setup: queued=%d, want 2", r.dir.QueuedLen(hot))

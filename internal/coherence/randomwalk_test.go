@@ -111,7 +111,7 @@ func runDirectoryRandomWalk(t *testing.T, faulty bool) {
 				case RespData:
 					mc.lines[line] = true
 					mc.dirty[line] = resp.Data[0]
-					r.net.SendControl(func() { r.dir.Unblock(line) })
+					r.send(func() { r.dir.Unblock(line) })
 				case RespSpec:
 					// fiction: do not record ownership
 				case RespNack:
@@ -119,9 +119,9 @@ func runDirectoryRandomWalk(t *testing.T, faulty bool) {
 			})
 			req := ReqInfo{ID: id, IsTx: true}
 			if isX {
-				r.net.SendControl(func() { r.dir.GetX(line, req, handler) })
+				r.send(func() { r.dir.GetX(line, req, handler) })
 			} else {
-				r.net.SendControl(func() { r.dir.GetS(line, req, handler) })
+				r.send(func() { r.dir.GetS(line, req, handler) })
 			}
 			// Occasionally a core silently drops a line (abort / eviction).
 			if rnd.Intn(6) == 0 {

@@ -12,6 +12,8 @@
 package core
 
 import (
+	"fmt"
+
 	"chats/internal/coherence"
 	"chats/internal/htm"
 )
@@ -123,13 +125,15 @@ func chatsAccept(local *htm.TxState, pic coherence.PiC) htm.SpecOutcome {
 		local.Cons = true
 		return htm.SpecOutcome{Accept: true}
 	}
+	// Every forward carries PiCPower or a PiC of at least 1: a producer
+	// at 0 aborts rather than forward (Fig. 3B), and a response that
+	// outlives its attempt is dropped as stale before it gets here.
 	if !pic.Valid() {
-		// A producer never sends an invalid PiC; treat as a race.
-		return htm.SpecOutcome{Cause: htm.CauseCycle}
+		panic(fmt.Sprintf("core: SpecResp carries invalid PiC %d", pic))
 	}
 	if local.PiC == coherence.PiCNone {
 		if pic == 0 {
-			return htm.SpecOutcome{Cause: htm.CauseCycle} // would underflow
+			panic(fmt.Sprintf("core: unchained consumer got a SpecResp at PiC %d, below any position to join", pic))
 		}
 		local.PiC = pic - 1
 		local.Cons = true

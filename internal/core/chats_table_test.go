@@ -75,8 +75,10 @@ func TestChatsDecideTable(t *testing.T) {
 }
 
 // Consumer-side table (chatsAccept): how an arriving SpecResp moves the
-// consumer's PiC/Cons, including the underflow guard at position 0 and
-// the cycle races.
+// consumer's PiC/Cons, including the cycle races. An invalid PiC, and
+// PiC 0 at an unchained consumer, reach no consistent run (every
+// forward carries PiCPower or a PiC of at least 1), so they panic,
+// naming the PiC.
 func TestChatsAcceptTable(t *testing.T) {
 	const none = coherence.PiCNone
 	cases := []struct {
@@ -87,30 +89,42 @@ func TestChatsAcceptTable(t *testing.T) {
 		cause     htm.AbortCause
 		localPost coherence.PiC
 		consPost  bool
+		panics    string // the expected panic; the fields above are then unused
 	}{
 		// Power producer: consume without touching the PiC.
-		{"power/unchained", none, coherence.PiCPower, true, htm.CauseNone, none, true},
-		{"power/chained", 12, coherence.PiCPower, true, htm.CauseNone, 12, true},
-		// A producer never sends an invalid PiC; treat as a race.
-		{"invalid/none", none, none, false, htm.CauseCycle, none, false},
-		{"invalid/out-of-range", none, coherence.PiCMax + 1, false, htm.CauseCycle, none, false},
+		{"power/unchained", none, coherence.PiCPower, true, htm.CauseNone, none, true, ""},
+		{"power/chained", 12, coherence.PiCPower, true, htm.CauseNone, 12, true, ""},
+		// A producer never sends an invalid PiC.
+		{"invalid/none", none, none, false, 0, 0, false, "core: SpecResp carries invalid PiC -1"},
+		{"invalid/out-of-range", none, coherence.PiCMax + 1, false, 0, 0, false, "core: SpecResp carries invalid PiC 31"},
 		// Unchained consumer joins one below the producer.
-		{"join-below/mid", none, 16, true, htm.CauseNone, 15, true},
-		{"join-below/top", none, coherence.PiCMax, true, htm.CauseNone, coherence.PiCMax - 1, true},
-		// Saturation at the bottom: position -1 does not exist.
-		{"join-below/underflow-at-0", none, 0, false, htm.CauseCycle, none, false},
+		{"join-below/mid", none, 16, true, htm.CauseNone, 15, true, ""},
+		{"join-below/top", none, coherence.PiCMax, true, htm.CauseNone, coherence.PiCMax - 1, true, ""},
+		// Position -1 does not exist, and no producer forwards at PiC 0.
+		{"join-below/underflow-at-0", none, 0, false, 0, 0, false,
+			"core: unchained consumer got a SpecResp at PiC 0, below any position to join"},
 		// Chained consumer: producer must sit strictly above.
-		{"chained/producer-above", 4, 10, true, htm.CauseNone, 4, true},
-		{"chained/producer-equal", 4, 4, false, htm.CauseCycle, 4, false},
-		{"chained/producer-below", 4, 3, false, htm.CauseCycle, 4, false},
-		{"chained/adjacent-above", 4, 5, true, htm.CauseNone, 4, true},
+		{"chained/producer-above", 4, 10, true, htm.CauseNone, 4, true, ""},
+		{"chained/producer-equal", 4, 4, false, htm.CauseCycle, 4, false, ""},
+		{"chained/producer-below", 4, 3, false, htm.CauseCycle, 4, false, ""},
+		{"chained/adjacent-above", 4, 5, true, htm.CauseNone, 4, true, ""},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			tx := activeTx(t)
 			tx.PiC = tc.local
+			if tc.panics != "" {
+				defer func() {
+					if msg, _ := recover().(string); msg != tc.panics {
+						t.Fatalf("panic = %q, want %q", msg, tc.panics)
+					}
+				}()
+			}
 			out := chatsAccept(tx, tc.pic)
+			if tc.panics != "" {
+				t.Fatalf("returned %+v, want panic %q", out, tc.panics)
+			}
 			if out.Accept != tc.accept {
 				t.Fatalf("accept = %v, want %v (cause %v)", out.Accept, tc.accept, out.Cause)
 			}

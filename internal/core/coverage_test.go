@@ -107,16 +107,20 @@ func TestChatsAcceptPowerAndInvalidPiC(t *testing.T) {
 	if !out.Accept || local.PiC != coherence.PiCNone || !local.Cons {
 		t.Fatalf("power consume: %+v PiC=%d", out, local.PiC)
 	}
-	// A malformed PiC is treated as a race.
-	out = c.AcceptSpec(activeTx(t), coherence.PiC(-7))
-	if out.Accept || out.Cause != htm.CauseCycle {
-		t.Fatalf("invalid PiC accepted: %+v", out)
+	// No consistent run delivers a malformed PiC, nor PiC 0 to an unset
+	// consumer (a producer at position 0 aborts rather than forward), so
+	// both panic, naming the PiC.
+	wantPanic := func(want string, pic coherence.PiC) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); msg != want {
+				t.Errorf("AcceptSpec(%d) panic = %q, want %q", pic, msg, want)
+			}
+		}()
+		c.AcceptSpec(activeTx(t), pic)
 	}
-	// A producer at position 0 cannot chain an unset consumer below it.
-	out = c.AcceptSpec(activeTx(t), 0)
-	if out.Accept || out.Cause != htm.CauseCycle {
-		t.Fatalf("underflow accepted: %+v", out)
-	}
+	wantPanic("core: SpecResp carries invalid PiC -7", -7)
+	wantPanic("core: unchained consumer got a SpecResp at PiC 0, below any position to join", 0)
 }
 
 func TestNaiveDecideInvNotForwardable(t *testing.T) {

@@ -39,7 +39,7 @@ func (wb *pendingWB) Run() {
 	// the last reference (probe service and reinstall both remove
 	// the entry from wbPending but copy the data out), so this is
 	// the one safe recycling point.
-	n.freeWB(wb)
+	n.wbFree.Put(wb)
 }
 
 // Node is one core: private L1, HTM state, the VSB validation controller
@@ -62,7 +62,7 @@ type Node struct {
 	// wbFree recycles pendingWB objects once their delivery message has
 	// run; dirty evictions are frequent enough in the capacity-bound
 	// workloads that the per-eviction allocation showed up in profiles.
-	wbFree []*pendingWB
+	wbFree sim.FreeList[pendingWB]
 
 	// thread is the core's thread; BeginTx and Commit reply to it.
 	thread *tctx
@@ -183,21 +183,13 @@ func (n *Node) handleVictim(v cache.Victim) {
 // allocWB takes a writeback-buffer entry from the free list (or the
 // heap on first use), reset for a fresh writeback.
 func (n *Node) allocWB() *pendingWB {
-	if l := len(n.wbFree); l > 0 {
-		wb := n.wbFree[l-1]
-		n.wbFree[l-1] = nil
-		n.wbFree = n.wbFree[:l-1]
-		wb.cancelled = false
-		return wb
+	wb := n.wbFree.Get()
+	if wb == nil {
+		wb = &pendingWB{n: n}
+		wb.ev.Bind(wb)
 	}
-	wb := &pendingWB{n: n}
-	wb.ev.Bind(wb)
+	wb.cancelled = false
 	return wb
-}
-
-// freeWB recycles an entry whose delivery message has run.
-func (n *Node) freeWB(wb *pendingWB) {
-	n.wbFree = append(n.wbFree, wb)
 }
 
 // reinstall recovers a line whose writeback is still in flight (a hit in

@@ -8,15 +8,23 @@ import (
 )
 
 // arrival records its delivery cycle; the payload type every test uses.
+// Like the simulator's messages, it carries its own delivery event.
 type arrival struct {
+	ev  sim.Event
 	eng *sim.Engine
 	log *[]uint64
 }
 
 func (a *arrival) Run() { *a.log = append(*a.log, a.eng.Now()) }
 
+func newArrival(eng *sim.Engine, log *[]uint64) *sim.Event {
+	a := &arrival{eng: eng, log: log}
+	a.ev.Bind(a)
+	return &a.ev
+}
+
 // TestEndpointFlitAccounting pins the per-class cost model on the
-// typed-message path every node and the directory send through: a
+// embedded-event path every node and the directory send through: a
 // control message is ControlFlits flits delivered after
 // linkLatency+ControlFlits cycles, a data message DataFlits flits after
 // linkLatency+DataFlits, and the network counts every class and flit
@@ -27,9 +35,8 @@ func TestEndpointFlitAccounting(t *testing.T) {
 	net := network.New(&eng, linkLatency)
 
 	var log []uint64
-	a := &arrival{eng: &eng, log: &log}
-	net.SendControlMsg(a)
-	net.SendDataMsg(a)
+	net.PostControl(newArrival(&eng, &log))
+	net.PostData(newArrival(&eng, &log))
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +54,7 @@ func TestEndpointFlitAccounting(t *testing.T) {
 }
 
 // TestEndpointJitterInOrderClamp pins the Jitter contract on the
-// typed-message path: a jittered message holds up everything sent after
+// embedded-event path: a jittered message holds up everything sent after
 // it (the lastDelivery clamp models backpressure — the coherence
 // protocol needs point-to-point order), so a later un-jittered send may
 // not overtake it.
@@ -63,10 +70,9 @@ func TestEndpointJitterInOrderClamp(t *testing.T) {
 	}
 
 	var log []uint64
-	a := &arrival{eng: &eng, log: &log}
 	first := linkLatency + uint64(network.ControlFlits) + 20
-	net.SendControlMsg(a) // delivers at first
-	net.SendControlMsg(a) // would deliver at 2 unclamped
+	net.PostControl(newArrival(&eng, &log)) // delivers at first
+	net.PostControl(newArrival(&eng, &log)) // would deliver at 2 unclamped
 	if _, err := eng.Run(0); err != nil {
 		t.Fatal(err)
 	}

@@ -50,36 +50,26 @@ func New(eng *sim.Engine, linkLatency uint64) *Network {
 	return &Network{eng: eng, linkLatency: linkLatency}
 }
 
-// SendControl delivers a 1-flit message (requests, acks, nacks,
-// cancellations) and invokes deliver at the destination.
-func (n *Network) SendControl(deliver func()) { n.SendControlMsg(sim.Func(deliver)) }
-
-// SendData delivers a 5-flit message (any message carrying a cache line:
-// data responses, SpecResp, writebacks).
-func (n *Network) SendData(deliver func()) { n.SendDataMsg(sim.Func(deliver)) }
-
-// SendControlMsg is SendControl with a typed payload, wrapped in an
-// event from the engine's free list.
+// SendControlMsg sends a 1-flit message whose delivery runs r, lent an
+// event by sim.Engine.ScheduleRunner. Its one caller is the benchmark's
+// network.send_ns; the simulator's messages carry their own events and
+// go through PostControl and PostData.
 func (n *Network) SendControlMsg(r sim.Runner) {
 	n.eng.ScheduleRunner(n.delay(ControlFlits), r)
 	n.Stats.ControlMsgs++
 }
 
-// SendDataMsg is SendData with a typed payload.
-func (n *Network) SendDataMsg(r sim.Runner) {
-	n.eng.ScheduleRunner(n.delay(DataFlits), r)
-	n.Stats.DataMsgs++
-}
-
-// PostControl sends a 1-flit message whose delivery is the embedded
-// event ev (see sim.Engine.Post): the hot paths' payloads carry their
-// own event, so sending neither allocates nor touches a free list.
+// PostControl sends a 1-flit message (requests, acks, nacks,
+// cancellations) whose delivery is the embedded event ev (see
+// sim.Engine.Post): the payloads carry their own event, so sending
+// neither allocates nor touches a free list.
 func (n *Network) PostControl(ev *sim.Event) {
 	n.eng.Post(n.delay(ControlFlits), ev)
 	n.Stats.ControlMsgs++
 }
 
-// PostData is PostControl for a 5-flit message.
+// PostData is PostControl for a 5-flit message (any message carrying a
+// cache line: data responses, SpecResp, writebacks).
 func (n *Network) PostData(ev *sim.Event) {
 	n.eng.Post(n.delay(DataFlits), ev)
 	n.Stats.DataMsgs++

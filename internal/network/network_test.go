@@ -6,12 +6,28 @@ import (
 	"chats/internal/sim"
 )
 
+// msg is a message payload with its own delivery event, as the
+// simulator's messages are.
+type msg struct {
+	ev sim.Event
+	fn func()
+}
+
+func (m *msg) Run() { m.fn() }
+
+// newMsg returns the delivery event of a fresh message that runs fn.
+func newMsg(fn func()) *sim.Event {
+	m := &msg{fn: fn}
+	m.ev.Bind(m)
+	return &m.ev
+}
+
 func TestLatencies(t *testing.T) {
 	var e sim.Engine
 	n := New(&e, 1)
 	var ctrlAt, dataAt uint64
-	n.SendControl(func() { ctrlAt = e.Now() })
-	n.SendData(func() { dataAt = e.Now() })
+	n.PostControl(newMsg(func() { ctrlAt = e.Now() }))
+	n.PostData(newMsg(func() { dataAt = e.Now() }))
 	e.Run(0)
 	if ctrlAt != 1+ControlFlits {
 		t.Fatalf("control delivered at %d, want %d", ctrlAt, 1+ControlFlits)
@@ -25,10 +41,10 @@ func TestFlitAccounting(t *testing.T) {
 	var e sim.Engine
 	n := New(&e, 1)
 	for i := 0; i < 3; i++ {
-		n.SendControl(func() {})
+		n.PostControl(newMsg(func() {}))
 	}
 	for i := 0; i < 2; i++ {
-		n.SendData(func() {})
+		n.PostData(newMsg(func() {}))
 	}
 	e.Run(0)
 	if n.Stats.Messages != 5 {
@@ -47,8 +63,8 @@ func TestOrderingSameSource(t *testing.T) {
 	var e sim.Engine
 	n := New(&e, 1)
 	var got []int
-	n.SendControl(func() { got = append(got, 1) })
-	n.SendControl(func() { got = append(got, 2) })
+	n.PostControl(newMsg(func() { got = append(got, 1) }))
+	n.PostControl(newMsg(func() { got = append(got, 2) }))
 	e.Run(0)
 	if len(got) != 2 || got[0] != 1 {
 		t.Fatalf("order = %v", got)

@@ -16,16 +16,19 @@
 // (cycle, seq) order of the old pure-heap engine, so runs stay
 // bit-identical.
 //
-// Events come in two lifetimes. An embedded event is a field of the
-// payload it fires: the payload binds it once, when it is built
-// (Event.Bind), and schedules it with Post for as long as it lives. The
-// holder owns it, so its pointer never goes stale, but it can be
-// pending only once at a time: Post of a pending event panics. That is
-// the rule the simulator's payloads live by anyway (one access, one
-// timer and one begin in flight per core; one pooled message per hop).
-// A wrapped event comes from Schedule or ScheduleRunner, which take an
-// Event from the engine's free list and wrap the payload in it; its
-// handle is valid only until it fires or is cancelled.
+// Events have one lifetime: an event is a field of the payload it
+// fires. The payload binds it once, when it is built (Event.Bind), and
+// schedules it with Post for as long as it lives. The holder owns it,
+// so its pointer never goes stale, but it can be pending only once at a
+// time: Post of a pending event panics. That is the rule the
+// simulator's payloads live by anyway (one access, one timer and one
+// begin in flight per core; one pooled message per hop).
+//
+// Schedule and ScheduleRunner are an adapter at the engine's edge for
+// callers without a payload of their own: they lend the runner a
+// pooled wrapper payload, which embeds its own event and goes back to
+// its FreeList once the runner returns. Cancel never recycles anything:
+// a cancelled wrapper is left to the GC.
 //
 // Run drains the wheel one cycle at a time: it advances the clock to the
 // next occupied bucket, migrates far events and checks the cycle limit
@@ -65,29 +68,22 @@ const (
 // (0..len-1); wheel-parked events use idxWheel so tests can still treat
 // "index >= 0" as queued.
 const (
-	idxFired     = -1
-	idxCancelled = -2
-	idxWheel     = 1 << 30
+	idxIdle  = -1 // bound and not pending: never posted, fired or cancelled
+	idxWheel = 1 << 30
 )
-
-// maxFreeEvents caps the event free list. A burst of scheduled-then-
-// cancelled events (backoff storms, mass probe cancellation) would
-// otherwise grow the list to the burst's high-water mark and pin that
-// memory for the rest of a long sweep; beyond the cap, recycled events
-// are simply dropped for the GC.
-const maxFreeEvents = 4096
 
 // Event is a callback scheduled to run at a specific cycle.
 //
-// An embedded Event is a field of the payload it fires, bound to it
-// once by Bind and scheduled by Post. It belongs to its holder: the
-// engine never recycles it, a fired or cancelled one may be posted
-// again, and a pending one may not (Post panics, naming the cycle).
+// An Event is a field of the payload it fires, bound to it once by Bind
+// and scheduled by Post. It belongs to its holder: the engine never
+// recycles it, a fired or cancelled one may be posted again, and a
+// pending one may not (Post panics, naming the cycle).
 //
-// The Event returned by Schedule or ScheduleRunner wraps its payload and
-// belongs to the engine: the handle stays valid until the event fires
-// or is cancelled; after that the engine may recycle the object for a
-// later Schedule call, so holders must drop the pointer once it fires.
+// The Event returned by Schedule or ScheduleRunner is the one embedded
+// in a pooled wrapper. The handle is good for Cancel until the event
+// fires; once it has fired the wrapper may back a later Schedule call,
+// so holders must drop the pointer then. A cancelled wrapper is never
+// reused.
 type Event struct {
 	cycle uint64
 	// seq orders same-cycle events in the far heap by insertion. Wheel
@@ -99,13 +95,8 @@ type Event struct {
 	// the far heap).
 	next, prev *Event
 	// index: far-heap position while overflowed, idxWheel while parked
-	// in a bucket, idxFired once popped (or bound and not yet posted),
-	// idxCancelled once cancelled. An int32, so that it and wrapped
-	// share a word.
-	index int32
-	// wrapped marks an Event from the free list, returned to it once it
-	// fires or is cancelled.
-	wrapped bool
+	// in a bucket, idxIdle otherwise.
+	index int
 }
 
 // Bind makes e an embedded event that fires r. The payload that holds e
@@ -115,11 +106,8 @@ func (e *Event) Bind(r Runner) {
 		panic("sim: Bind called with nil Runner")
 	}
 	e.run = r
-	e.index = idxFired
+	e.index = idxIdle
 }
-
-// Cancelled reports whether the event was removed before firing.
-func (e *Event) Cancelled() bool { return e.index == idxCancelled }
 
 // Pending reports whether the event is scheduled and has not yet fired.
 // An event reports false inside its own Run.
@@ -136,12 +124,12 @@ func (h eventHeap) Less(i, j int) bool {
 }
 func (h eventHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
-	h[i].index = int32(i)
-	h[j].index = int32(j)
+	h[i].index = i
+	h[j].index = j
 }
 func (h *eventHeap) Push(x any) {
 	e := x.(*Event)
-	e.index = int32(len(*h))
+	e.index = len(*h)
 	*h = append(*h, e)
 }
 func (h *eventHeap) Pop() any {
@@ -149,7 +137,7 @@ func (h *eventHeap) Pop() any {
 	n := len(old)
 	e := old[n-1]
 	old[n-1] = nil
-	e.index = idxFired
+	e.index = idxIdle
 	*h = old[:n-1]
 	return e
 }
@@ -180,11 +168,10 @@ type Engine struct {
 	// advances.
 	far eventHeap
 
-	// free recycles the wrapped Events that Schedule and ScheduleRunner
-	// hand out, once they fire or are cancelled, so their steady-state
-	// schedule/fire cycle allocates nothing. Embedded events never
-	// enter it. Capped at maxFreeEvents.
-	free []*Event
+	// wrappers recycles the payloads that ScheduleRunner lends, once
+	// they fire, so its steady-state schedule/fire cycle allocates
+	// nothing.
+	wrappers FreeList[wrapper]
 
 	// halt, when set by Halt, stops Run before the next event fires. It
 	// lets in-event code (watchdogs, invariant checkers) abort the whole
@@ -228,9 +215,7 @@ func (e *Engine) Post(delay uint64, ev *Event) {
 	}
 }
 
-// badPost panics on a Post of an unbound or pending event. A wrapped
-// event reads as one or the other: its handle is pending until it fires
-// or is cancelled, and unbound from then on.
+// badPost panics on a Post of an unbound or pending event.
 func (e *Engine) badPost(ev *Event) {
 	if ev.run == nil {
 		panic(fmt.Sprintf("sim: cycle %d: Post of an event not bound with Bind", e.now))
@@ -240,8 +225,7 @@ func (e *Engine) badPost(ev *Event) {
 
 // Schedule runs fn delay cycles from now. A delay of zero runs fn after
 // all events already scheduled for the current cycle. The returned
-// handle may be passed to Cancel, but is only valid until the event
-// fires or is cancelled (see Event).
+// handle may be passed to Cancel until the event fires (see Event).
 func (e *Engine) Schedule(delay uint64, fn func()) *Event {
 	if fn == nil {
 		panic(fmt.Sprintf("sim: cycle %d: Schedule called with nil fn", e.now))
@@ -250,24 +234,36 @@ func (e *Engine) Schedule(delay uint64, fn func()) *Event {
 }
 
 // ScheduleRunner runs r.Run() delay cycles from now, with the same
-// ordering and handle semantics as Schedule. It wraps r in an Event from
-// the free list, so with a pooled or embedded r the call allocates
-// nothing.
+// ordering and handle semantics as Schedule. It lends r a wrapper from
+// the engine's free list, so with a pooled r the call allocates nothing.
 func (e *Engine) ScheduleRunner(delay uint64, r Runner) *Event {
 	if r == nil {
 		panic(fmt.Sprintf("sim: cycle %d: ScheduleRunner called with nil Runner", e.now))
 	}
-	var ev *Event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-	} else {
-		ev = &Event{wrapped: true, index: idxFired}
+	w := e.wrappers.Get()
+	if w == nil {
+		w = &wrapper{e: e}
+		w.ev.Bind(w)
 	}
-	ev.run = r
-	e.Post(delay, ev)
-	return ev
+	w.r = r
+	e.Post(delay, &w.ev)
+	return &w.ev
+}
+
+// wrapper is the payload ScheduleRunner lends a Runner that carries no
+// event of its own.
+type wrapper struct {
+	ev Event
+	e  *Engine
+	r  Runner
+}
+
+// Run fires the wrapped runner, then returns the wrapper to the free
+// list. Only then: the runner may still observe its own handle.
+func (w *wrapper) Run() {
+	w.r.Run()
+	w.r = nil
+	w.e.wrappers.Put(w)
 }
 
 // wheelAdd parks ev at the tail of its bucket. Callers guarantee
@@ -355,33 +351,18 @@ func (e *Engine) scanWheel() uint64 {
 	}
 }
 
-// Cancel removes a scheduled event. It is a no-op if the event already
-// fired, was already cancelled, or was never posted.
+// Cancel removes a scheduled event. It is a no-op if the event is not
+// pending: it already fired, was already cancelled or was never posted.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.run == nil {
+	if !ev.Pending() {
 		return
 	}
-	switch {
-	case ev.index == idxWheel:
+	if ev.index == idxWheel {
 		e.wheelRemove(ev)
-	case ev.index >= 0:
-		heap.Remove(&e.far, int(ev.index))
-	default:
-		return
+	} else {
+		heap.Remove(&e.far, ev.index)
 	}
-	ev.index = idxCancelled
-	if ev.wrapped {
-		// Recycle: the object keeps reporting Cancelled() until Schedule
-		// hands it out again.
-		ev.run = nil
-		e.release(ev)
-	}
-}
-
-func (e *Engine) release(ev *Event) {
-	if len(e.free) < maxFreeEvents {
-		e.free = append(e.free, ev)
-	}
+	ev.index = idxIdle
 }
 
 // Step fires the next event, advancing the clock to its cycle.
@@ -391,19 +372,16 @@ func (e *Engine) Step() bool {
 	if !ok {
 		return false
 	}
-	e.step(c)
-	return true
-}
-
-// step fires the earliest event, known to be at cycle c.
-func (e *Engine) step(c uint64) {
 	e.advance(c)
 	i := int(uint(c) & wheelMask)
 	b := &e.buckets[i]
 	if b.head == nil || b.head.cycle != c {
 		e.outOfSync(i)
 	}
-	e.fire(e.pop(b, i))
+	ev := e.pop(b, i)
+	e.fired++
+	ev.run.Run()
+	return true
 }
 
 // advance moves the clock to cycle c, the earliest pending event's, and
@@ -429,30 +407,13 @@ func (e *Engine) pop(b *bucket, i int) *Event {
 	} else {
 		b.head.prev = nil
 	}
-	ev.index = idxFired
+	ev.index = idxIdle
 	e.wheelCount--
 	return ev
 }
 
 func (e *Engine) outOfSync(i int) {
 	panic(fmt.Sprintf("sim: cycle %d: timing wheel bucket %d out of sync with clock", e.now, i))
-}
-
-// fire runs a popped event. A wrapped event joins the free list only
-// after its callback returns, since the callback may observe its own
-// popped handle (index -1); an embedded one is its holder's, and may
-// already be posted again by then.
-func (e *Engine) fire(ev *Event) {
-	e.fired++
-	ev.run.Run()
-	if ev.wrapped {
-		e.recycle(ev)
-	}
-}
-
-func (e *Engine) recycle(ev *Event) {
-	ev.run = nil
-	e.release(ev)
 }
 
 // Run fires events until the queue drains or the clock would pass limit.
@@ -481,13 +442,10 @@ func (e *Engine) Run(limit uint64) (uint64, error) {
 			if b.head.cycle != c {
 				e.outOfSync(i)
 			}
-			// fire, inlined: the call alone cost scale256 ~5%.
+			// Fired inline: a call per event cost scale256 ~5%.
 			ev := e.pop(b, i)
 			e.fired++
 			ev.run.Run()
-			if ev.wrapped {
-				e.recycle(ev)
-			}
 		}
 	}
 	// A Halt stops the drain; the last event may itself have requested it.

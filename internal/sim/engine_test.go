@@ -56,82 +56,70 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !ev.Cancelled() {
-		t.Fatal("event should report cancelled")
+	if ev.Pending() {
+		t.Fatal("cancelled event still reports Pending")
 	}
 }
 
-// TestCancelIndexStates pins the Event.index lifecycle the free-list
-// recycling relies on: >= 0 while queued, -1 once popped (fired), -2 once
-// cancelled. Only the -2 state reports Cancelled().
+// TestCancelIndexStates pins the Event.index lifecycle: >= 0 while
+// queued, idxIdle (-1) once popped, from inside its own callback on,
+// and idxIdle once cancelled. There is no other state.
 func TestCancelIndexStates(t *testing.T) {
 	var e Engine
 	var fired *Event
 	fired = e.Schedule(1, func() {
-		if fired.index != -1 {
-			t.Errorf("index during own callback = %d, want -1", fired.index)
+		if fired.index != idxIdle {
+			t.Errorf("index during own callback = %d, want %d", fired.index, idxIdle)
 		}
 	})
 	cancelled := e.Schedule(2, func() { t.Error("cancelled event fired") })
 	if fired.index < 0 || cancelled.index < 0 {
 		t.Fatalf("queued indices = %d, %d; want >= 0", fired.index, cancelled.index)
 	}
-	if fired.Cancelled() || cancelled.Cancelled() {
-		t.Fatal("queued events report Cancelled")
-	}
 	e.Cancel(cancelled)
-	if cancelled.index != -2 {
-		t.Fatalf("cancelled index = %d, want -2", cancelled.index)
-	}
-	if !cancelled.Cancelled() {
-		t.Fatal("cancelled event does not report Cancelled")
+	if cancelled.index != idxIdle || cancelled.Pending() {
+		t.Fatalf("cancelled index = %d (pending %v), want %d", cancelled.index, cancelled.Pending(), idxIdle)
 	}
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if fired.index != -1 {
-		t.Fatalf("fired index = %d, want -1", fired.index)
-	}
-	if fired.Cancelled() {
-		t.Fatal("fired event reports Cancelled")
+	if fired.index != idxIdle || fired.Pending() {
+		t.Fatalf("fired index = %d (pending %v), want %d", fired.index, fired.Pending(), idxIdle)
 	}
 }
 
-// TestFreeListRecycles proves the free list is engaged: an Event object
-// that fired (or was cancelled) backs a later Schedule call, and the
+// TestFreeListRecycles proves the wrapper free list is engaged: the
+// wrapper of an event that fired backs the next ScheduleRunner, and the
 // recycled incarnation behaves like a fresh one.
 func TestFreeListRecycles(t *testing.T) {
 	var e Engine
-	first := e.Schedule(1, func() {})
+	var got []int
+	first := e.ScheduleRunner(1, &recordRunner{out: &got, id: 1})
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	second := e.Schedule(1, func() {})
+	second := e.ScheduleRunner(1, &recordRunner{out: &got, id: 2})
 	if first != second {
-		t.Fatal("fired event was not recycled by the next Schedule")
+		t.Fatal("fired wrapper was not recycled by the next ScheduleRunner")
 	}
-	if second.Cancelled() || second.index < 0 {
+	if !second.Pending() {
 		t.Fatalf("recycled event in bad state: index=%d", second.index)
 	}
-	e.Cancel(second)
-	third := e.Schedule(3, func() {})
-	if third != second {
-		t.Fatal("cancelled event was not recycled by the next Schedule")
+	third := e.ScheduleRunner(1, &recordRunner{out: &got, id: 3})
+	if third == second {
+		t.Fatal("a pending wrapper was handed out twice")
 	}
-	if third.Cancelled() {
-		t.Fatal("recycled event still reports Cancelled")
-	}
-	fired := false
-	e.Schedule(1, func() { fired = true })
-	e.Cancel(third)
 	if _, err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if !fired {
-		t.Fatal("unrelated event lost after recycling churn")
+	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("fired %v, want [1 2 3]", got)
 	}
 	if e.Now() != 1+1 {
 		t.Fatalf("Now = %d, want 2", e.Now())
+	}
+	if n := len(e.wrappers.items); n != 2 {
+		t.Fatalf("free list holds %d wrappers after both fired, want 2", n)
 	}
 }
 
@@ -220,7 +208,7 @@ func TestScheduleNilPanics(t *testing.T) {
 	e.Schedule(5, func() {})
 	e.Step()
 	wantPanic("sim: cycle 5: Schedule called with nil fn", func() { e.Schedule(1, nil) })
-	wantPanic("sim: cycle 5: event scheduled in the past (cycle 3)", func() { e.step(3) })
+	wantPanic("sim: cycle 5: event scheduled in the past (cycle 3)", func() { e.advance(3) })
 }
 
 // Property: events always fire in nondecreasing cycle order, and ties fire
@@ -349,9 +337,9 @@ func newPostRunner(out *[]int, id int) *postRunner {
 
 func (p *postRunner) Run() { *p.out = append(*p.out, p.id) }
 
-// TestPostPendingPanics: an embedded event is pending at most once, and
-// a second Post names both the cycle it happened at and the cycle the
-// event is already pending for. Unbound events cannot be posted.
+// TestPostPendingPanics: an event is pending at most once, and a second
+// Post names both the cycle it happened at and the cycle the event is
+// already pending for. Unbound events cannot be posted.
 func TestPostPendingPanics(t *testing.T) {
 	wantPanic := func(want string, f func()) {
 		t.Helper()
@@ -381,12 +369,11 @@ func TestPostPendingPanics(t *testing.T) {
 	if len(got) != 1 || p.ev.Pending() {
 		t.Fatalf("fired %v, pending %v; want one firing and idle", got, p.ev.Pending())
 	}
-	wantPanic("sim: cycle 8: Post of an event not bound with Bind", func() { e.Post(1, wrapped) })
 }
 
 // TestCancelledEmbeddedEventPostsAgain: cancelling an embedded event,
-// in the wheel or in the far heap, leaves it bound: it reports
-// Cancelled until it is posted again, and then fires once.
+// in the wheel or in the far heap, leaves it bound and idle: it may be
+// posted again, and then fires once.
 func TestCancelledEmbeddedEventPostsAgain(t *testing.T) {
 	for _, delay := range []uint64{4, wheelSize + 4} {
 		var e Engine
@@ -395,22 +382,19 @@ func TestCancelledEmbeddedEventPostsAgain(t *testing.T) {
 		e.Post(delay, &p.ev)
 		e.Cancel(&p.ev)
 		e.Cancel(&p.ev) // a second cancel is a no-op
-		if !p.ev.Cancelled() || p.ev.Pending() || e.Pending() != 0 {
-			t.Fatalf("delay %d: after Cancel: cancelled=%v pending=%v engine pending=%d",
-				delay, p.ev.Cancelled(), p.ev.Pending(), e.Pending())
+		if p.ev.index != idxIdle || p.ev.Pending() || e.Pending() != 0 {
+			t.Fatalf("delay %d: after Cancel: index=%d pending=%v engine pending=%d",
+				delay, p.ev.index, p.ev.Pending(), e.Pending())
 		}
 		e.Post(delay, &p.ev)
-		if p.ev.Cancelled() {
-			t.Fatalf("delay %d: re-posted event still reports Cancelled", delay)
+		if !p.ev.Pending() {
+			t.Fatalf("delay %d: re-posted event does not report Pending", delay)
 		}
 		if _, err := e.Run(0); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != 1 || e.Now() != delay {
 			t.Fatalf("delay %d: fired %v at cycle %d, want one firing at %d", delay, got, e.Now(), delay)
-		}
-		if len(e.free) != 0 {
-			t.Fatalf("delay %d: an embedded event entered the free list", delay)
 		}
 	}
 }
