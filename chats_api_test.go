@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chats"
+	"chats/internal/core"
 )
 
 // apiCounter is a minimal workload written purely against the public API.
@@ -111,5 +112,44 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 	}
 	if a != b {
 		t.Fatalf("public API runs nondeterministic:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestTraitsOverrideFillsDefaults: a Traits override with the flags each
+// system sets for itself cleared, and the naive budget and power
+// threshold left zero, builds the Table II traits and runs exactly as
+// the defaults do, on every system: the With constructors restore the
+// flags and fill the zero knobs with their defaults.
+func TestTraitsOverrideFillsDefaults(t *testing.T) {
+	for _, system := range chats.Systems() {
+		def, err := chats.SystemTraits(system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cleared := def
+		cleared.UsesVSB, cleared.UsesPower = false, false
+		cleared.NaiveBudget, cleared.PowerAfterAborts = 0, 0
+		policy, err := core.NewWith(system, cleared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := policy.Traits(); got != def {
+			t.Errorf("%s: traits override built %+v, want %+v", system, got, def)
+		}
+
+		cfg := chats.DefaultConfig()
+		cfg.System = system
+		want, err := chats.Run(cfg, &apiCounter{iters: 10})
+		if err != nil {
+			t.Fatalf("%s: %v", system, err)
+		}
+		cfg.Traits = &cleared
+		got, err := chats.Run(cfg, &apiCounter{iters: 10})
+		if err != nil {
+			t.Fatalf("%s with traits: %v", system, err)
+		}
+		if got != want {
+			t.Errorf("%s: traits override ran differently:\n got %+v\nwant %+v", system, got, want)
+		}
 	}
 }

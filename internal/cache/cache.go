@@ -380,8 +380,9 @@ func (c *Cache) GangInvalidateSM() int {
 
 // CommitSM clears the SM and Spec bits on every write-set line at commit:
 // the speculative values become the architectural ones, held dirty in M.
-// It calls fn for each committed line, in set then way order, so the
-// caller can propagate the committed value to the backing image.
+// A non-nil fn sees each committed line, in set then way order; the
+// machine passes nil (the lines reach memory as dirty M lines), and the
+// unit tests observe the scan order through it.
 func (c *Cache) CommitSM(fn func(line mem.Addr, data mem.Line)) int {
 	n := 0
 	c.gangScan(func(e *Entry) {
@@ -407,11 +408,4 @@ func (c *Cache) ForEach(fn func(e *Entry)) {
 			}
 		}
 	}
-}
-
-// CountSM returns the number of SM lines currently held.
-func (c *Cache) CountSM() int {
-	n := 0
-	c.scanSM(func(*Entry) { n++ })
-	return n
 }

@@ -132,7 +132,7 @@ func TestGangInvalidateSM(t *testing.T) {
 			t.Fatalf("line %d presence = %v", i, present)
 		}
 	}
-	if c.CountSM() != 0 {
+	if len(c.AppendSM(nil)) != 0 {
 		t.Fatal("SM lines remain")
 	}
 }
@@ -339,8 +339,8 @@ func TestUntouchedSetMissAllocatesNothing(t *testing.T) {
 	if c.sets[1] != nil {
 		t.Error("misses allocated set 1")
 	}
-	if got := c.CountSM(); got != 0 {
-		t.Errorf("CountSM = %d", got)
+	if got := len(c.AppendSM(nil)); got != 0 {
+		t.Errorf("SM lines = %d", got)
 	}
 	if _, _, e := c.Insert(lineAddr(1), Modified, mem.Line{2}); e == nil || len(c.sets[1]) != 1 {
 		t.Fatal("insert did not grow set 1 to one way")

@@ -232,7 +232,7 @@ func TestEntrySurvivesSetGrowth(t *testing.T) {
 		if got := c.Peek(sameSet(0)); got == nil || *got != want {
 			t.Fatalf("after %d inserts: line 0 = %+v, want %+v", i, got, want)
 		}
-		if !c.Reads(sameSet(0)) || !c.Writes(sameSet(0)) || c.CountSM() != 1 {
+		if !c.Reads(sameSet(0)) || !c.Writes(sameSet(0)) || len(c.AppendSM(nil)) != 1 {
 			t.Fatalf("after %d inserts: line 0 left the read or write set", i)
 		}
 	}

@@ -472,15 +472,14 @@ const (
 	invAck                  // ack arrived back at the directory
 )
 
-func (d *Directory) newInvT(c *invCollect, target int) *invTarget {
+// newInvT returns a target in the invDeliver phase; the caller sets c
+// and target.
+func (d *Directory) newInvT() *invTarget {
 	t := d.invTs.Get()
 	if t == nil {
 		t = &invTarget{}
 		t.ev.Bind(t)
 	}
-	t.c = c
-	t.target = target
-	t.phase = invDeliver
 	return t
 }
 
@@ -517,6 +516,7 @@ func (t *invTarget) Run() {
 	}
 	c, target, nack := t.c, t.target, t.nack
 	t.c = nil
+	t.phase = invDeliver
 	c.d.invTs.Put(t)
 	if nack {
 		c.nacked = true
@@ -551,13 +551,6 @@ func (d *Directory) startNext(l *dirLine) {
 		m.h = next.resp
 		d.eng.Post(0, &m.ev)
 	}
-}
-
-// Unblock is sent by a requester once it has installed a data response;
-// it lets the directory start the next queued request for the line.
-// (The call is already network-delayed by the requester.)
-func (d *Directory) Unblock(line mem.Addr) {
-	d.unblock(line, d.line(line))
 }
 
 // SendUnblock sends the requester's Unblock message for line over the
@@ -671,7 +664,10 @@ func (d *Directory) collectInvs(lineAddr mem.Addr, l *dirLine, req ReqInfo, resp
 	for wi, w := range targets {
 		for ; w != 0; w &= w - 1 {
 			d.stats.Invs++
-			d.net.PostControl(&d.newInvT(c, wi<<6+bits.TrailingZeros64(w)).ev)
+			t := d.newInvT()
+			t.c = c
+			t.target = wi<<6 + bits.TrailingZeros64(w)
+			d.net.PostControl(&t.ev)
 		}
 	}
 }
@@ -704,20 +700,9 @@ func (d *Directory) WriteBackData(lineAddr mem.Addr, data mem.Line) {
 	d.memory.WriteLine(lineAddr, data)
 }
 
-// DropSharer records that core id silently discarded a Shared copy. The
-// baseline protocol does not require this message (sharer lists may be
-// stale); it exists for tests that want exact sharer tracking.
-func (d *Directory) DropSharer(lineAddr mem.Addr, id int) {
-	l := d.line(lineAddr)
-	if l.state == dirS {
-		l.sharers.clear(id)
-	}
-}
-
-// snapshot helpers for tests.
-
 // StateOf reports the directory state of a line as a string, the owner,
 // and the low 64 bits of the sharer bitset (tests address cores 0..63).
+// Tests and the benchmark's per-layer probes read it.
 func (d *Directory) StateOf(lineAddr mem.Addr) (string, int, uint64) {
 	l := d.line(lineAddr)
 	switch l.state {
@@ -730,14 +715,4 @@ func (d *Directory) StateOf(lineAddr mem.Addr) (string, int, uint64) {
 	}
 	d.fail(fmt.Sprintf("bad dir state %d", l.state), lineAddr)
 	return "", 0, 0
-}
-
-// Busy reports whether the line has a request in flight.
-func (d *Directory) Busy(lineAddr mem.Addr) bool {
-	return d.line(lineAddr).busy
-}
-
-// QueuedLen reports how many requests wait in the line's blocking queue.
-func (d *Directory) QueuedLen(lineAddr mem.Addr) int {
-	return d.line(lineAddr).queue.n
 }

@@ -419,25 +419,6 @@ func TestWriteBackDataKeepsOwnership(t *testing.T) {
 	}
 }
 
-func TestDropSharer(t *testing.T) {
-	r := newRig(2)
-	r.request(t, false, 0x380, 0)
-	r.cores[0].onProbe = func(p Probe) { p.ReplyData(mem.Line{}) }
-	r.request(t, false, 0x380, 1)
-	r.dir.DropSharer(0x380, 0)
-	_, _, sharers := r.dir.StateOf(0x380)
-	if sharers != 0b10 {
-		t.Fatalf("sharers = %b after drop", sharers)
-	}
-	// DropSharer on a non-shared line is a no-op.
-	r.request(t, true, 0x3c0, 0)
-	r.dir.DropSharer(0x3c0, 0)
-	st, owner, _ := r.dir.StateOf(0x3c0)
-	if st != "E" || owner != 0 {
-		t.Fatal("DropSharer touched an exclusive line")
-	}
-}
-
 func TestGetXForwardNackAndSpec(t *testing.T) {
 	r := newRig(2)
 	r.request(t, true, 0x400, 0)

@@ -141,17 +141,10 @@ type Resp struct {
 }
 
 // RespHandler receives the response to a GetS/GetX at the requester.
-// The machine's pooled access structs implement it directly; tests use
-// the RespFunc adapter.
+// The machine's pooled access structs implement it directly.
 type RespHandler interface {
 	HandleResp(r Resp)
 }
-
-// RespFunc adapts a plain function to RespHandler.
-type RespFunc func(Resp)
-
-// HandleResp invokes the function.
-func (f RespFunc) HandleResp(r Resp) { f(r) }
 
 // Core is the directory's view of an L1 cache controller.
 type Core interface {

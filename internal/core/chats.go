@@ -153,11 +153,13 @@ func (c *CHATS) AcceptSpec(local *htm.TxState, pic coherence.PiC) htm.SpecOutcom
 	return chatsAccept(local, pic)
 }
 
-// ValidationCheck implements Section IV-B: abort on value mismatch;
-// abort on a PiC at or below ours in a speculative response (cycle
-// created by a race, Section IV-C); otherwise pending until real
-// permissions arrive.
-func (c *CHATS) ValidationCheck(local *htm.TxState, isSpec bool, pic coherence.PiC, match bool) (htm.ValidationOutcome, htm.AbortCause) {
+// chatsValidate is the validation check shared by CHATS and PCHATS
+// (Section IV-B): abort on value mismatch; abort on a PiC at or below
+// ours in a speculative response (a cycle created by a race, Section
+// IV-C); otherwise pending until real permissions arrive. A PiCPower
+// response is exempt from the cycle check: the power producer commits
+// independently.
+func chatsValidate(local *htm.TxState, isSpec bool, pic coherence.PiC, match bool) (htm.ValidationOutcome, htm.AbortCause) {
 	if !match {
 		return htm.ValidationAbort, htm.CauseValidation
 	}
@@ -171,4 +173,9 @@ func (c *CHATS) ValidationCheck(local *htm.TxState, isSpec bool, pic coherence.P
 		return htm.ValidationAbort, htm.CauseCycle
 	}
 	return htm.ValidationPending, htm.CauseNone
+}
+
+// ValidationCheck is chatsValidate.
+func (c *CHATS) ValidationCheck(local *htm.TxState, isSpec bool, pic coherence.PiC, match bool) (htm.ValidationOutcome, htm.AbortCause) {
+	return chatsValidate(local, isSpec, pic, match)
 }

@@ -124,20 +124,7 @@ func (p *PCHATS) AcceptSpec(local *htm.TxState, pic coherence.PiC) htm.SpecOutco
 	return chatsAccept(local, pic)
 }
 
-// ValidationCheck follows CHATS, with PiCPower responses exempt from the
-// cycle check (the power producer commits independently).
+// ValidationCheck is chatsValidate.
 func (p *PCHATS) ValidationCheck(local *htm.TxState, isSpec bool, pic coherence.PiC, match bool) (htm.ValidationOutcome, htm.AbortCause) {
-	if !match {
-		return htm.ValidationAbort, htm.CauseValidation
-	}
-	if !isSpec {
-		return htm.ValidationDone, htm.CauseNone
-	}
-	if pic == coherence.PiCPower {
-		return htm.ValidationPending, htm.CauseNone
-	}
-	if local.PiC != coherence.PiCNone && local.PiC >= pic {
-		return htm.ValidationAbort, htm.CauseCycle
-	}
-	return htm.ValidationPending, htm.CauseNone
+	return chatsValidate(local, isSpec, pic, match)
 }

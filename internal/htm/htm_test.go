@@ -77,7 +77,7 @@ func TestBeginClearsChatsState(t *testing.T) {
 
 func TestVSBAddRemove(t *testing.T) {
 	v := NewVSB(4)
-	if !v.Empty() || v.Full() || v.Size() != 4 {
+	if !v.Empty() || v.Full() || len(v.entries) != 4 {
 		t.Fatal("fresh VSB wrong")
 	}
 	for i := 0; i < 4; i++ {

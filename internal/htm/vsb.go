@@ -34,9 +34,6 @@ func NewVSB(size int) *VSB {
 	return &VSB{entries: make([]VSBEntry, size)}
 }
 
-// Size returns the capacity.
-func (v *VSB) Size() int { return len(v.entries) }
-
 // Len returns the number of valid entries.
 func (v *VSB) Len() int { return v.count }
 

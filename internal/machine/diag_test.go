@@ -47,8 +47,9 @@ func TestInvariantPanicNamesCycleCoreLine(t *testing.T) {
 }
 
 // TestFlushPanicNamesCoreAndLine: the end-of-run flush refuses leftover
-// speculative state, and its panic names the cycle and core (and the
-// line, for a surviving SM line).
+// speculative state and an undelivered writeback, and its panic names
+// the cycle and core (and the line, for a surviving SM line or
+// writeback).
 func TestFlushPanicNamesCoreAndLine(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -59,6 +60,8 @@ func TestFlushPanicNamesCoreAndLine(t *testing.T) {
 			"machine: cycle 0 core 2 line 0x0: transaction still active after run (active, attempt 1)"},
 		{"SM line", func(n *Node) { n.install(0x80, cache.Modified, mem.Line{}, true, false) },
 			"machine: cycle 0 core 2 line 0x80: speculative line survived the run"},
+		{"pending writeback", func(n *Node) { n.wbPending[0xc0] = &pendingWB{n: n, tag: 0xc0} },
+			"machine: cycle 0 core 2 line 0xc0: writeback still pending after the run"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			policy, err := core.New(core.KindCHATS)

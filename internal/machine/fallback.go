@@ -377,7 +377,6 @@ type stmHandle struct {
 	s *stmTx
 }
 
-func (h stmHandle) TID() int        { return h.t.tid }
 func (h stmHandle) Rand() *sim.Rand { return h.t.rng }
 func (h stmHandle) Fallback() bool  { return true }
 

@@ -271,8 +271,9 @@ func (m *Machine) collectStats() {
 }
 
 // flushCaches writes every dirty line back to the memory image so
-// Workload.Check sees the final architectural state. No speculative
-// state may remain.
+// Workload.Check sees the final architectural state. It runs after a
+// clean Run, with the engine idle: no speculative state and no
+// writeback in flight may remain.
 func (m *Machine) flushCaches() {
 	for _, n := range m.nodes {
 		if n.tx.InTx() {
@@ -286,10 +287,10 @@ func (m *Machine) flushCaches() {
 				m.memory.WriteLine(e.Tag, e.Data)
 			}
 		})
-		for tag, wb := range n.wbPending {
-			if !wb.cancelled {
-				m.memory.WriteLine(tag, wb.data)
-			}
+		// Every writeback was delivered, cancelled by a probe or
+		// reinstalled by now, and each of those drops its entry.
+		for tag := range n.wbPending {
+			n.fail("writeback still pending after the run", tag)
 		}
 	}
 }

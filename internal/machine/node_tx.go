@@ -98,11 +98,9 @@ func (n *Node) HandleProbe(p coherence.Probe) {
 // replyNormal services a probe with plain MESI behavior.
 func (n *Node) replyNormal(p coherence.Probe, e *cache.Entry) {
 	if e == nil {
-		if p.Kind == coherence.InvProbe {
-			p.ReplyData(mem.Line{}) // nothing to invalidate
-		} else {
-			p.ReplyNoData() // silently dropped; directory serves memory
-		}
+		// Silently dropped: a forward is served from memory, and an Inv
+		// has nothing to invalidate.
+		p.ReplyNoData()
 		return
 	}
 	if e.SM {
@@ -126,11 +124,11 @@ func (n *Node) replyNormal(p coherence.Probe, e *cache.Entry) {
 
 // abortTx kills the running transaction: stats, gang invalidation of the
 // write set, and — if the thread was blocked in commit — its wakeup. The
-// thread otherwise discovers the abort at its next operation.
+// thread otherwise discovers the abort at its next operation. Every
+// caller holds a live transaction: it checked InTx, or its response
+// carries the attempt's epoch, which any status change bumps
+// (MarkAborted panics otherwise).
 func (n *Node) abortTx(cause htm.AbortCause) {
-	if !n.tx.InTx() {
-		return
-	}
 	wasCommitting := n.tx.Status == htm.Committing
 	n.stats.Aborts++
 	n.stats.ByCause[cause]++
@@ -353,15 +351,16 @@ func (n *Node) kickValidation() {
 	}
 }
 
+// issueValidation sends the validation of the next VSB entry. Its
+// callers hold a live transaction with unvalidated entries and no
+// validation in flight: the timer is armed only then and stopped at
+// abort and commit, and a commit kicks it only when none is in flight.
 func (n *Node) issueValidation() {
-	if n.valInFlight || !n.tx.InTx() || n.tx.VSB.Empty() {
-		return
-	}
 	ent, ok := n.tx.VSB.NextToValidate()
-	if !ok {
-		// No line to name: the count says entries are valid, none is.
-		panic(fmt.Sprintf("machine: cycle %d core %d: VSB counts %d of %d entries valid but holds none",
-			n.eng.Now(), n.id, n.tx.VSB.Len(), n.tx.VSB.Size()))
+	if !ok || n.valInFlight || !n.tx.InTx() {
+		// Without a valid entry there is no line to name.
+		panic(fmt.Sprintf("machine: cycle %d core %d: validation issued with %d VSB entries valid (entry found %v), one in flight %v, status %v",
+			n.eng.Now(), n.id, n.tx.VSB.Len(), ok, n.valInFlight, n.tx.Status))
 	}
 	n.val.ent = ent
 	n.val.epoch = n.tx.Epoch
@@ -371,12 +370,17 @@ func (n *Node) issueValidation() {
 	n.m.net.PostControl(&n.val.ev)
 }
 
-// validationCheck is the policy's ValidationCheck for line; an abort
-// without a cause, a policy without a VSB validating, fails the run.
+// validationCheck is the policy's ValidationCheck for line. An abort
+// without a cause (a policy without a VSB validating) fails the run, and
+// so does a pending verdict on a data response: real permissions settle
+// the line one way or the other.
 func (n *Node) validationCheck(line mem.Addr, isSpec bool, pic coherence.PiC, match bool) (htm.ValidationOutcome, htm.AbortCause) {
 	out, cause := n.policy.ValidationCheck(n.tx, isSpec, pic, match)
-	if out == htm.ValidationAbort && cause == htm.CauseNone {
+	switch {
+	case out == htm.ValidationAbort && cause == htm.CauseNone:
 		n.fail(n.policy.Name()+" validated a line it cannot hold", line)
+	case out == htm.ValidationPending && !isSpec:
+		n.fail(n.policy.Name()+" left a line pending that real permissions granted", line)
 	}
 	return out, cause
 }
@@ -404,28 +408,25 @@ func (n *Node) onValidationResp(ent htm.VSBEntry, epoch uint64, resp coherence.R
 	case coherence.RespData:
 		n.m.dir.SendUnblock(ent.Line)
 		out, cause := n.validationCheck(ent.Line, false, resp.PiC, n.validationMatch(ent, resp))
-		switch out {
-		case htm.ValidationDone:
-			n.tx.VSB.Remove(ent.Line)
-			n.stats.ValidationsOK++
-			n.validatedThisTx++
-			n.m.emitValidate(n.id, ent.Line, true)
-			if e := n.l1.Peek(ent.Line); e != nil {
-				e.Spec = false // the fiction is now real ownership
-			}
-			if n.tx.VSB.Empty() {
-				n.tx.Cons = false
-				if n.tx.Status == htm.Committing {
-					n.finalizeCommit()
-					return
-				}
-			}
-			n.armValidationTimer()
-		case htm.ValidationAbort:
+		if out == htm.ValidationAbort {
 			n.abortTx(cause)
-		case htm.ValidationPending:
-			n.armValidationTimer()
+			return
 		}
+		n.tx.VSB.Remove(ent.Line)
+		n.stats.ValidationsOK++
+		n.validatedThisTx++
+		n.m.emitValidate(n.id, ent.Line, true)
+		if e := n.l1.Peek(ent.Line); e != nil {
+			e.Spec = false // the fiction is now real ownership
+		}
+		if n.tx.VSB.Empty() {
+			n.tx.Cons = false
+			if n.tx.Status == htm.Committing {
+				n.finalizeCommit()
+				return
+			}
+		}
+		n.armValidationTimer()
 	case coherence.RespSpec:
 		out, cause := n.validationCheck(ent.Line, true, resp.PiC, n.validationMatch(ent, resp))
 		if out == htm.ValidationAbort {

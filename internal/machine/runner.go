@@ -87,7 +87,6 @@ type Tx interface {
 	// finds the transaction dead, Walk unwinds the body as Load would.
 	Walk(first mem.Addr, w mem.Walker)
 	Work(n uint64)
-	TID() int
 	Rand() *sim.Rand
 	// Fallback reports whether this execution runs on the software
 	// fallback path rather than speculatively.
@@ -414,12 +413,10 @@ type wdTick struct {
 	r  *runner
 }
 
-// Run checks for progress since the last tick.
+// Run checks for progress since the last tick. The last thread to
+// finish cancels the tick, so it fires only while a thread runs.
 func (w *wdTick) Run() {
 	r := w.r
-	if r.active == 0 {
-		return
-	}
 	progress := r.m.progress()
 	if progress == r.wdLast {
 		r.m.eng.Halt(r.m.livelockError(r.m.cfg.WatchdogCycles))
@@ -900,7 +897,6 @@ type txHandle struct {
 	fallback bool
 }
 
-func (h txHandle) TID() int        { return h.t.tid }
 func (h txHandle) Rand() *sim.Rand { return h.t.rng }
 func (h txHandle) Fallback() bool  { return h.fallback }
 

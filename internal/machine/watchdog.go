@@ -2,7 +2,7 @@ package machine
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"chats/internal/coherence"
@@ -174,9 +174,6 @@ type CoreSnapshot struct {
 // NumCores returns the number of simulated cores.
 func (m *Machine) NumCores() int { return len(m.nodes) }
 
-// Now returns the current simulation cycle.
-func (m *Machine) Now() uint64 { return m.eng.Now() }
-
 // Halt stops the simulation before the next event fires, making Run
 // return err. Safe to call from tracer callbacks (the invariant checker
 // uses it to stop on the first violation).
@@ -187,7 +184,7 @@ func (m *Machine) CoreSnapshot(i int) CoreSnapshot {
 	n := m.nodes[i]
 	tx := n.tx
 	vsbLines := tx.VSB.Lines()
-	sort.Slice(vsbLines, func(a, b int) bool { return vsbLines[a] < vsbLines[b] })
+	slices.Sort(vsbLines)
 	return CoreSnapshot{
 		Core:     i,
 		Status:   tx.Status,
